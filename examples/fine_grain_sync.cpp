@@ -17,7 +17,6 @@
 #include <cstdio>
 
 #include "machine/perfect_machine.hh"
-#include "runtime/runtime.hh"
 #include "workloads/handwritten.hh"
 
 int
@@ -27,11 +26,10 @@ main()
 
     workloads::FineGrainSync w = workloads::buildFineGrainSync();
 
-    rt::Runtime runtime;
     PerfectMachineParams params;
     params.numNodes = 2;
     params.wordsPerNode = 1u << 16;
-    PerfectMachine m(params, &w.prog, runtime);
+    PerfectMachine m(params, &w.prog);
     // The buffer starts empty: nothing to consume yet.
     for (int i = 0; i < w.items; ++i)
         m.memory().setFull(w.buf + Addr(i), false);

@@ -107,19 +107,20 @@ summarizeTransactions(const std::vector<TxnEvent> &events)
 }
 
 void
-TxnTracer::writeJson(std::ostream &os) const
+writeJson(std::ostream &os, const TxnTracer &log)
 {
-    os << "{\"schemaVersion\":1,\"dropped\":" << dropped_
+    const std::vector<TxnEvent> &events = log.events();
+    os << "{\"schemaVersion\":1,\"dropped\":" << log.dropped()
        << ",\"transactions\":[";
     bool first_txn = true;
-    for (const TxnGroup &g : groupByTxn(events_)) {
-        TxnSummary s = summarize(events_, g);
+    for (const TxnGroup &g : groupByTxn(events)) {
+        TxnSummary s = summarize(events, g);
         os << (first_txn ? "\n" : ",\n");
         first_txn = false;
         os << "{\"id\":" << g.id
            << ",\"node\":" << uint32_t(g.id >> 32)
-           << ",\"line\":" << events_[g.events.front()].line
-           << ",\"write\":" << (events_[g.events.front()].write ? 1 : 0);
+           << ",\"line\":" << events[g.events.front()].line
+           << ",\"write\":" << (events[g.events.front()].write ? 1 : 0);
         if (s.issue) {
             os << ",\"issued\":" << s.issue->cycle
                << ",\"home\":" << s.issue->peer
@@ -135,7 +136,7 @@ TxnTracer::writeJson(std::ostream &os) const
            << ",\"events\":[";
         bool first_ev = true;
         for (size_t i : g.events) {
-            const TxnEvent &e = events_[i];
+            const TxnEvent &e = events[i];
             os << (first_ev ? "" : ",");
             first_ev = false;
             os << "{\"c\":" << e.cycle << ",\"n\":" << e.node
@@ -167,11 +168,12 @@ writeChromeEvent(std::ostream &os, bool &first, const std::string &name,
 } // namespace
 
 void
-TxnTracer::writeChromeEvents(std::ostream &os, bool &first) const
+writeChromeEvents(std::ostream &os, bool &first, const TxnTracer &log)
 {
-    for (const TxnGroup &g : groupByTxn(events_)) {
-        TxnSummary s = summarize(events_, g);
-        const TxnEvent &head = events_[g.events.front()];
+    const std::vector<TxnEvent> &events = log.events();
+    for (const TxnGroup &g : groupByTxn(events)) {
+        TxnSummary s = summarize(events, g);
+        const TxnEvent &head = events[g.events.front()];
         uint32_t requester = uint32_t(g.id >> 32);
         std::string name = std::string(head.write ? "write" : "read") +
                            " line " + std::to_string(head.line);
@@ -184,7 +186,7 @@ TxnTracer::writeChromeEvents(std::ostream &os, bool &first) const
                              ",\"acks\":" + std::to_string(s.acks));
         // Flow arrows stitching each leg to the node that acted.
         for (size_t k = 0; k < g.events.size(); ++k) {
-            const TxnEvent &e = events_[g.events[k]];
+            const TxnEvent &e = events[g.events[k]];
             const char *ph = k == 0                      ? "s"
                              : k + 1 == g.events.size() ? "f"
                                                         : "t";

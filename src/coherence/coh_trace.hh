@@ -12,12 +12,9 @@
  * on the transaction's behalf (Inv, WbReq, replies) and sharers copy
  * it into their acknowledgments, giving each protocol leg a parent.
  *
- * Like trace::Recorder, the tracer is a flat cycle-stamped append-only
- * log with a deterministic capacity cap. Under the parallel engine
- * each shard records into its own lane; lanes merge canonically by
- * (cycle, node) — every event is recorded by the controller whose
- * node it names, so the merged stream is bit-identical to the
- * sequential one (same argument as AlewifeMachine::mergeTraceLanes).
+ * Like trace::Recorder, the tracer is an obs::Log: per-shard lanes
+ * merged canonically by (cycle, node) (common/obs_log.hh). Every leg
+ * is recorded by the controller whose node it names.
  */
 
 #ifndef APRIL_COHERENCE_COH_TRACE_HH
@@ -27,6 +24,7 @@
 #include <ostream>
 #include <vector>
 
+#include "common/obs_log.hh"
 #include "isa/types.hh"
 
 namespace april::coh
@@ -105,62 +103,26 @@ std::vector<TxnRecord>
 summarizeTransactions(const std::vector<TxnEvent> &events);
 
 /** The per-machine (or per-shard lane) transaction log. */
-class TxnTracer
-{
-  public:
-    explicit TxnTracer(uint64_t capacity) : capacity_(capacity)
-    {
-        events_.reserve(1024);
-    }
+using TxnTracer = obs::Log<TxnEvent>;
 
-    /** Append one leg (drops deterministically once full). */
-    void
-    record(const TxnEvent &e)
-    {
-        if (events_.size() < capacity_)
-            events_.push_back(e);
-        else
-            ++dropped_;
-    }
+/**
+ * Serialize @p log as structured JSON: events grouped into
+ * transactions in first-appearance order, each with issue/fill
+ * cycles, latency and invalidation/ack tallies. Deterministic for a
+ * given log, so differential tests compare serializations byte for
+ * byte.
+ */
+void writeJson(std::ostream &os, const TxnTracer &log);
 
-    const std::vector<TxnEvent> &events() const { return events_; }
-    std::vector<TxnEvent> &mutableEvents() { return events_; }
-    uint64_t dropped() const { return dropped_; }
-    uint64_t capacity() const { return capacity_; }
-
-    /** Fold another lane's overflow count into this log. */
-    void addDropped(uint64_t n) { dropped_ += n; }
-
-    /** Discard all recorded events (a merged-out lane). */
-    void
-    clear()
-    {
-        events_.clear();
-        dropped_ = 0;
-    }
-
-    /**
-     * Serialize as structured JSON: events grouped into transactions
-     * in first-appearance order, each with issue/fill cycles, latency
-     * and invalidation/ack tallies. Deterministic for a given log, so
-     * differential tests compare serializations byte for byte.
-     */
-    void writeJson(std::ostream &os) const;
-
-    /**
-     * Append Perfetto events for the recorded transactions to an open
-     * Chrome-trace event array (trace::Recorder::ExtraEventWriter
-     * shape): one async "txn" span per transaction on the requester's
-     * process plus flow arrows (s/t/f) threading requester -> home ->
-     * requester through every leg.
-     */
-    void writeChromeEvents(std::ostream &os, bool &first) const;
-
-  private:
-    uint64_t capacity_;
-    std::vector<TxnEvent> events_;
-    uint64_t dropped_ = 0;
-};
+/**
+ * Append Perfetto events for the transactions of @p log to an open
+ * Chrome-trace event array (trace::ExtraEventWriter shape): one async
+ * "txn" span per transaction on the requester's process plus flow
+ * arrows (s/t/f) threading requester -> home -> requester through
+ * every leg.
+ */
+void writeChromeEvents(std::ostream &os, bool &first,
+                       const TxnTracer &log);
 
 } // namespace april::coh
 

@@ -7,29 +7,26 @@
 namespace april::trace
 {
 
-Recorder::Recorder(RecorderConfig config) : config_(std::move(config))
+namespace
 {
-    events_.reserve(4096);
-}
 
+/** Trap name for a Trap event's kind byte. */
 std::string
-Recorder::trapName(uint8_t kind) const
+trapName(const RecorderConfig &config, uint8_t kind)
 {
-    if (kind < config_.trapNames.size())
-        return config_.trapNames[kind];
+    if (kind < config.trapNames.size())
+        return config.trapNames[kind];
     return "trap" + std::to_string(int(kind));
 }
 
+/** Directory state name for a Coherence event's state byte. */
 std::string
-Recorder::cohStateName(uint8_t state) const
+cohStateName(const RecorderConfig &config, uint8_t state)
 {
-    if (state < config_.cohStateNames.size())
-        return config_.cohStateNames[state];
+    if (state < config.cohStateNames.size())
+        return config.cohStateNames[state];
     return "state" + std::to_string(int(state));
 }
-
-namespace
-{
 
 /** One trace-event object. @p args is pre-rendered ("\"k\":1") or empty. */
 void
@@ -59,14 +56,15 @@ writeEvent(std::ostream &os, bool &first, const std::string &name,
 } // namespace
 
 void
-Recorder::writeChromeTrace(std::ostream &os,
-                           const ExtraEventWriter &extra) const
+writeChromeTrace(std::ostream &os, const Recorder &log,
+                 const RecorderConfig &config,
+                 const ExtraEventWriter &extra)
 {
     os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
     bool first = true;
 
     // Track metadata: one Perfetto process per node.
-    for (uint32_t n = 0; n < config_.numNodes; ++n) {
+    for (uint32_t n = 0; n < config.numNodes; ++n) {
         writeEvent(os, first, "process_name", "M", "", 0, n,
                    "\"name\":\"node" + std::to_string(n) + "\"");
         writeEvent(os, first, "process_sort_index", "M", "", 0, n,
@@ -76,7 +74,7 @@ Recorder::writeChromeTrace(std::ostream &os,
     }
 
     auto frame_id = [&](uint32_t node, uint32_t frame) {
-        return int64_t(node) * config_.framesPerNode + frame;
+        return int64_t(node) * config.framesPerNode + frame;
     };
     auto frame_name = [](uint32_t frame) {
         return "frame" + std::to_string(frame);
@@ -85,10 +83,10 @@ Recorder::writeChromeTrace(std::ostream &os,
     // Which frame currently occupies each core's async frame track
     // (-1: no switch seen yet; the opening "b" is emitted lazily so
     // nodes that never switch get no frame track at all).
-    std::vector<int64_t> open(config_.numNodes, -1);
+    std::vector<int64_t> open(config.numNodes, -1);
     uint64_t last_ts = 0;
 
-    for (const Event &e : events_) {
+    for (const Event &e : log.events()) {
         last_ts = e.cycle;
         switch (e.kind) {
           case EventKind::CtxSwitch: {
@@ -113,12 +111,13 @@ Recorder::writeChromeTrace(std::ostream &os,
             break;
           }
           case EventKind::Trap:
-            writeEvent(os, first, trapName(e.a), "i", "trap", e.cycle,
+            writeEvent(os, first, trapName(config, e.a), "i", "trap", e.cycle,
                        e.node, "\"pc\":" + std::to_string(e.arg));
             break;
           case EventKind::Coherence:
             writeEvent(os, first,
-                       cohStateName(e.a) + "->" + cohStateName(e.b),
+                       cohStateName(config, e.a) + "->" +
+                           cohStateName(config, e.b),
                        "i", "coh", e.cycle, e.node,
                        "\"line\":" + std::to_string(e.arg) +
                            ",\"requester\":" + std::to_string(e.arg2));
@@ -153,7 +152,7 @@ Recorder::writeChromeTrace(std::ostream &os,
 
     // Close any frame slice still open so every async track is
     // well-formed.
-    for (uint32_t n = 0; n < config_.numNodes; ++n) {
+    for (uint32_t n = 0; n < config.numNodes; ++n) {
         if (open[n] >= 0) {
             uint32_t f = uint32_t(open[n]);
             writeEvent(os, first, frame_name(f), "e", "frame", last_ts,
@@ -164,7 +163,7 @@ Recorder::writeChromeTrace(std::ostream &os,
     if (extra)
         extra(os, first);
 
-    os << "\n],\"otherData\":{\"droppedEvents\":" << dropped_
+    os << "\n],\"otherData\":{\"droppedEvents\":" << log.dropped()
        << "}}\n";
 }
 

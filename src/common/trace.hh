@@ -6,9 +6,9 @@
  * The recorder is a flat append-only log of small fixed-size events:
  * context switches (from/to hardware frame), traps (by TrapKind),
  * directory protocol transitions, network packet send/deliver, and
- * failed full/empty synchronization attempts. Components hold a
- * nullable Recorder pointer wired up by the enclosing machine; the
- * disabled path is therefore a single pointer test.
+ * failed full/empty synchronization attempts. It is an obs::Log;
+ * components hold a nullable Recorder pointer wired up by the
+ * enclosing machine, so the disabled path is a single pointer test.
  *
  * Cycle-exactness: events carry the absolute machine cycle at the
  * moment the component acted. The cycle-skipping run loop only
@@ -30,6 +30,8 @@
 #include <ostream>
 #include <string>
 #include <vector>
+
+#include "common/obs_log.hh"
 
 namespace april::trace
 {
@@ -67,10 +69,6 @@ struct RecorderConfig
 {
     uint32_t numNodes = 1;
     uint32_t framesPerNode = 1;
-    /// Hard cap on recorded events; the log stops growing past it
-    /// (deterministically — the same events drop with skipping on or
-    /// off) and dropped() reports the overflow.
-    uint64_t capacity = 1u << 22;
     /// Event::a -> trap name for Trap events (machine-supplied so the
     /// base library needs no ISA dependency). Missing entries render
     /// as "trap<N>".
@@ -79,65 +77,28 @@ struct RecorderConfig
     std::vector<std::string> cohStateNames;
 };
 
-/** The per-machine event log. */
-class Recorder
-{
-  public:
-    explicit Recorder(RecorderConfig config);
+/** The per-machine (or per-shard lane) event log. */
+using Recorder = obs::Log<Event>;
 
-    /** Append one event (drops silently once capacity is reached). */
-    void
-    record(const Event &e)
-    {
-        if (events_.size() < config_.capacity)
-            events_.push_back(e);
-        else
-            ++dropped_;
-    }
+/**
+ * Callback appending extra trace events to the JSON stream. The
+ * writer must emit complete event objects, writing "," before each
+ * unless `first` (which it must clear after the first one). Lets
+ * machines stitch higher-level spans (coherence-transaction flows)
+ * into the export without this library knowing about them.
+ */
+using ExtraEventWriter = std::function<void(std::ostream &, bool &)>;
 
-    const std::vector<Event> &events() const { return events_; }
-    uint64_t dropped() const { return dropped_; }
-    const RecorderConfig &config() const { return config_; }
-
-    /** Fold another lane's overflow count into this log (used when
-     *  merging the parallel engine's per-shard lanes). */
-    void addDropped(uint64_t n) { dropped_ += n; }
-
-    /** Discard all recorded events (a merged-out lane). */
-    void
-    clear()
-    {
-        events_.clear();
-        dropped_ = 0;
-    }
-
-    /**
-     * Callback appending extra trace events to the JSON stream. The
-     * writer must emit complete event objects, writing "," before
-     * each unless `first` (which it must clear after the first one).
-     * Lets machines stitch higher-level spans (coherence-transaction
-     * flows) into the export without this library knowing about them.
-     */
-    using ExtraEventWriter = std::function<void(std::ostream &, bool &)>;
-
-    /**
-     * Serialize as Chrome trace-event JSON ({"traceEvents":[...]}).
-     * Deterministic for a given event log, so differential tests can
-     * compare serializations byte for byte. `extra`, when set, is
-     * invoked after the recorded events so callers can append
-     * additional (deterministic) events to the same array.
-     */
-    void writeChromeTrace(std::ostream &os,
-                          const ExtraEventWriter &extra = {}) const;
-
-  private:
-    std::string trapName(uint8_t kind) const;
-    std::string cohStateName(uint8_t state) const;
-
-    RecorderConfig config_;
-    std::vector<Event> events_;
-    uint64_t dropped_ = 0;
-};
+/**
+ * Serialize @p log as Chrome trace-event JSON ({"traceEvents":[...]}).
+ * Deterministic for a given event log, so differential tests can
+ * compare serializations byte for byte. `extra`, when set, is
+ * invoked after the recorded events so callers can append additional
+ * (deterministic) events to the same array.
+ */
+void writeChromeTrace(std::ostream &os, const Recorder &log,
+                      const RecorderConfig &config,
+                      const ExtraEventWriter &extra = {});
 
 } // namespace april::trace
 

@@ -1,7 +1,6 @@
 #include "machine/alewife_machine.hh"
 
 #include <algorithm>
-#include <iostream>
 
 #include "common/bits.hh"
 #include "common/debug.hh"
@@ -29,60 +28,15 @@ AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
       statTraceDropped(
           this, "traceDropped",
           "machine trace events dropped at the capacity cap",
-          [this] {
-              if (!trec)
-                  return 0.0;
-              // Thread-count invariant whether or not the lanes have
-              // merged: the merged log would truncate exactly the
-              // events past the global capacity.
-              uint64_t dropped = trec->dropped();
-              uint64_t events = trec->events().size();
-              for (const Shard &s : shards) {
-                  if (s.lane) {
-                      dropped += s.lane->dropped();
-                      events += s.lane->events().size();
-                  }
-              }
-              if (events > params.traceCapacity)
-                  dropped += events - params.traceCapacity;
-              return double(dropped);
-          }),
+          [this] { return double(trace_.dropped()); }),
       statCohTraceDropped(
           this, "cohTraceDropped",
           "coherence-transaction legs dropped at the capacity cap",
-          [this] {
-              if (!cohTrec)
-                  return 0.0;
-              uint64_t dropped = cohTrec->dropped();
-              uint64_t events = cohTrec->events().size();
-              for (const Shard &s : shards) {
-                  if (s.cohLane) {
-                      dropped += s.cohLane->dropped();
-                      events += s.cohLane->events().size();
-                  }
-              }
-              if (events > params.cohTraceCapacity)
-                  dropped += events - params.cohTraceCapacity;
-              return double(dropped);
-          }),
+          [this] { return double(coh_.dropped()); }),
       statTaskTraceDropped(
           this, "taskTraceDropped",
           "task events dropped at the capacity cap",
-          [this] {
-              if (!taskTrec)
-                  return 0.0;
-              uint64_t dropped = taskTrec->dropped();
-              uint64_t events = taskTrec->events().size();
-              for (const Shard &s : shards) {
-                  if (s.taskLane) {
-                      dropped += s.taskLane->dropped();
-                      events += s.taskLane->events().size();
-                  }
-              }
-              if (events > params.taskTraceCapacity)
-                  dropped += events - params.taskTraceCapacity;
-              return double(dropped);
-          })
+          [this] { return double(task_.dropped()); })
 {
     debug::initFromEnv();
     uint32_t n = mem.numNodes();
@@ -100,20 +54,18 @@ AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
         w = 1;      // the race observer keeps cross-node state
     params.hostThreads = w;
 
-    if (p.traceEvents) {
-        trec = std::make_unique<trace::Recorder>(makeRecorderConfig(
-            n, p.proc.numFrames, p.traceCapacity));
-    }
+    if (p.traceEvents)
+        trace_.open(p.capacity, w);
     if (p.cohTrace)
-        cohTrec = std::make_unique<coh::TxnTracer>(p.cohTraceCapacity);
+        coh_.open(p.capacity, w);
     if (p.taskTrace) {
-        taskTrec = std::make_unique<task::Tracer>(p.taskTraceCapacity);
+        task_.open(p.capacity, w);
         taskProbes_ = std::make_unique<task::ProbeMap>(*prog);
     }
     if (p.detectRaces) {
         races = std::make_unique<analysis::RaceDetector>(
             n, p.raceMaxReports, this);
-        races->setTraceRecorder(trec.get());
+        races->setTraceRecorder(trace_.lane(0));
     }
     if (p.conformance)
         conform_ = std::make_unique<mc::Conformance>();
@@ -126,25 +78,7 @@ AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
         shards[s].first = at;
         at += base + (s < rem ? 1 : 0);
         shards[s].last = at;
-        // With several shards each gets a private trace lane (merged
-        // canonically on demand); with one, components write the
-        // merged recorder directly. A lane's capacity equals the
-        // global capacity: any event a lane would drop has at least
-        // capacity earlier events in its own lane alone, so it would
-        // be truncated from the merged log anyway.
-        if (p.traceEvents && w > 1) {
-            shards[s].lane = std::make_unique<trace::Recorder>(
-                makeRecorderConfig(n, p.proc.numFrames,
-                                   p.traceCapacity));
-        }
-        if (p.cohTrace && w > 1) {
-            shards[s].cohLane = std::make_unique<coh::TxnTracer>(
-                p.cohTraceCapacity);
-        }
-        if (p.taskTrace && w > 1) {
-            shards[s].taskLane = std::make_unique<task::Tracer>(
-                p.taskTraceCapacity);
-        }
+        shards[s].trace = trace_.lane(s);
     }
     arrivals.resize(n);
 
@@ -155,8 +89,8 @@ AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
 
     for (uint32_t i = 0; i < n; ++i) {
         rt::Runtime::initNode(mem, i);
-        Shard *sh = &shards[shardOf(i)];
-        trace::Recorder *lane = sh->lane ? sh->lane.get() : trec.get();
+        uint32_t shard = shardOf(i);
+        Shard *sh = &shards[shard];
         fabrics.push_back(std::make_unique<NodeFabric>(this, sh));
         ctrls.push_back(std::make_unique<coh::Controller>(
             params.controller, i, p.proc.numFrames, &mem,
@@ -168,17 +102,12 @@ AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
         procs.push_back(std::make_unique<Processor>(
             pp, prog, ctrls.back().get(), ios.back().get(), this));
         ctrls.back()->setProcessor(procs.back().get());
-        ctrls.back()->setTraceRecorder(lane);
-        ctrls.back()->setTxnTracer(sh->cohLane ? sh->cohLane.get()
-                                               : cohTrec.get());
+        ctrls.back()->setTraceRecorder(sh->trace);
+        ctrls.back()->setTxnTracer(coh_.lane(shard));
         ctrls.back()->setObserver(races.get());
         ctrls.back()->setTransitionListener(conform_.get());
-        procs.back()->setTraceRecorder(lane);
-        if (p.taskTrace) {
-            procs.back()->setTaskProbe(taskProbes_.get(),
-                                       sh->taskLane ? sh->taskLane.get()
-                                                    : taskTrec.get());
-        }
+        procs.back()->setTraceRecorder(sh->trace);
+        procs.back()->setTaskProbe(taskProbes_.get(), task_.lane(shard));
         if (p.bootRuntime)
             rt::Runtime::bootProcessor(*procs.back(), *prog, mem, i, n);
         if (p.profile) {
@@ -268,9 +197,9 @@ AlewifeMachine::shardTransmit(Shard &s, uint32_t to,
 {
     net::Injection inj = net_.inject(msg.from, to, flits, s.cycle);
     telemetry_.recordSend(msg.from, to, uint8_t(msg.type), flits);
-    if (trace::Recorder *r = s.lane ? s.lane.get() : trec.get()) {
-        r->record({s.cycle, msg.from, trace::EventKind::NetSend, 0, 0,
-                   to, flits});
+    if (s.trace) {
+        s.trace->record({s.cycle, msg.from, trace::EventKind::NetSend,
+                         0, 0, to, flits});
     }
     TRACE(Net, "c", s.cycle, " send ", msg.from, "->", to,
           " flits=", flits, " arrive=", inj.arrive);
@@ -302,9 +231,10 @@ AlewifeMachine::deliverNode(Shard &s, uint32_t node)
         telemetry_.recordDeliver(f.src, node, uint8_t(f.msg.type),
                                  f.flits, s.cycle - f.sendCycle,
                                  f.hops);
-        if (trace::Recorder *r = s.lane ? s.lane.get() : trec.get()) {
-            r->record({s.cycle, node, trace::EventKind::NetDeliver,
-                       0, 0, f.src, uint32_t(s.cycle - f.sendCycle)});
+        if (s.trace) {
+            s.trace->record({s.cycle, node,
+                             trace::EventKind::NetDeliver, 0, 0, f.src,
+                             uint32_t(s.cycle - f.sendCycle)});
         }
         TRACE(Net, "c", s.cycle, " deliver ", f.src, "->", node,
               " latency=", s.cycle - f.sendCycle);
@@ -670,7 +600,8 @@ AlewifeMachine::run(uint64_t max_cycles)
         syncAt(target);
     }
     foldObservability();
-    warnOnTraceOverflow();
+    obs::warnOverflow(warnedTraceDrop_, trace_.dropped(), coh_.dropped(),
+                      task_.dropped());
     return _cycle - start;
 }
 
@@ -699,59 +630,27 @@ AlewifeMachine::foldObservability()
     telemetry_.foldStats();
 }
 
-void
-AlewifeMachine::warnOnTraceOverflow()
-{
-    if (warnedTraceDrop_)
-        return;
-    auto ev = uint64_t(statTraceDropped.value());
-    auto legs = uint64_t(statCohTraceDropped.value());
-    auto tasks = uint64_t(statTaskTraceDropped.value());
-    if (ev == 0 && legs == 0 && tasks == 0)
-        return;
-    warnedTraceDrop_ = true;
-    std::cerr << "april: trace lane overflow: dropped " << ev
-              << " machine events, " << legs
-              << " coherence-transaction legs, " << tasks
-              << " task events (raise traceCapacity/cohTraceCapacity/"
-                 "taskTraceCapacity)\n";
-}
-
 uint64_t
 AlewifeMachine::runtimeCounter(int slot) const
 {
+    // Read each node's counter word coherently: a Modified copy in
+    // some cache wins over the backing store (as snapshotMachine folds
+    // it), since a count may still sit in a dirty line.
     uint64_t total = 0;
-    for (uint32_t i = 0; i < mem.numNodes(); ++i)
-        total += mem.read(mem.nodeBase(i) + rt::nodeBlockOff +
-                          Addr(slot));
+    for (uint32_t i = 0; i < numNodes(); ++i) {
+        Addr a = mem.nodeBase(i) + rt::nodeBlockOff + Addr(slot);
+        Word w = mem.read(a);
+        for (const auto &c : ctrls) {
+            cache::Cache &cache = c->cacheRef();
+            const cache::CacheLine *line = cache.find(cache.lineOf(a));
+            if (line && line->state == cache::LineState::Modified) {
+                w = line->words[cache.offsetOf(a)].data;
+                break;
+            }
+        }
+        total += w;
+    }
     return total;
-}
-
-trace::Recorder *
-AlewifeMachine::traceRecorder()
-{
-    if (!trec)
-        return nullptr;
-    mergeTraceLanes();
-    return trec.get();
-}
-
-coh::TxnTracer *
-AlewifeMachine::txnTracer()
-{
-    if (!cohTrec)
-        return nullptr;
-    mergeCohLanes();
-    return cohTrec.get();
-}
-
-task::Tracer *
-AlewifeMachine::taskTracer()
-{
-    if (!taskTrec)
-        return nullptr;
-    mergeTaskLanes();
-    return taskTrec.get();
 }
 
 void
@@ -762,24 +661,21 @@ AlewifeMachine::writeTrace(std::ostream &os)
         return;
     coh::TxnTracer *t = txnTracer();
     task::Tracer *tt = taskTracer();
-    if (t || tt) {
-        r->writeChromeTrace(os,
-                            [t, tt](std::ostream &o, bool &first) {
-                                if (t)
-                                    t->writeChromeEvents(o, first);
-                                if (tt)
-                                    tt->writeChromeEvents(o, first);
-                            });
-    } else {
-        r->writeChromeTrace(os);
-    }
+    trace::writeChromeTrace(
+        os, *r, makeRecorderConfig(numNodes(), params.proc.numFrames),
+        [t, tt](std::ostream &o, bool &first) {
+            if (t)
+                coh::writeChromeEvents(o, first, *t);
+            if (tt)
+                task::writeChromeEvents(o, first, *tt);
+        });
 }
 
 void
 AlewifeMachine::writeCohTrace(std::ostream &os)
 {
     if (coh::TxnTracer *t = txnTracer())
-        t->writeJson(os);
+        coh::writeJson(os, *t);
 }
 
 void
@@ -792,156 +688,8 @@ AlewifeMachine::writeTaskTrace(std::ostream &os)
     p.numNodes = numNodes();
     p.totalCycles = _cycle;
     task::Report r = task::analyze(t->events(), p);
-    r.dropped = uint64_t(statTaskTraceDropped.value());
+    r.dropped = task_.dropped();
     task::writeReportJson(os, r);
-}
-
-void
-AlewifeMachine::mergeTaskLanes()
-{
-    if (shards.size() < 2 || !taskTrec)
-        return;
-    // Same canonical (cycle, node) k-way merge as mergeTraceLanes:
-    // every task event is recorded by the processor whose node it
-    // names, so distinct lanes never share a (cycle, node) pair.
-    struct Cursor
-    {
-        const std::vector<task::TaskEvent> *events;
-        size_t at = 0;
-    };
-    std::vector<Cursor> cur;
-    for (Shard &s : shards) {
-        if (s.taskLane)
-            cur.push_back({&s.taskLane->events(), 0});
-    }
-    for (;;) {
-        int best = -1;
-        for (size_t i = 0; i < cur.size(); ++i) {
-            if (cur[i].at >= cur[i].events->size())
-                continue;
-            const task::TaskEvent &e = (*cur[i].events)[cur[i].at];
-            if (best < 0)
-                best = int(i);
-            else {
-                const task::TaskEvent &b =
-                    (*cur[size_t(best)].events)[cur[size_t(best)].at];
-                if (e.cycle < b.cycle ||
-                    (e.cycle == b.cycle && e.node < b.node)) {
-                    best = int(i);
-                }
-            }
-        }
-        if (best < 0)
-            break;
-        taskTrec->record(
-            (*cur[size_t(best)].events)[cur[size_t(best)].at]);
-        ++cur[size_t(best)].at;
-    }
-    for (Shard &s : shards) {
-        if (s.taskLane) {
-            taskTrec->addDropped(s.taskLane->dropped());
-            s.taskLane->clear();
-        }
-    }
-}
-
-void
-AlewifeMachine::mergeCohLanes()
-{
-    if (shards.size() < 2 || !cohTrec)
-        return;
-    // Same canonical (cycle, node) k-way merge as mergeTraceLanes:
-    // every transaction leg is recorded by the controller whose node
-    // it names, so distinct lanes never share a (cycle, node) pair.
-    struct Cursor
-    {
-        const std::vector<coh::TxnEvent> *events;
-        size_t at = 0;
-    };
-    std::vector<Cursor> cur;
-    for (Shard &s : shards) {
-        if (s.cohLane)
-            cur.push_back({&s.cohLane->events(), 0});
-    }
-    for (;;) {
-        int best = -1;
-        for (size_t i = 0; i < cur.size(); ++i) {
-            if (cur[i].at >= cur[i].events->size())
-                continue;
-            const coh::TxnEvent &e = (*cur[i].events)[cur[i].at];
-            if (best < 0)
-                best = int(i);
-            else {
-                const coh::TxnEvent &b =
-                    (*cur[size_t(best)].events)[cur[size_t(best)].at];
-                if (e.cycle < b.cycle ||
-                    (e.cycle == b.cycle && e.node < b.node)) {
-                    best = int(i);
-                }
-            }
-        }
-        if (best < 0)
-            break;
-        cohTrec->record(
-            (*cur[size_t(best)].events)[cur[size_t(best)].at]);
-        ++cur[size_t(best)].at;
-    }
-    for (Shard &s : shards) {
-        if (s.cohLane) {
-            cohTrec->addDropped(s.cohLane->dropped());
-            s.cohLane->clear();
-        }
-    }
-}
-
-void
-AlewifeMachine::mergeTraceLanes()
-{
-    if (shards.size() < 2 || !trec)
-        return;
-    // Each lane is sorted by (cycle, node): a shard's cycle only
-    // grows, and within one cycle it visits its nodes in ascending
-    // order. Distinct lanes never share a (cycle, node) pair, so a
-    // k-way merge on that key reproduces the one-shard emission
-    // order exactly.
-    struct Cursor
-    {
-        const std::vector<trace::Event> *events;
-        size_t at = 0;
-    };
-    std::vector<Cursor> cur;
-    for (Shard &s : shards) {
-        if (s.lane)
-            cur.push_back({&s.lane->events(), 0});
-    }
-    for (;;) {
-        int best = -1;
-        for (size_t i = 0; i < cur.size(); ++i) {
-            if (cur[i].at >= cur[i].events->size())
-                continue;
-            const trace::Event &e = (*cur[i].events)[cur[i].at];
-            if (best < 0)
-                best = int(i);
-            else {
-                const trace::Event &b =
-                    (*cur[size_t(best)].events)[cur[size_t(best)].at];
-                if (e.cycle < b.cycle ||
-                    (e.cycle == b.cycle && e.node < b.node)) {
-                    best = int(i);
-                }
-            }
-        }
-        if (best < 0)
-            break;
-        trec->record((*cur[size_t(best)].events)[cur[size_t(best)].at]);
-        ++cur[size_t(best)].at;
-    }
-    for (Shard &s : shards) {
-        if (s.lane) {
-            trec->addDropped(s.lane->dropped());
-            s.lane->clear();
-        }
-    }
 }
 
 Word

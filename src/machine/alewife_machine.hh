@@ -28,6 +28,7 @@
 #include "analysis/race_detector.hh"
 #include "coherence/controller.hh"
 #include "mc/conform.hh"
+#include "common/obs_log.hh"
 #include "common/parallel.hh"
 #include "common/random.hh"
 #include "common/trace.hh"
@@ -42,8 +43,9 @@
 namespace april
 {
 
-/** Configuration of the full machine. */
-struct AlewifeParams
+/** Configuration of the full machine (the observability planes come
+ *  from ObsParams). */
+struct AlewifeParams : ObsParams
 {
     net::NetworkParams network;     ///< defines the node count
     uint32_t wordsPerNode = 1u << 20;
@@ -72,26 +74,6 @@ struct AlewifeParams
     /// forced to 1 when detectRaces is on (the race observer keeps
     /// global state).
     uint32_t hostThreads = 1;
-    /// Record machine events (context switches, traps, coherence
-    /// transitions, network traffic) for Chrome-trace export.
-    bool traceEvents = false;
-    /// Recorded-event cap when traceEvents is on.
-    uint64_t traceCapacity = 1u << 22;
-    /// Record every coherence transaction as a causally linked span
-    /// (per-leg events keyed by a stable transaction id), exported as
-    /// structured JSON and stitched into the Chrome trace. The
-    /// directory census and network telemetry stay always-on; this
-    /// only controls the per-leg log.
-    bool cohTrace = false;
-    /// Recorded-leg cap when cohTrace is on.
-    uint64_t cohTraceCapacity = 1u << 22;
-    /// Record the task/future lifecycle event stream (the runtime's
-    /// `tp$...` probe notes plus the processor's wait hooks) for the
-    /// task observability plane (DESIGN.md §7.10). Purely
-    /// observational: execution is identical either way.
-    bool taskTrace = false;
-    /// Recorded-event cap when taskTrace is on.
-    uint64_t taskTraceCapacity = 1u << 20;
     /// Attach the Eraser-style full/empty race detector to every
     /// controller. Purely observational: execution (and the trace
     /// event stream, minus Race events) is identical either way.
@@ -99,16 +81,6 @@ struct AlewifeParams
     /// Detailed race reports retained when detectRaces is on (the
     /// stats counter keeps counting past the cap).
     uint64_t raceMaxReports = 64;
-    /// Attach a PC sampler to every processor. Cycle accounting is
-    /// always on; this adds the sampled-hotspot layer.
-    bool profile = false;
-    /// PC sample period in cycles when profile is on.
-    uint64_t profilePeriod = 64;
-    /// Snapshot every statistic each time the machine clock crosses a
-    /// multiple of this many cycles (0: no time series). Quanta and
-    /// cycle-skip windows are clamped at sample boundaries, which is
-    /// cycle-exact.
-    uint64_t statsInterval = 0;
     /// Check every directory transition the controllers record
     /// against the model checker's protocol spec (src/mc); the
     /// machine panics at the next sync point if the implementation
@@ -170,15 +142,15 @@ class AlewifeMachine : public stats::Group
 
     /** Event recorder with all lanes merged (nullptr unless
      *  params.traceEvents). */
-    trace::Recorder *traceRecorder();
+    trace::Recorder *traceRecorder() { return trace_.merged(); }
 
     /** Coherence-transaction tracer with all lanes merged (nullptr
      *  unless params.cohTrace). */
-    coh::TxnTracer *txnTracer();
+    coh::TxnTracer *txnTracer() { return coh_.merged(); }
 
     /** Task-event tracer with all lanes merged (nullptr unless
      *  params.taskTrace). */
-    task::Tracer *taskTracer();
+    task::Tracer *taskTracer() { return task_.merged(); }
 
     /** Network telemetry (always on; folded at sync points). */
     net::Telemetry &telemetry() { return telemetry_; }
@@ -352,14 +324,9 @@ class AlewifeMachine : public stats::Group
         /// change simulated state, only host speed.
         uint64_t probeAt = 0;
         uint32_t probeBackoff = 0;
-        /// Per-shard trace lane (only when W > 1 and tracing is on;
-        /// with one shard components write the merged recorder
-        /// directly).
-        std::unique_ptr<trace::Recorder> lane;
-        /// Per-shard coherence-transaction lane (same scheme).
-        std::unique_ptr<coh::TxnTracer> cohLane;
-        /// Per-shard task-event lane (same scheme).
-        std::unique_ptr<task::Tracer> taskLane;
+        /// The machine-trace log this shard's network events go to
+        /// (nullptr when tracing is off).
+        trace::Recorder *trace = nullptr;
         std::vector<ConsoleEntry> console;
     };
 
@@ -396,30 +363,21 @@ class AlewifeMachine : public stats::Group
      *  and halts, and takes due interval samples. */
     void syncAt(uint64_t t);
 
-    void mergeTraceLanes();
-    void mergeCohLanes();
-    void mergeTaskLanes();
-
     /** Fold network/telemetry accumulators into the stats tree (the
      *  deterministic-sync-point bundle around net_.foldStats()). */
     void foldObservability();
 
-    /** Emit the one-time stderr overflow warnings (run() exit). */
-    void warnOnTraceOverflow();
-
     AlewifeParams params;
     SharedMemory mem;
-    std::unique_ptr<trace::Recorder> trec;
-    std::unique_ptr<coh::TxnTracer> cohTrec;
-    std::unique_ptr<task::Tracer> taskTrec;
+    obs::Plane<trace::Event> trace_;
+    obs::Plane<coh::TxnEvent> coh_;
+    obs::Plane<task::TaskEvent> task_;
     std::unique_ptr<task::ProbeMap> taskProbes_;
     std::unique_ptr<analysis::RaceDetector> races;
     std::unique_ptr<mc::Conformance> conform_;
     net::Network net_;
     net::Telemetry telemetry_;
-    /// Recorder-lane overflow surfaced in stats JSON (thread-count
-    /// invariant: total events minus capacity regardless of how they
-    /// were distributed over lanes).
+    /// Plane overflow surfaced in stats JSON (Plane::dropped()).
     stats::Formula statTraceDropped;
     stats::Formula statCohTraceDropped;
     stats::Formula statTaskTraceDropped;

@@ -135,12 +135,7 @@ runMultProgram(const std::string &source, const DriverOptions &options)
         ap.seed = options.seed;
         ap.cycleSkip = options.cycleSkip;
         ap.hostThreads = hostThreadCount(options.hostThreads);
-        ap.traceEvents = options.traceEvents;
-        ap.cohTrace = options.cohTrace;
-        ap.taskTrace = options.taskTrace;
-        ap.profile = options.profile;
-        ap.profilePeriod = options.profilePeriod;
-        ap.statsInterval = options.statsInterval;
+        static_cast<ObsParams &>(ap) = options;
         AlewifeMachine machine(ap, &prog);
         DriverResult r = collectResult(machine, prog, options);
         if (options.cohTrace) {
@@ -157,13 +152,8 @@ runMultProgram(const std::string &source, const DriverOptions &options)
     mp.proc = options.proc;
     mp.seed = options.seed;
     mp.cycleSkip = options.cycleSkip;
-    mp.hostThreads = hostThreadCount(options.hostThreads);
-    mp.traceEvents = options.traceEvents;
-    mp.taskTrace = options.taskTrace;
-    mp.profile = options.profile;
-    mp.profilePeriod = options.profilePeriod;
-    mp.statsInterval = options.statsInterval;
-    PerfectMachine machine(mp, &prog, runtime);
+    static_cast<ObsParams &>(mp) = options;
+    PerfectMachine machine(mp, &prog);
     return collectResult(machine, prog, options);
 }
 

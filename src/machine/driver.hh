@@ -20,8 +20,13 @@
 namespace april
 {
 
-/** Configuration of a driver run. */
-struct DriverOptions
+/**
+ * Configuration of a driver run. The ObsParams planes come back as
+ * DriverResult::traceJson (traceEvents), cohTraceJson (cohTrace,
+ * alewife only), taskTraceJson (taskTrace), profileJson (profile) and
+ * statsSeriesCsv (statsInterval).
+ */
+struct DriverOptions : ObsParams
 {
     mult::CompileOptions compile;
     uint32_t nodes = 1;
@@ -30,22 +35,13 @@ struct DriverOptions
     uint64_t maxCycles = 2'000'000'000;
     uint64_t seed = 12345;
     bool cycleSkip = true;      ///< fast-forward fully idle cycles
-    /// Host worker threads (AlewifeMachine shards; a documented no-op
-    /// on the perfect-memory machine). 0 means "use the APRIL_THREADS
+    /// Host worker threads (AlewifeMachine shards; the perfect-memory
+    /// machine always runs serially). 0 means "use the APRIL_THREADS
     /// environment variable, else 1" — resolved by hostThreadCount().
     uint32_t hostThreads = 0;
     /// Comma-separated debug-flag names ("Ctx,Trap", "All") turned on
     /// for the run; empty leaves the current flags untouched.
     std::string debugFlags;
-    /// Record machine events and return them in DriverResult::traceJson.
-    bool traceEvents = false;
-    /// PC-sample every node and return DriverResult::profileJson.
-    bool profile = false;
-    /// PC sample period when profile is on.
-    uint64_t profilePeriod = 64;
-    /// Snapshot all statistics every N cycles into
-    /// DriverResult::statsSeriesCsv (0: off).
-    uint64_t statsInterval = 0;
     /// Run on the full ALEWIFE machine (caches + directories + mesh)
     /// instead of perfect shared memory. `nodes` must then equal
     /// netRadix^netDim.
@@ -63,13 +59,6 @@ struct DriverOptions
     /// Hardware pointers per line under LimitedPtr (0 forces the
     /// spill handler on every sharer addition).
     uint32_t dirPointers = 4;
-    /// Record coherence transactions and return them in
-    /// DriverResult::cohTraceJson (alewife only; the directory census
-    /// and network telemetry are always on).
-    bool cohTrace = false;
-    /// Record task lifecycle spans and return the analyzed report in
-    /// DriverResult::taskTraceJson (both machine kinds).
-    bool taskTrace = false;
 
     /** The Encore Multimax baseline configuration (Section 7). */
     static DriverOptions

@@ -1,7 +1,6 @@
 #include "machine/perfect_machine.hh"
 
 #include <algorithm>
-#include <iostream>
 
 #include "common/bits.hh"
 #include "common/debug.hh"
@@ -19,21 +18,17 @@ PerfectMachine::PerfectMachine(const PerfectMachineParams &p,
       statTraceDropped(
           this, "traceDropped",
           "machine events lost to recorder overflow",
-          [this] { return trec ? double(trec->dropped()) : 0.0; }),
+          [this] { return double(trace_.dropped()); }),
       statTaskTraceDropped(
           this, "taskTraceDropped",
           "task events dropped at the capacity cap",
-          [this] {
-              return taskTrec ? double(taskTrec->dropped()) : 0.0;
-          })
+          [this] { return double(task_.dropped()); })
 {
     debug::initFromEnv();
-    if (p.traceEvents) {
-        trec = std::make_unique<trace::Recorder>(makeRecorderConfig(
-            p.numNodes, p.proc.numFrames, p.traceCapacity));
-    }
+    if (p.traceEvents)
+        trace_.open(p.capacity, 1);
     if (p.taskTrace) {
-        taskTrec = std::make_unique<task::Tracer>(p.taskTraceCapacity);
+        task_.open(p.capacity, 1);
         taskProbes_ = std::make_unique<task::ProbeMap>(*prog);
     }
     for (uint32_t n = 0; n < p.numNodes; ++n) {
@@ -45,10 +40,8 @@ PerfectMachine::PerfectMachine(const PerfectMachineParams &p,
         pp.nodeId = n;
         procs.push_back(std::make_unique<Processor>(
             pp, prog, ports.back().get(), ios.back().get(), this));
-        procs.back()->setTraceRecorder(trec.get());
-        if (p.taskTrace)
-            procs.back()->setTaskProbe(taskProbes_.get(),
-                                       taskTrec.get());
+        procs.back()->setTraceRecorder(trace_.lane(0));
+        procs.back()->setTaskProbe(taskProbes_.get(), task_.lane(0));
         if (p.bootRuntime) {
             rt::Runtime::bootProcessor(*procs.back(), *prog, mem, n,
                                        p.numNodes);
@@ -66,15 +59,31 @@ PerfectMachine::PerfectMachine(const PerfectMachineParams &p,
 }
 
 void
+PerfectMachine::writeTrace(std::ostream &os)
+{
+    trace::Recorder *r = traceRecorder();
+    if (!r)
+        return;
+    task::Tracer *t = taskTracer();
+    trace::writeChromeTrace(
+        os, *r, makeRecorderConfig(params.numNodes, params.proc.numFrames),
+        [t](std::ostream &o, bool &first) {
+            if (t)
+                task::writeChromeEvents(o, first, *t);
+        });
+}
+
+void
 PerfectMachine::writeTaskTrace(std::ostream &os)
 {
-    if (!taskTrec)
+    task::Tracer *t = taskTracer();
+    if (!t)
         return;
     task::AnalyzeParams p;
     p.numNodes = params.numNodes;
     p.totalCycles = _cycle;
-    task::Report r = task::analyze(taskTrec->events(), p);
-    r.dropped = taskTrec->dropped();
+    task::Report r = task::analyze(t->events(), p);
+    r.dropped = task_.dropped();
     task::writeReportJson(os, r);
 }
 
@@ -213,16 +222,8 @@ PerfectMachine::run(uint64_t max_cycles)
         if (interval_)
             interval_->sampleIfDue(_cycle);
     }
-    uint64_t taskDrops = taskTrec ? taskTrec->dropped() : 0;
-    if (((trec && trec->dropped()) || taskDrops) &&
-        !warnedTraceDrop_) {
-        warnedTraceDrop_ = true;
-        std::cerr << "april: trace overflow: dropped "
-                  << (trec ? trec->dropped() : 0)
-                  << " machine events, " << taskDrops
-                  << " task events (raise traceCapacity/"
-                     "taskTraceCapacity)\n";
-    }
+    obs::warnOverflow(warnedTraceDrop_, trace_.dropped(), 0,
+                      task_.dropped());
     return _cycle - start;
 }
 

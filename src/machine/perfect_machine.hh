@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/obs_log.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
@@ -36,8 +37,9 @@
 namespace april
 {
 
-/** Configuration of a perfect-memory machine. */
-struct PerfectMachineParams
+/** Configuration of a perfect-memory machine (the observability
+ *  planes come from ObsParams; cohTrace has no effect here). */
+struct PerfectMachineParams : ObsParams
 {
     uint32_t numNodes = 1;
     uint32_t wordsPerNode = 1u << 20;
@@ -50,30 +52,6 @@ struct PerfectMachineParams
     /// Fast-forward cycles in run() when every processor is stalled or
     /// halted (cycle-exact; see Processor::nextEventCycle()).
     bool cycleSkip = true;
-    /// Accepted for interface parity with AlewifeParams::hostThreads
-    /// and deliberately a no-op: perfect memory has zero latency, so
-    /// the conservative-quantum engine has no lookahead window to
-    /// exploit — this machine always runs sequentially.
-    uint32_t hostThreads = 1;
-    /// Record machine events (context switches, traps, full/empty
-    /// retries) for Chrome-trace export.
-    bool traceEvents = false;
-    /// Recorded-event cap when traceEvents is on.
-    uint64_t traceCapacity = 1u << 22;
-    /// Record task lifecycle spans (spawn, steal, run, block, resolve)
-    /// for the task-observability report and Perfetto flow events.
-    bool taskTrace = false;
-    /// Recorded task-event cap when taskTrace is on.
-    uint64_t taskTraceCapacity = 1u << 20;
-    /// Attach a PC sampler to every processor. Cycle accounting is
-    /// always on; this adds the sampled-hotspot layer.
-    bool profile = false;
-    /// PC sample period in cycles when profile is on.
-    uint64_t profilePeriod = 64;
-    /// Snapshot every statistic each time the machine clock crosses a
-    /// multiple of this many cycles (0: no time series). Cycle-skip
-    /// windows are clamped at sample boundaries, which is cycle-exact.
-    uint64_t statsInterval = 0;
 };
 
 /** N APRIL cores on zero-latency shared memory. */
@@ -82,15 +60,6 @@ class PerfectMachine : public stats::Group
   public:
     PerfectMachine(const PerfectMachineParams &params,
                    const Program *prog);
-
-    /** Historical signature; the runtime argument was never consulted
-     *  (bootProcessor is static). Kept so existing callers compile. */
-    PerfectMachine(const PerfectMachineParams &params,
-                   const Program *prog, const rt::Runtime &runtime)
-        : PerfectMachine(params, prog)
-    {
-        (void)runtime;
-    }
 
     /** Advance every processor by one cycle. */
     void tick();
@@ -134,30 +103,16 @@ class PerfectMachine : public stats::Group
     uint64_t runtimeCounter(int slot) const;
 
     /** Event recorder (nullptr unless params.traceEvents). */
-    trace::Recorder *traceRecorder() { return trec.get(); }
+    trace::Recorder *traceRecorder() { return trace_.merged(); }
 
-    /** Task-event lane (nullptr unless params.taskTrace). The single
+    /** Task-event log (nullptr unless params.taskTrace). The single
      *  sequential lane is already (cycle, node)-canonical. */
-    task::Tracer *taskTracer() { return taskTrec.get(); }
+    task::Tracer *taskTracer() { return task_.merged(); }
 
     /** Serialize the event log as Chrome trace-event JSON, stitching
      *  in task spans when task tracing is on. No-op when machine
      *  tracing is off. */
-    void
-    writeTrace(std::ostream &os) const
-    {
-        if (!trec)
-            return;
-        if (taskTrec) {
-            task::Tracer *t = taskTrec.get();
-            trec->writeChromeTrace(os,
-                                   [t](std::ostream &o, bool &first) {
-                                       t->writeChromeEvents(o, first);
-                                   });
-        } else {
-            trec->writeChromeTrace(os);
-        }
-    }
+    void writeTrace(std::ostream &os);
 
     /** Serialize the task-observability report as JSON.
      *  No-op when task tracing is off. */
@@ -202,10 +157,10 @@ class PerfectMachine : public stats::Group
 
     PerfectMachineParams params;
     SharedMemory mem;
-    std::unique_ptr<trace::Recorder> trec;
-    std::unique_ptr<task::Tracer> taskTrec;
+    obs::Plane<trace::Event> trace_;
+    obs::Plane<task::TaskEvent> task_;
     std::unique_ptr<task::ProbeMap> taskProbes_;
-    /// Recorder overflow surfaced in stats JSON (single lane here).
+    /// Plane overflow surfaced in stats JSON (single lane here).
     stats::Formula statTraceDropped;
     stats::Formula statTaskTraceDropped;
     bool warnedTraceDrop_ = false;

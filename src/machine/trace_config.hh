@@ -17,12 +17,11 @@ namespace april
 
 /** RecorderConfig for a machine of @p num_nodes x @p frames cores. */
 inline trace::RecorderConfig
-makeRecorderConfig(uint32_t num_nodes, uint32_t frames, uint64_t capacity)
+makeRecorderConfig(uint32_t num_nodes, uint32_t frames)
 {
     trace::RecorderConfig rc;
     rc.numNodes = num_nodes;
     rc.framesPerNode = frames;
-    rc.capacity = capacity;
     for (uint8_t k = 0; k < uint8_t(TrapKind::NumKinds); ++k)
         rc.trapNames.push_back(trapKindName(TrapKind(k)));
     for (auto s : {coh::DirState::Uncached, coh::DirState::Shared,

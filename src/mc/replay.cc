@@ -239,7 +239,7 @@ replayCohTrace(const std::string &json_text)
                         std::to_string(asU64(root.at("dropped"))) +
                         " legs at the capacity cap; checks would be "
                         "vacuous — re-record with a larger "
-                        "cohTraceCapacity");
+                        "capacity");
         return r;
     }
     const json::Json &txns = root.at("transactions");

@@ -127,17 +127,18 @@ writeChromeEvent(std::ostream &os, bool &first, const std::string &name,
 } // namespace
 
 void
-Tracer::writeChromeEvents(std::ostream &os, bool &first) const
+writeChromeEvents(std::ostream &os, bool &first, const Tracer &log)
 {
-    if (events_.empty())
+    const std::vector<TaskEvent> &events = log.events();
+    if (events.empty())
         return;
     AnalyzeParams p;
     uint32_t max_node = 0;
-    for (const TaskEvent &e : events_)
+    for (const TaskEvent &e : events)
         max_node = std::max(max_node, e.node);
     p.numNodes = max_node + 1;
-    Report r = analyze(events_, p);
-    uint64_t last_cycle = events_.back().cycle;
+    Report r = analyze(events, p);
+    uint64_t last_cycle = events.back().cycle;
     for (const TaskInfo &t : r.tasks) {
         if (!t.ran)
             continue;

@@ -13,13 +13,10 @@
  * frame switches) are recorded from the C++ trap paths directly, so
  * even programs without notes produce a non-trivial log.
  *
- * Like trace::Recorder and coh::TxnTracer, the tracer is a flat
- * cycle-stamped append-only log with a deterministic capacity cap.
- * Under the parallel engine each shard records into its own lane;
- * lanes merge canonically by (cycle, node) — every event is recorded
- * by the processor whose node it names — so the merged stream is
- * bit-identical to the sequential one across cycle-skip modes and
- * host-thread counts.
+ * Like trace::Recorder and coh::TxnTracer, the tracer is an obs::Log:
+ * per-shard lanes merged canonically by (cycle, node)
+ * (common/obs_log.hh). Every event is recorded by the processor whose
+ * node it names.
  *
  * All correlation (TaskId minting, DAG edges, wait episodes, the
  * critical path, health detectors) happens in analyze(): one
@@ -36,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/obs_log.hh"
 #include "isa/assembler.hh"
 #include "isa/types.hh"
 
@@ -138,53 +136,15 @@ class ProbeMap
 };
 
 /** The per-machine (or per-shard lane) task event log. */
-class Tracer
-{
-  public:
-    explicit Tracer(uint64_t capacity) : capacity_(capacity)
-    {
-        events_.reserve(1024);
-    }
+using Tracer = obs::Log<TaskEvent>;
 
-    /** Append one event (drops deterministically once full). */
-    void
-    record(const TaskEvent &e)
-    {
-        if (events_.size() < capacity_)
-            events_.push_back(e);
-        else
-            ++dropped_;
-    }
-
-    const std::vector<TaskEvent> &events() const { return events_; }
-    std::vector<TaskEvent> &mutableEvents() { return events_; }
-    uint64_t dropped() const { return dropped_; }
-    uint64_t capacity() const { return capacity_; }
-
-    /** Fold another lane's overflow count into this log. */
-    void addDropped(uint64_t n) { dropped_ += n; }
-
-    /** Discard all recorded events (a merged-out lane). */
-    void
-    clear()
-    {
-        events_.clear();
-        dropped_ = 0;
-    }
-
-    /**
-     * Append Perfetto events to an open Chrome-trace event array
-     * (trace::Recorder::ExtraEventWriter shape): one async "task"
-     * span per task from spawn to resolve, with flow arrows threading
-     * spawn node -> running node for migrated (stolen) tasks.
-     */
-    void writeChromeEvents(std::ostream &os, bool &first) const;
-
-  private:
-    uint64_t capacity_;
-    std::vector<TaskEvent> events_;
-    uint64_t dropped_ = 0;
-};
+/**
+ * Append Perfetto events for @p log to an open Chrome-trace event
+ * array (trace::ExtraEventWriter shape): one async "task" span per
+ * task from spawn to resolve, with flow arrows threading spawn node
+ * -> running node for migrated (stolen) tasks.
+ */
+void writeChromeEvents(std::ostream &os, bool &first, const Tracer &log);
 
 // ---------------------------------------------------------------------
 // Analysis (the deterministic post-pass)

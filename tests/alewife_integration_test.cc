@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include "machine/alewife_machine.hh"
+#include "machine/driver.hh"
+#include "machine/snapshot.hh"
 #include "mult/compiler.hh"
+#include "runtime/layout.hh"
 #include "workloads/workloads.hh"
 
 namespace april
@@ -156,6 +159,48 @@ TEST(AlewifeIntegration, SpeedupOverOneNode)
 
     EXPECT_EQ(r1, r4);
     EXPECT_LT(double(c4), 0.9 * double(c1));
+}
+
+TEST(AlewifeIntegration, RuntimeCountersReadModifiedLines)
+{
+    // A run-time counter word can still sit in a dirty cache line when
+    // the machine halts. The driver's counters must read it there, as
+    // the coherent snapshot does, not from the backing store alone.
+    const std::string source =
+        workloads::makeFib(workloads::SuiteSizes{}).source;
+    DriverOptions o = DriverOptions::april(FM::Lazy, 16);
+    o.alewife = true;
+    o.wordsPerNode = 1u << 20;
+    DriverResult r = runMultProgram(source, o);
+
+    // The same run, on a machine the test can inspect.
+    Assembler as;
+    rt::Runtime runtime;
+    runtime.emit(as);
+    mult::Compiler compiler(as, o.compile);
+    compiler.compileSource(source);
+    Program prog = as.finish();
+    AlewifeParams p;
+    p.network = {.dim = 2, .radix = 4};
+    p.wordsPerNode = o.wordsPerNode;
+    AlewifeMachine m(p, &prog);
+    m.run(o.maxCycles);
+    ASSERT_TRUE(m.halted());
+    ASSERT_EQ(m.cycle(), r.cycles);
+
+    MachineSnapshot snap = snapshotMachine(m);
+    auto counter = [&](int slot) {
+        uint64_t total = 0;
+        for (uint32_t n = 0; n < m.numNodes(); ++n) {
+            Addr a = m.memory().nodeBase(n) + rt::nodeBlockOff +
+                     Addr(slot);
+            total += snap.memory.at(a).data;
+        }
+        return total;
+    };
+    EXPECT_GT(r.steals, 0u);
+    EXPECT_EQ(r.steals, counter(rt::nb::statSteals));
+    EXPECT_EQ(r.spawns, counter(rt::nb::statSpawns));
 }
 
 } // namespace

@@ -61,7 +61,7 @@ TEST(FutureOn, PlacementReachesTheNamedNode)
 
     PerfectMachineParams mp;
     mp.numNodes = 4;
-    PerfectMachine machine(mp, &prog, runtime);
+    PerfectMachine machine(mp, &prog);
     machine.run(10'000'000);
     ASSERT_TRUE(machine.halted());
     EXPECT_EQ(machine.console().back(), fixnum(200));

@@ -1,0 +1,107 @@
+/**
+ * @file
+ * The shared observability plane (common/obs_log.hh) under overflow:
+ * with every trace plane capped far below what a run records, the
+ * dropped-event stats and the merged logs must be the same for every
+ * host-thread count, and each stat must read the same before the
+ * per-shard lanes are merged as after.
+ */
+
+#include <gtest/gtest.h>
+
+#include <array>
+#include <iostream>
+#include <sstream>
+
+#include "machine/alewife_machine.hh"
+#include "mult/compiler.hh"
+#include "workloads/workloads.hh"
+
+namespace april
+{
+namespace
+{
+
+constexpr std::array<const char *, 3> kDroppedStats = {
+    "traceDropped", "cohTraceDropped", "taskTraceDropped"};
+
+/** What one overflowing run leaves behind. */
+struct PlaneRun
+{
+    std::array<double, 3> droppedBeforeMerge{};
+    std::array<double, 3> droppedAfterMerge{};
+    std::vector<trace::Event> trace;
+    std::vector<coh::TxnEvent> coh;
+    std::vector<task::TaskEvent> task;
+};
+
+std::array<double, 3>
+droppedStats(const AlewifeMachine &m)
+{
+    std::array<double, 3> v{};
+    for (size_t i = 0; i < kDroppedStats.size(); ++i)
+        v[i] = m.resolve(kDroppedStats[i])->summaryValue();
+    return v;
+}
+
+/** Lazy fib on a 2x2 machine with all three trace planes capped at
+ *  256 events each. */
+PlaneRun
+runOverflowing(const Program &prog, uint32_t threads)
+{
+    AlewifeParams p;
+    p.network = {.dim = 2, .radix = 2};
+    p.wordsPerNode = 1u << 20;
+    p.controller.cache = {.lineWords = 4, .numLines = 512, .assoc = 4};
+    p.hostThreads = threads;
+    p.traceEvents = p.cohTrace = p.taskTrace = true;
+    p.capacity = 256;
+    AlewifeMachine m(p, &prog);
+
+    std::ostringstream warnings;
+    std::streambuf *old = std::cerr.rdbuf(warnings.rdbuf());
+    m.run(50'000'000);
+    std::cerr.rdbuf(old);
+    EXPECT_TRUE(m.halted());
+    EXPECT_EQ(m.hostThreads(), threads);
+
+    PlaneRun r;
+    r.droppedBeforeMerge = droppedStats(m);
+    r.trace = m.traceRecorder()->events();
+    r.coh = m.txnTracer()->events();
+    r.task = m.taskTracer()->events();
+    r.droppedAfterMerge = droppedStats(m);
+    return r;
+}
+
+TEST(ObsPlane, DroppedEventsAgreeAcrossThreadsAndMerge)
+{
+    Assembler as;
+    rt::Runtime runtime;
+    runtime.emit(as);
+    mult::CompileOptions copts;
+    copts.futures = mult::CompileOptions::FutureMode::Lazy;
+    mult::Compiler compiler(as, copts);
+    compiler.compileSource(workloads::fibSource(10));
+    Program prog = as.finish();
+
+    const PlaneRun base = runOverflowing(prog, 1);
+    for (size_t i = 0; i < kDroppedStats.size(); ++i)
+        EXPECT_GT(base.droppedBeforeMerge[i], 0.0) << kDroppedStats[i];
+    EXPECT_EQ(base.trace.size(), 256u);
+    EXPECT_EQ(base.coh.size(), 256u);
+    EXPECT_EQ(base.task.size(), 256u);
+
+    for (uint32_t threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE("hostThreads=" + std::to_string(threads));
+        const PlaneRun r = runOverflowing(prog, threads);
+        EXPECT_EQ(r.droppedBeforeMerge, r.droppedAfterMerge);
+        EXPECT_EQ(r.droppedBeforeMerge, base.droppedBeforeMerge);
+        EXPECT_EQ(r.trace, base.trace);
+        EXPECT_EQ(r.coh, base.coh);
+        EXPECT_EQ(r.task, base.task);
+    }
+}
+
+} // namespace
+} // namespace april

@@ -230,7 +230,7 @@ TEST(Futures, DeterministicAcrossSeedsInResult)
         PerfectMachineParams mp;
         mp.numNodes = 3;
         mp.seed = seed;
-        PerfectMachine machine(mp, &prog, runtime);
+        PerfectMachine machine(mp, &prog);
         machine.run(50'000'000);
         ASSERT_TRUE(machine.halted());
         EXPECT_EQ(machine.console().back(), fixnum(144));

@@ -5,64 +5,27 @@
 
 #include <string>
 
-#include "machine/perfect_machine.hh"
-#include "mult/compiler.hh"
-#include "runtime/runtime.hh"
+#include "machine/driver.hh"
 
 namespace april::testutil
 {
 
-struct RunResult
-{
-    Word result = 0;            ///< main's return value (tagged)
-    uint64_t cycles = 0;        ///< machine cycles to completion
-    std::vector<Word> console;  ///< println output (before the result)
-    uint64_t steals = 0;
-    uint64_t spawns = 0;
-    uint64_t blocks = 0;
-    uint64_t resumes = 0;
-};
+using RunResult = DriverResult;
 
-/** Compile @p source and run it to completion on @p nodes processors. */
+/** Compile @p source and run it to completion on @p nodes processors
+ *  of the perfect-memory machine (a runMultProgram() call). */
 inline RunResult
 runMult(const std::string &source, mult::CompileOptions copts = {},
         uint32_t nodes = 1, uint64_t max_cycles = 200'000'000,
         uint32_t words_per_node = 1u << 20, uint32_t num_frames = 4)
 {
-    rt::RuntimeOptions ropts;
-    ropts.encore = copts.softwareChecks;
-
-    Assembler as;
-    rt::Runtime runtime(ropts);
-    runtime.emit(as);
-    mult::Compiler compiler(as, copts);
-    compiler.compileSource(source);
-    Program prog = as.finish();
-
-    PerfectMachineParams mp;
-    mp.numNodes = nodes;
-    mp.wordsPerNode = words_per_node;
-    mp.proc.numFrames = num_frames;
-    PerfectMachine machine(mp, &prog, runtime);
-    machine.run(max_cycles);
-    if (!machine.halted()) {
-        panic("Mul-T program did not finish within ", max_cycles,
-              " cycles (node0 pc=", machine.proc(0).pc(), " ",
-              prog.symbolAt(machine.proc(0).pc()), ")");
-    }
-
-    RunResult r;
-    r.cycles = machine.cycle();
-    r.console = machine.console();
-    if (r.console.empty())
-        panic("no console output from boot");
-    r.result = r.console.back();        // rt$boot emits main's value last
-    r.console.pop_back();
-    r.steals = machine.runtimeCounter(rt::nb::statSteals);
-    r.spawns = machine.runtimeCounter(rt::nb::statSpawns);
-    r.blocks = machine.runtimeCounter(rt::nb::statBlocks);
-    r.resumes = machine.runtimeCounter(rt::nb::statResumes);
-    return r;
+    DriverOptions o;
+    o.compile = copts;
+    o.nodes = nodes;
+    o.maxCycles = max_cycles;
+    o.wordsPerNode = words_per_node;
+    o.proc.numFrames = num_frames;
+    return runMultProgram(source, o);
 }
 
 } // namespace april::testutil

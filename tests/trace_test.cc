@@ -64,9 +64,7 @@ TEST(DebugFlags, UnknownFlagIsFatal)
 
 TEST(TraceRecorder, CapacityDropsDeterministically)
 {
-    trace::RecorderConfig rc;
-    rc.capacity = 4;
-    trace::Recorder rec(rc);
+    trace::Recorder rec(4);
     for (uint32_t i = 0; i < 6; ++i)
         rec.record({.cycle = i, .kind = trace::EventKind::NetSend});
     EXPECT_EQ(rec.events().size(), 4u);
@@ -134,7 +132,7 @@ TEST(TraceRecorder, ChromeExportSchemaAndNames)
     rc.framesPerNode = 4;
     rc.trapNames = {"RemoteMiss", "FeEmpty"};
     rc.cohStateNames = {"Uncached", "Shared", "Exclusive"};
-    trace::Recorder rec(rc);
+    trace::Recorder rec(1u << 22);
 
     using trace::EventKind;
     rec.record({.cycle = 5, .node = 0, .kind = EventKind::Trap,
@@ -149,7 +147,7 @@ TEST(TraceRecorder, ChromeExportSchemaAndNames)
                 .a = 2, .b = 0});
 
     std::ostringstream os;
-    rec.writeChromeTrace(os);
+    trace::writeChromeTrace(os, rec, rc);
     std::string text = os.str();
     checkChromeTraceSchema(text);
 
@@ -304,7 +302,7 @@ TEST(TraceOverflow, DroppedWarningPrintsOncePerMachine)
     p.wordsPerNode = 1u << 16;
     p.bootRuntime = false;
     p.traceEvents = true;
-    p.traceCapacity = 8;        // guaranteed overflow
+    p.capacity = 8;             // guaranteed overflow
     p.controller.cache = {.lineWords = 4, .numLines = 64, .assoc = 2};
     AlewifeMachine m(p, &prog);
     testutil::bootStallStress(m, prog);

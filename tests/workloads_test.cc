@@ -40,6 +40,15 @@ struct Config
     uint32_t nodes;
 };
 
+// Without this gtest prints a Config as its raw bytes — a string
+// pointer (moved by ASLR on every run) plus padding — and that dump
+// ends up in the discovered ctest names, so they changed per build.
+void
+PrintTo(const Config &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class WorkloadConfigTest : public ::testing::TestWithParam<Config>
 {
 };

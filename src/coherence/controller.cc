@@ -63,9 +63,11 @@ Controller::homeOf(Addr line_addr) const
 std::vector<MemWord>
 Controller::readMemoryLine(Addr line_addr) const
 {
+    // Through the const image: a read never materialises a page.
+    const SharedMemory &image = *mem;
     std::vector<MemWord> words(params.cache.lineWords);
     for (uint32_t i = 0; i < params.cache.lineWords; ++i)
-        words[i] = mem->word(line_addr * params.cache.lineWords + i);
+        words[i] = image.word(line_addr * params.cache.lineWords + i);
     return words;
 }
 

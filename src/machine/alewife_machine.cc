@@ -322,8 +322,9 @@ AlewifeMachine::executeBlockOp(const BlockOp &op)
             }
         }
     }
+    const SharedMemory &image = mem;    // reading never materialises
     for (Word i = 0; i < op.len; ++i)
-        mem.word(op.dst + i) = mem.word(op.src + i);
+        mem.word(op.dst + i) = image.word(op.src + i);
     for (uint32_t node_i = 0; node_i < numNodes(); ++node_i) {
         auto &cache = ctrls[node_i]->cacheRef();
         uint32_t lw = cache.lineWords();
@@ -331,7 +332,7 @@ AlewifeMachine::executeBlockOp(const BlockOp &op)
             auto *line = cache.find(Addr((op.dst + i) / lw));
             if (line) {
                 line->words[(op.dst + i) % lw] =
-                    mem.word(op.dst + i);
+                    image.word(op.dst + i);
             }
         }
     }

@@ -146,8 +146,9 @@ PerfectMachine::NodeIo::ioWrite(IoReg r, Word value)
       case IoReg::BlockGo: {
         // Section 3.4 block transfer: data and f/e bits move together
         // at one word per cycle (the processor is held meanwhile).
+        const SharedMemory &image = m->mem;
         for (Word i = 0; i < value; ++i)
-            m->mem.word(blockDst + i) = m->mem.word(blockSrc + i);
+            m->mem.word(blockDst + i) = image.word(blockSrc + i);
         return value;
       }
       default:

@@ -1,5 +1,6 @@
 #include "machine/snapshot.hh"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -43,9 +44,12 @@ snapshotProc(const Processor &p)
 std::vector<MemWord>
 copyMemory(const SharedMemory &mem)
 {
+    // Absent pages already equal the image's default, a fresh word.
     std::vector<MemWord> image(mem.sizeWords());
-    for (Addr a = 0; a < mem.sizeWords(); ++a)
-        image[a] = mem.word(a);
+    mem.forEachResidentPage(
+        [&](Addr base, const MemWord *words, uint32_t count) {
+            std::copy_n(words, count, image.begin() + base);
+        });
     return image;
 }
 

@@ -7,6 +7,15 @@
  * a full/empty synchronization bit (Section 3.3). The home node of a
  * word is determined by its address (contiguous per-node segments).
  *
+ * The image is paged and materialised lazily. A run touches a small
+ * part of its memory (node blocks, queues, the bump-allocated heap),
+ * so pages of up to 4096 words are allocated on the first mutable
+ * access to one of their words; an absent page reads as data 0, full,
+ * which is what a fresh word holds. Pages never straddle two nodes'
+ * home ranges: a page is only ever created by its home node, which
+ * keeps the sharded engine race-free without atomics (DESIGN.md
+ * §7.11).
+ *
  * This class is purely functional state — timing (cache hits, network
  * latency, directory protocol) is layered on top by the cache,
  * coherence and machine modules.
@@ -15,7 +24,10 @@
 #ifndef APRIL_MEM_MEMORY_HH
 #define APRIL_MEM_MEMORY_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
@@ -37,7 +49,13 @@ class SharedMemory
   public:
     explicit SharedMemory(const MemoryParams &params)
         : _params(params),
-          words(size_t(params.numNodes) * params.wordsPerNode)
+          _sizeWords(size_t(params.numNodes) * params.wordsPerNode),
+          // The page size divides wordsPerNode, so a >> pageShift
+          // indexes the table per node: no page spans two homes.
+          pageShift(std::min<unsigned>(
+              maxPageShift, std::countr_zero(params.wordsPerNode))),
+          pageMask((Addr(1) << pageShift) - 1),
+          pages(_sizeWords >> pageShift)
     {
         if (params.numNodes == 0 || params.wordsPerNode == 0)
             fatal("SharedMemory: zero-sized configuration");
@@ -45,7 +63,7 @@ class SharedMemory
 
     uint32_t numNodes() const { return _params.numNodes; }
     uint32_t wordsPerNode() const { return _params.wordsPerNode; }
-    Addr sizeWords() const { return Addr(words.size()); }
+    Addr sizeWords() const { return Addr(_sizeWords); }
 
     /** @return the node whose local memory holds word @p a. */
     uint32_t
@@ -63,17 +81,25 @@ class SharedMemory
         return Addr(n) * _params.wordsPerNode;
     }
 
-    /** Mutable access to a word (data + f/e bit). */
+    /**
+     * Mutable access to a word (data + f/e bit). Materialises the
+     * word's page on first use.
+     */
     MemWord &
     word(Addr a)
     {
-        return words[checkAddr(a)];
+        std::unique_ptr<MemWord[]> &page = pages[checkAddr(a) >> pageShift];
+        if (!page) [[unlikely]]
+            page = std::make_unique<MemWord[]>(pageMask + 1);
+        return page[a & pageMask];
     }
 
+    /** Read-only access; an absent page reads as a fresh word. */
     const MemWord &
     word(Addr a) const
     {
-        return words[checkAddr(a)];
+        const MemWord *page = pages[checkAddr(a) >> pageShift].get();
+        return page ? page[a & pageMask] : absentWord;
     }
 
     // Convenience accessors used by the runtime and by tests.
@@ -99,18 +125,47 @@ class SharedMemory
         w.full = full;
     }
 
+    /** @return the number of pages materialised so far. */
+    size_t
+    residentPages() const
+    {
+        return size_t(std::count_if(pages.begin(), pages.end(),
+                                    [](const auto &p) { return bool(p); }));
+    }
+
+    /**
+     * Call @p fn(base, words, count) for every resident page in
+     * address order; absent pages hold only fresh words.
+     */
+    template <typename Fn>
+    void
+    forEachResidentPage(Fn &&fn) const
+    {
+        for (size_t i = 0; i < pages.size(); ++i) {
+            if (pages[i])
+                fn(Addr(i << pageShift), pages[i].get(), pageMask + 1);
+        }
+    }
+
   private:
+    /** log2 of the largest page, in words. */
+    static constexpr unsigned maxPageShift = 12;
+    static constexpr MemWord absentWord{};
+
     Addr
     checkAddr(Addr a) const
     {
-        if (a >= words.size())
+        if (a >= _sizeWords)
             panic("shared-memory access out of range: addr=", a,
-                  " size=", words.size());
+                  " size=", _sizeWords);
         return a;
     }
 
     MemoryParams _params;
-    std::vector<MemWord> words;
+    size_t _sizeWords;
+    unsigned pageShift;
+    Addr pageMask;
+    std::vector<std::unique_ptr<MemWord[]>> pages;
 };
 
 } // namespace april

@@ -10,6 +10,7 @@
 
 #include "machine/alewife_machine.hh"
 #include "machine/driver.hh"
+#include "machine/perfect_machine.hh"
 #include "machine/snapshot.hh"
 #include "mult/compiler.hh"
 #include "runtime/layout.hh"
@@ -159,6 +160,26 @@ TEST(AlewifeIntegration, SpeedupOverOneNode)
 
     EXPECT_EQ(r1, r4);
     EXPECT_LT(double(c4), 0.9 * double(c1));
+}
+
+TEST(AlewifeIntegration, FreshMachineMemoryIsMostlyAbsent)
+{
+    // Construction writes each node's run-time block and nothing else,
+    // so the driver's default 16 x 2M-word image (256 MB if dense)
+    // holds one page per node (DESIGN.md §7.11).
+    Assembler as;
+    rt::Runtime runtime;
+    runtime.emit(as);
+    mult::Compiler compiler(as, mult::CompileOptions{});
+    compiler.compileSource(workloads::fibSource(5));
+    Program prog = as.finish();
+    PerfectMachineParams p;
+    p.numNodes = 16;
+    p.wordsPerNode = DriverOptions{}.wordsPerNode;
+    PerfectMachine m(p, &prog);
+    EXPECT_EQ(m.memory().sizeWords(), Addr(16u << 21));
+    EXPECT_GE(m.memory().residentPages(), 1u);
+    EXPECT_LE(m.memory().residentPages(), size_t(p.numNodes));
 }
 
 TEST(AlewifeIntegration, RuntimeCountersReadModifiedLines)

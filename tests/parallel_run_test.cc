@@ -35,6 +35,7 @@ struct RunOut
     uint64_t cycles = 0;
     uint32_t threadsUsed = 0;
     uint64_t quantum = 0;
+    size_t residentPages = 0;
 };
 
 Program
@@ -77,6 +78,7 @@ finish(AlewifeMachine &m)
     out.cycles = m.cycle();
     out.threadsUsed = m.hostThreads();
     out.quantum = m.quantum();
+    out.residentPages = m.memory().residentPages();
     out.snap = snapshotMachine(m);
     std::ostringstream stats, trace;
     m.dump(stats);
@@ -101,6 +103,7 @@ void
 expectTwin(const RunOut &ref, const RunOut &got, const std::string &what)
 {
     EXPECT_EQ(got.cycles, ref.cycles) << what;
+    EXPECT_EQ(got.residentPages, ref.residentPages) << what;
     std::string diff = compareExact(ref.snap, got.snap);
     EXPECT_EQ(diff, "") << what;
     EXPECT_EQ(got.stats, ref.stats) << what;
@@ -223,6 +226,42 @@ TEST(ParallelRunMesh, LimitedDirectoryOnMeshIsBitIdentical)
                            (skip ? "on" : "off"));
         }
     }
+}
+
+/** Nodes smaller than a full 4096-word memory page (DESIGN.md
+ *  §7.11): a page shared by two nodes' home ranges would be
+ *  materialised and read by two shards at once. At one node per
+ *  shard, the 4-thread run must be a race-free twin of the 1-thread
+ *  run, resident pages included. */
+TEST(ParallelRunMesh, SubPageNodeSpansAreBitIdentical)
+{
+    constexpr uint32_t kWordsPerNode = 1u << 10;
+    workloads::WideSharing w =
+        workloads::buildWideSharing(4, kWordsPerNode);
+    auto runWide = [&](uint32_t threads) {
+        AlewifeParams p;
+        p.network = {.dim = 2, .radix = 2};
+        p.wordsPerNode = w.wordsPerNode;
+        p.bootRuntime = false;
+        p.controller.cache = {.lineWords = 4, .numLines = 64,
+                              .assoc = 2};
+        p.traceEvents = true;
+        p.cohTrace = true;
+        p.hostThreads = threads;
+        auto m = std::make_unique<AlewifeMachine>(p, &w.prog);
+        for (uint32_t n = 0; n < m->numNodes(); ++n)
+            workloads::bootCoherentNode(m->proc(n), w.prog);
+        m->run(80'000'000);
+        return finish(*m);
+    };
+
+    RunOut ref = runWide(1);
+    EXPECT_EQ(ref.result, tagged::fixnum(99));
+    // Every node wrote its own done flag back home: one page each.
+    EXPECT_EQ(ref.residentPages, 4u);
+    RunOut par = runWide(4);
+    EXPECT_EQ(par.threadsUsed, 4u);
+    expectTwin(ref, par, "sub-page nodes threads=4");
 }
 
 /** Thread counts beyond the node count clamp instead of failing. */

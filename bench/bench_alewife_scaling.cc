@@ -60,12 +60,7 @@ run(const std::string &src, FM mode, int dim, int radix)
 {
     mult::CompileOptions copts;
     copts.futures = mode;
-    Assembler as;
-    rt::Runtime runtime;
-    runtime.emit(as);
-    mult::Compiler compiler(as, copts);
-    compiler.compileSource(src);
-    Program prog = as.finish();
+    Program prog = mult::compileProgram(src, copts);
 
     AlewifeParams p;
     p.network = {.dim = dim, .radix = radix};

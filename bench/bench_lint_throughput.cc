@@ -25,7 +25,6 @@
 #include "common/random.hh"
 #include "fuzz/generator.hh"
 #include "mult/compiler.hh"
-#include "runtime/runtime.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -94,15 +93,8 @@ main(int argc, char **argv)
     std::vector<std::pair<Program, analysis::AnalysisOptions>> big;
     {
         workloads::SuiteSizes sizes;
-        mult::CompileOptions copts;
-        rt::RuntimeOptions ropts;
-        ropts.encore = copts.softwareChecks;
-        Assembler as;
-        rt::Runtime runtime(ropts);
-        runtime.emit(as);
-        mult::Compiler compiler(as, copts);
-        compiler.compileSource(workloads::makeQueens(sizes).source);
-        Program prog = as.finish();
+        Program prog = mult::compileProgram(
+            workloads::makeQueens(sizes).source, {});
         analysis::AnalysisOptions opts = analysis::allSymbolRoots(prog);
         big.emplace_back(std::move(prog), std::move(opts));
     }

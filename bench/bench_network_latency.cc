@@ -33,15 +33,14 @@
 
 #include "common/random.hh"
 #include "machine/alewife_machine.hh"
+#include "machine/workload.hh"
 #include "network/network.hh"
-#include "workloads/handwritten.hh"
 
 namespace
 {
 
 using namespace april;
 using namespace april::net;
-using namespace april::tagged;
 
 /** Average hop distance over random pairs. */
 double
@@ -78,7 +77,7 @@ loadedLatency(double inject_per_node, uint64_t cycles, uint64_t seed)
 /**
  * Upper bound of the bucket holding the @p q quantile of a log2
  * histogram — conservative ceiling, not an interpolation; the last
- * bucket reports the observed maximum (same rule as april-coh).
+ * bucket reports the observed maximum (same rule as `april run --coh`).
  */
 uint64_t
 histPercentile(const stats::Histogram &h, double q)
@@ -102,31 +101,17 @@ histPercentile(const stats::Histogram &h, double q)
     return uint64_t(h.max());
 }
 
-/**
- * Run the 16-node coherent counter loop and leave its telemetry
- * folded for the per-class section.
- */
-std::unique_ptr<AlewifeMachine>
-runCoherent16(uint32_t iters, const workloads::CoherentLoop **out)
+/** Run the 16-node coherent counter loop of @p w, which must
+ *  outlive the machine, and drain its in-flight traffic. */
+std::unique_ptr<Machine>
+runCoherent16(const workloads::Workload &w)
 {
-    static workloads::CoherentLoop coh;
-    coh = workloads::buildCoherentLoop(16, iters);
-    *out = &coh;
-    AlewifeParams p;
-    p.network = {.dim = 2, .radix = 4};                 // 16 nodes
-    p.wordsPerNode = 1u << 16;
-    p.bootRuntime = false;
-    p.controller.cache = {.lineWords = 4, .numLines = 64, .assoc = 2};
-    auto m = std::make_unique<AlewifeMachine>(p, &coh.prog);
-    for (uint32_t n = 0; n < m->numNodes(); ++n)
-        workloads::bootCoherentNode(m->proc(n), coh.prog);
-    m->memory().write(coh.count, fixnum(0));
+    std::unique_ptr<Machine> m = makeMachine(w.prog, w.options, w.boot);
     m->run(200'000'000);
     if (!m->halted())
         std::fprintf(stderr, "bench_network_latency: coherent16 did "
                              "not finish\n");
     m->quiesce(1'000'000);
-    m->telemetry().foldStats();
     return m;
 }
 
@@ -178,9 +163,11 @@ main(int argc, char **argv)
                 "saturates — the bandwidth ceiling that caps\n"
                 "multithreaded utilization near 0.80 in Figure 5.\n\n");
 
-    const workloads::CoherentLoop *coh = nullptr;
-    auto m = runCoherent16(quick ? 50 : 400, &coh);
-    Telemetry &tel = m->telemetry();
+    const workloads::Workload coh16 =
+        workloads::fromSpec(quick ? "coherent16:50" : "coherent16:400");
+    auto m = runCoherent16(coh16);
+    Telemetry &tel = dynamic_cast<AlewifeMachine &>(*m).telemetry();
+    tel.foldStats();
     std::printf("Per-class latency on the live 16-node coherent "
                 "counter loop (%llu cycles):\n",
                 (unsigned long long)m->cycle());

@@ -38,73 +38,13 @@
 
 #include "common/logging.hh"
 #include "machine/alewife_machine.hh"
+#include "machine/workload.hh"
 
 namespace
 {
 
 using namespace april;
 using namespace tagged;
-
-constexpr Addr kLock = 400;
-constexpr Addr kCount = 404;
-
-/** The bench_sim_speed coherent loop: every node hammers one
- *  f/e-locked counter with a DIV per iteration. */
-Program
-buildCoherentLoop(uint32_t nodes, uint32_t iters)
-{
-    Assembler as;
-    as.bind("worker");
-    as.movi(1, ptr(kLock, Tag::Other));
-    as.movi(2, ptr(kCount, Tag::Other));
-    as.movi(3, 0);
-    as.movi(7, fixnum(84));
-    as.movi(8, fixnum(4));
-    as.bind("loop");
-    as.div(9, 7, 8);
-    as.bind("acq");
-    as.ldenw(4, 1, 0);
-    as.jRaw(Cond::EMPTY, "acq");
-    as.nop();
-    as.ldnw(5, 2, 0);
-    as.addi(5, 5, int32_t(fixnum(1)));
-    as.stnw(5, 2, 0);
-    as.stfnw(reg::r0, 1, 0);
-    as.addiR(3, 3, 1);
-    as.cmpiR(3, int32_t(iters));
-    as.jRaw(Cond::LT, "loop");
-    as.nop();
-    as.ldio(6, int(IoReg::NodeId));
-    as.cmpiR(6, 0);
-    as.jRaw(Cond::NE, "done");
-    as.nop();
-    as.bind("wait");
-    as.ldnw(5, 2, 0);
-    as.cmpiR(5, int32_t(fixnum(int32_t(nodes * iters))));
-    as.jRaw(Cond::NE, "wait");
-    as.nop();
-    as.stio(int(IoReg::MachineHalt), reg::r0);
-    as.bind("done");
-    as.halt();
-
-    as.bind("cswitch");
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.nop();
-    as.wrpsr(reg::t(0));
-    as.nop();
-    as.rettRetry();
-    as.bind("fyield");
-    as.moviLabel(reg::t(1), "fyield");
-    as.wrspec(Spec::TrapPC, reg::t(1));
-    as.addiR(reg::t(1), reg::t(1), 1);
-    as.wrspec(Spec::TrapNPC, reg::t(1));
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.wrpsr(reg::t(0));
-    as.rettRetry();
-    return as.finish();
-}
 
 /** Lockstep DIV loop on every node; node 0 stops the machine. */
 Program
@@ -140,51 +80,33 @@ struct Point
     double cyclesPerSec() const { return double(simCycles) / seconds; }
 };
 
-struct Workload
+/** The 16-node machine of the coherent counter loop, running the
+ *  DIV loop on the default caches with every core at "worker". */
+workloads::Workload
+stallWorkload(const workloads::Workload &coherent, uint32_t iters)
 {
-    std::string name;
-    Program prog;
-    bool coherent = false;      ///< needs caches + trap vectors
-};
-
-std::unique_ptr<AlewifeMachine>
-makeMachine(const Workload &w, uint32_t threads, bool skip)
-{
-    AlewifeParams p;
-    p.network = {.dim = 2, .radix = 4};             // 16 nodes
-    p.wordsPerNode = 1u << 16;
-    p.bootRuntime = false;
-    p.cycleSkip = skip;
-    p.hostThreads = threads;
-    if (w.coherent)
-        p.controller.cache = {.lineWords = 4, .numLines = 64,
-                              .assoc = 2};
-    auto m = std::make_unique<AlewifeMachine>(p, &w.prog);
-    for (uint32_t n = 0; n < m->numNodes(); ++n) {
-        Processor &proc = m->proc(n);
-        proc.reset(w.prog.entry("worker"));
-        if (!w.coherent)
-            continue;
-        proc.setTrapVector(TrapKind::RemoteMiss,
-                           w.prog.entry("cswitch"));
-        proc.setTrapVector(TrapKind::FeEmpty, w.prog.entry("cswitch"));
-        for (uint32_t f = 1; f < proc.numFrames(); ++f) {
-            proc.frame(f).trapPC = w.prog.entry("fyield");
-            proc.frame(f).trapNPC = w.prog.entry("fyield") + 1;
-            proc.frame(f).trapRegs[0] = psr::ET;
-        }
-    }
-    if (w.coherent)
-        m->memory().write(kCount, fixnum(0));
-    return m;
+    workloads::Workload w;
+    w.name = "alewife_stall16";
+    w.prog = buildStallLoop(iters);
+    w.options = coherent.options;
+    w.options.controller = {};
+    w.boot = [](Machine &m, const Program &prog) {
+        for (uint32_t n = 0; n < m.numNodes(); ++n)
+            m.proc(n).reset(prog.entry("worker"));
+    };
+    return w;
 }
 
 /** One timed run; @p digest receives cycles/insts/stats identity. */
 Point
-timeRun(const Workload &w, uint32_t threads, bool skip,
+timeRun(const workloads::Workload &w, uint32_t threads, bool skip,
         std::string *digest)
 {
-    auto m = makeMachine(w, threads, skip);
+    DriverOptions o = w.options;
+    o.hostThreads = threads;
+    o.cycleSkip = skip;
+    std::unique_ptr<Machine> machine = makeMachine(w.prog, o, w.boot);
+    auto *m = dynamic_cast<AlewifeMachine *>(machine.get());
     auto t0 = std::chrono::steady_clock::now();
     m->run(2'000'000'000);
     auto t1 = std::chrono::steady_clock::now();
@@ -211,13 +133,12 @@ main(int argc, char **argv)
     QuietScope quiet_scope;
 
     uint32_t cores = std::thread::hardware_concurrency();
-    std::vector<Workload> workloads;
-    workloads.push_back({"alewife_coherent16",
-                         buildCoherentLoop(16, quick ? 40 : 400),
-                         true});
-    workloads.push_back({"alewife_stall16",
-                         buildStallLoop(quick ? 3'000 : 50'000),
-                         false});
+    std::vector<workloads::Workload> workloads;
+    workloads.push_back(
+        workloads::fromSpec(quick ? "coherent16:40" : "coherent16:400"));
+    workloads[0].name = "alewife_coherent16";
+    workloads.push_back(
+        stallWorkload(workloads[0], quick ? 3'000 : 50'000));
 
     bool ok = true;
     std::string json = "{\"bench\":\"parallel_scaling\",\"quick\":";
@@ -226,7 +147,8 @@ main(int argc, char **argv)
     json += ",\"workloads\":[";
 
     for (size_t wi = 0; wi < workloads.size(); ++wi) {
-        const Workload &w = workloads[wi];
+        const workloads::Workload &w = workloads[wi];
+        const bool coherent = wi == 0;
         std::printf("%s\n%8s %6s %14s %14s %9s\n", w.name.c_str(),
                     "threads", "skip", "sim cycles", "cyc/s",
                     "scaling");
@@ -255,7 +177,7 @@ main(int argc, char **argv)
                     ok = false;
                 }
                 double scaling = base.seconds / pt.seconds;
-                if (w.coherent && !skip && threads == 4)
+                if (coherent && !skip && threads == 4)
                     gate_scaling = scaling;
                 std::printf("%8u %6s %14llu %14.0f %8.2fx\n",
                             pt.threads, skip ? "on" : "off",
@@ -284,7 +206,7 @@ main(int argc, char **argv)
         // The throughput gate: 4 threads must be >= 3x sequential on
         // the coherence-bound workload — when the host can run 4
         // workers at all.
-        if (w.coherent) {
+        if (coherent) {
             if (cores >= 4 && gate_scaling < 3.0) {
                 std::fprintf(stderr,
                              "FAIL: %s at 4 threads scales %.2fx < 3x "

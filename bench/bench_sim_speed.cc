@@ -35,7 +35,7 @@
 #include "common/logging.hh"
 #include "machine/alewife_machine.hh"
 #include "machine/driver.hh"
-#include "workloads/handwritten.hh"
+#include "machine/workload.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -139,21 +139,13 @@ runStall16(uint32_t iters)
 WorkloadResult
 runCoherent16(uint32_t iters)
 {
-    workloads::CoherentLoop coh = workloads::buildCoherentLoop(16, iters);
-    const Program &prog = coh.prog;
+    const workloads::Workload w =
+        workloads::fromSpec("coherent16:" + std::to_string(iters));
     auto make = [&](bool skip) {
-        AlewifeParams p;
-        p.network = {.dim = 2, .radix = 4};         // 16 nodes
-        p.wordsPerNode = 1u << 16;
-        p.bootRuntime = false;
-        p.cycleSkip = skip;
-        p.controller.cache = {.lineWords = 4, .numLines = 64,
-                              .assoc = 2};
-        auto m = std::make_unique<AlewifeMachine>(p, &prog);
-        for (uint32_t n = 0; n < m->numNodes(); ++n)
-            workloads::bootCoherentNode(m->proc(n), prog);
-        m->memory().write(coh.count, fixnum(0));
-        return m;
+        DriverOptions o = w.options;
+        o.hostThreads = 1;
+        o.cycleSkip = skip;
+        return makeMachine(w.prog, o, w.boot);
     };
     WorkloadResult r;
     r.name = "alewife_coherent16";

@@ -64,10 +64,8 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "isa/assembler.hh"
 #include "machine/alewife_machine.hh"
 #include "mult/compiler.hh"
-#include "runtime/runtime.hh"
 #include "task/task_trace.hh"
 #include "workloads/workloads.hh"
 
@@ -99,15 +97,11 @@ runOnce(const std::string &source, uint32_t frames, bool lazy = true,
         int radix = 2, uint32_t lines = 4096, uint32_t assoc = 4,
         uint32_t hop = 8, uint32_t mem = 10, bool spin_touch = true)
 {
-    Assembler as;
-    rt::Runtime runtime({.spinTouch = spin_touch});
-    runtime.emit(as);
     mult::CompileOptions copts;
     copts.futures = lazy ? mult::CompileOptions::FutureMode::Lazy
                          : mult::CompileOptions::FutureMode::Eager;
-    mult::Compiler compiler(as, copts);
-    compiler.compileSource(source);
-    Program prog = as.finish();
+    Program prog = mult::compileProgram(source, copts,
+                                        {.spinTouch = spin_touch});
 
     AlewifeParams p;
     p.network = {.dim = 2, .radix = radix, .hopCycles = hop};

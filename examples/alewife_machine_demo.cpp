@@ -5,143 +5,55 @@
  * directory-coherence controllers, network — followed by a dump of
  * the machine-wide statistics tree.
  *
- * Observability options:
- *   --trace=FILE   record machine events, write Chrome trace-event
- *                  JSON to FILE (open it at https://ui.perfetto.dev)
- *   --stats=FILE   write the statistics tree as JSON to FILE
- *   --debug=FLAGS  enable live debug printing, e.g. --debug=Ctx,Net
- *                  or --debug=All (also: APRIL_DEBUG env var)
- *   --profile=FILE       PC-sample every node and write profile JSON
- *                        (cycle breakdown + hotspots) to FILE
- *   --profile-period=N   PC sample period in cycles (default 64)
- *   --coh=FILE           trace coherence transactions and write the
- *                        structured span JSON to FILE
- *   --stats-interval=N   snapshot all statistics every N cycles and
- *                        append the CSV time series after the run
- *   --threads=N          shard the machine over N host worker threads
- *                        (DESIGN.md §7.6); the run is bit-identical
- *                        to --threads=1, traces and profiles included
+ *   alewife_machine_demo [N]      run fib(N) (default 13)
+ *
+ * Traces, profiles and the coherence and task reports of the same
+ * run come from the `april` tool, e.g.
+ * `april run fib:10 --prof --coh --task --perfetto=trace.json`.
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 
-#include "common/debug.hh"
-#include "machine/alewife_machine.hh"
-#include "mult/compiler.hh"
-#include "workloads/workloads.hh"
+#include "common/logging.hh"
+#include "machine/workload.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace april;
 
-    int n = 13;
-    std::string trace_file;
-    std::string stats_file;
-    std::string profile_file;
-    std::string coh_file;
-    uint64_t profile_period = 64;
-    uint64_t stats_interval = 0;
-    uint32_t threads = 1;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--trace=", 8) == 0)
-            trace_file = arg + 8;
-        else if (std::strncmp(arg, "--stats=", 8) == 0)
-            stats_file = arg + 8;
-        else if (std::strncmp(arg, "--debug=", 8) == 0)
-            debug::setFlags(arg + 8);
-        else if (std::strncmp(arg, "--profile=", 10) == 0)
-            profile_file = arg + 10;
-        else if (std::strncmp(arg, "--coh=", 6) == 0)
-            coh_file = arg + 6;
-        else if (std::strncmp(arg, "--profile-period=", 17) == 0)
-            profile_period = std::strtoull(arg + 17, nullptr, 10);
-        else if (std::strncmp(arg, "--stats-interval=", 17) == 0)
-            stats_interval = std::strtoull(arg + 17, nullptr, 10);
-        else if (std::strncmp(arg, "--threads=", 10) == 0)
-            threads = uint32_t(std::atoi(arg + 10));
-        else
-            n = std::atoi(arg);
+    auto usage = [] {
+        std::fprintf(stderr, "usage: alewife_machine_demo [N]\n");
+        return 2;
+    };
+    if (argc > 2)
+        return usage();
+    const std::string n = argc > 1 ? argv[1] : "13";
+    workloads::Workload w;
+    std::unique_ptr<Machine> machine;
+    try {
+        w = workloads::fromSpec("fib:" + n);
+        machine = makeMachine(w.prog, w.options);
+    } catch (const SimError &) {
+        return usage();     // fatal() already said what was wrong
     }
 
-    mult::CompileOptions copts;
-    copts.futures = mult::CompileOptions::FutureMode::Lazy;
-    Assembler as;
-    rt::Runtime runtime;
-    runtime.emit(as);
-    mult::Compiler compiler(as, copts);
-    compiler.compileSource(workloads::fibSource(n));
-    Program prog = as.finish();
-
-    AlewifeParams params;
-    params.network = {.dim = 2, .radix = 2};
-    params.controller.cache = {.lineWords = 4, .numLines = 4096,
-                               .assoc = 4};      // Table 4: 64 KB
-    params.traceEvents = !trace_file.empty();
-    params.profile = !profile_file.empty();
-    params.cohTrace = !coh_file.empty();
-    params.profilePeriod = profile_period;
-    params.statsInterval = stats_interval;
-    params.hostThreads = threads;
-    AlewifeMachine machine(params, &prog);
-
-    machine.run(100'000'000);
-    if (!machine.halted()) {
+    machine->run(100'000'000);
+    if (!machine->halted()) {
         std::printf("did not finish\n");
         return 1;
     }
 
-    std::printf("fib(%d) on a 2x2 ALEWIFE = %s (expected %lld) in "
-                "%llu cycles",
-                n, tagged::toString(machine.console().back()).c_str(),
-                (long long)workloads::fibExpected(n),
-                (unsigned long long)machine.cycle());
-    if (machine.hostThreads() > 1)
-        std::printf(" (%u host threads)", machine.hostThreads());
-    std::printf("\n\n");
+    std::printf("fib(%s) on a 2x2 ALEWIFE = %lld (expected %lld) in "
+                "%llu cycles\n\n",
+                n.c_str(), (long long)w.answer(*machine),
+                (long long)w.expected,
+                (unsigned long long)machine->cycle());
 
     std::printf("machine statistics:\n");
-    machine.dump(std::cout);
-
-    if (!trace_file.empty()) {
-        std::ofstream os(trace_file);
-        machine.writeTrace(os);
-        std::printf("\nwrote %llu trace events to %s "
-                    "(load at https://ui.perfetto.dev)\n",
-                    (unsigned long long)
-                        machine.traceRecorder()->events().size(),
-                    trace_file.c_str());
-    }
-    if (!stats_file.empty()) {
-        std::ofstream os(stats_file);
-        machine.dumpJson(os);
-        os << "\n";
-        std::printf("wrote statistics JSON to %s\n",
-                    stats_file.c_str());
-    }
-    if (!profile_file.empty()) {
-        std::ofstream os(profile_file);
-        profile::writeProfileJson(os, machine.profileSource());
-        os << "\n";
-        std::printf("wrote profile JSON to %s\n", profile_file.c_str());
-    }
-    if (!coh_file.empty()) {
-        std::ofstream os(coh_file);
-        machine.writeCohTrace(os);
-        os << "\n";
-        std::printf("wrote coherence transaction JSON to %s\n",
-                    coh_file.c_str());
-    }
-    if (stats_interval) {
-        std::printf("\nstats time series (every %llu cycles):\n",
-                    (unsigned long long)stats_interval);
-        machine.intervalSampler()->writeCsv(std::cout);
-    }
+    machine->dump(std::cout);
 
     std::printf("\nnote the contextSwitches and trapsRemoteMiss "
                 "counters: every use of the\nnetwork switched the "

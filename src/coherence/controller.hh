@@ -142,7 +142,7 @@ class Controller : public MemPort, public stats::Group
 
     /** Always-on census of one home line: how often it transitions,
      *  how many invalidations it caused, how wide its sharer set got.
-     *  The "churn" top-N of april-coh reports. */
+     *  The "churn" top-N of the coherence report. */
     struct LineCensus
     {
         uint64_t transitions = 0;

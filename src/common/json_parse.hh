@@ -3,8 +3,8 @@
  * A minimal recursive-descent JSON parser. Only the features the
  * simulator's own emitters use are supported (objects, arrays, strings
  * with \-escapes, numbers, true/false/null); a parse error throws
- * std::runtime_error with the offending offset. Used by april-prof to
- * read back profile JSON (for --diff and schema validation) and by the
+ * std::runtime_error with the offending offset. Used by `april` to
+ * read back report JSON (for diff and check) and by the
  * tests to validate every JSON emitter in the tree.
  */
 

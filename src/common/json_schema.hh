@@ -1,7 +1,6 @@
 /**
  * @file
- * Minimal JSON-schema-subset validator shared by the report tools'
- * --check modes (april-prof, april-coh).
+ * Minimal JSON-schema-subset validator behind `april check`.
  *
  * Supports the subset the checked-in schemas use: "type" (object,
  * array, string, number, integer, boolean), "required", "properties",

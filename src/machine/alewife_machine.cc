@@ -13,7 +13,7 @@ namespace april
 
 AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
                                const Program *prog)
-    : stats::Group("alewife"),
+    : Machine("alewife"),
       params(p),
       mem({.numNodes = [&] {
                uint32_t n = 1;
@@ -631,26 +631,27 @@ AlewifeMachine::foldObservability()
     telemetry_.foldStats();
 }
 
+Word
+AlewifeMachine::coherentRead(Addr a) const
+{
+    // As snapshotMachine folds the image: a value may still sit in a
+    // dirty line, and at most one cache holds the line Modified.
+    for (const auto &c : ctrls) {
+        cache::Cache &cache = c->cacheRef();
+        const cache::CacheLine *line = cache.find(cache.lineOf(a));
+        if (line && line->state == cache::LineState::Modified)
+            return line->words[cache.offsetOf(a)].data;
+    }
+    return mem.read(a);
+}
+
 uint64_t
 AlewifeMachine::runtimeCounter(int slot) const
 {
-    // Read each node's counter word coherently: a Modified copy in
-    // some cache wins over the backing store (as snapshotMachine folds
-    // it), since a count may still sit in a dirty line.
     uint64_t total = 0;
-    for (uint32_t i = 0; i < numNodes(); ++i) {
-        Addr a = mem.nodeBase(i) + rt::nodeBlockOff + Addr(slot);
-        Word w = mem.read(a);
-        for (const auto &c : ctrls) {
-            cache::Cache &cache = c->cacheRef();
-            const cache::CacheLine *line = cache.find(cache.lineOf(a));
-            if (line && line->state == cache::LineState::Modified) {
-                w = line->words[cache.offsetOf(a)].data;
-                break;
-            }
-        }
-        total += w;
-    }
+    for (uint32_t i = 0; i < numNodes(); ++i)
+        total += coherentRead(mem.nodeBase(i) + rt::nodeBlockOff +
+                              Addr(slot));
     return total;
 }
 
@@ -677,20 +678,6 @@ AlewifeMachine::writeCohTrace(std::ostream &os)
 {
     if (coh::TxnTracer *t = txnTracer())
         coh::writeJson(os, *t);
-}
-
-void
-AlewifeMachine::writeTaskTrace(std::ostream &os)
-{
-    task::Tracer *t = taskTracer();
-    if (!t)
-        return;
-    task::AnalyzeParams p;
-    p.numNodes = numNodes();
-    p.totalCycles = _cycle;
-    task::Report r = task::analyze(t->events(), p);
-    r.dropped = task_.dropped();
-    task::writeReportJson(os, r);
 }
 
 Word

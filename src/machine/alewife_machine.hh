@@ -32,6 +32,7 @@
 #include "common/parallel.hh"
 #include "common/random.hh"
 #include "common/trace.hh"
+#include "machine/machine.hh"
 #include "network/network.hh"
 #include "network/telemetry.hh"
 #include "proc/processor.hh"
@@ -90,7 +91,7 @@ struct AlewifeParams : ObsParams
 };
 
 /** N ALEWIFE nodes on a mesh. */
-class AlewifeMachine : public stats::Group
+class AlewifeMachine final : public Machine
 {
   public:
     AlewifeMachine(const AlewifeParams &params, const Program *prog);
@@ -98,7 +99,7 @@ class AlewifeMachine : public stats::Group
 
     /** Advance exactly one machine cycle (serial; tests, quiesce). */
     void tick();
-    uint64_t run(uint64_t max_cycles);
+    uint64_t run(uint64_t max_cycles) override;
 
     /**
      * Earliest cycle at which any component (processor, controller,
@@ -120,11 +121,11 @@ class AlewifeMachine : public stats::Group
      * halt decision was read from) in flight — snapshotting without
      * draining it would read stale memory.
      */
-    bool quiesce(uint64_t max_cycles);
+    bool quiesce(uint64_t max_cycles) override;
 
-    bool halted() const { return haltFlag; }
-    uint64_t cycle() const { return _cycle; }
-    uint32_t numNodes() const { return net_.numNodes(); }
+    bool halted() const override { return haltFlag; }
+    uint64_t cycle() const override { return _cycle; }
+    uint32_t numNodes() const override { return net_.numNodes(); }
 
     /** Number of shards (= host worker threads) actually in use. */
     uint32_t hostThreads() const { return uint32_t(shards.size()); }
@@ -132,13 +133,21 @@ class AlewifeMachine : public stats::Group
     /** The parallel quantum Q (minimum cross-node network latency). */
     uint64_t quantum() const { return quantum_; }
 
-    Processor &proc(uint32_t n) { return *procs.at(n); }
+    Processor &proc(uint32_t n) override { return *procs.at(n); }
     coh::Controller &controller(uint32_t n) { return *ctrls.at(n); }
     net::Network &network() { return net_; }
-    SharedMemory &memory() { return mem; }
+    SharedMemory &memory() override { return mem; }
 
-    const std::vector<Word> &console() const { return consoleWords; }
-    uint64_t runtimeCounter(int slot) const;
+    const std::vector<Word> &console() const override
+    {
+        return consoleWords;
+    }
+    /** Counters are read coherently (see coherentRead()). */
+    uint64_t runtimeCounter(int slot) const override;
+
+    /** The word at @p a as the coherent image holds it: a Modified
+     *  copy in some cache wins over the backing store. */
+    Word coherentRead(Addr a) const;
 
     /** Event recorder with all lanes merged (nullptr unless
      *  params.traceEvents). */
@@ -150,7 +159,7 @@ class AlewifeMachine : public stats::Group
 
     /** Task-event tracer with all lanes merged (nullptr unless
      *  params.taskTrace). */
-    task::Tracer *taskTracer() { return task_.merged(); }
+    task::Tracer *taskTracer() override { return task_.merged(); }
 
     /** Network telemetry (always on; folded at sync points). */
     net::Telemetry &telemetry() { return telemetry_; }
@@ -165,21 +174,15 @@ class AlewifeMachine : public stats::Group
     /** Serialize the event log as Chrome trace-event JSON, stitching
      *  in coherence-transaction flow events when cohTrace is on.
      *  No-op when tracing is off. */
-    void writeTrace(std::ostream &os);
+    void writeTrace(std::ostream &os) override;
 
     /** Serialize the coherence-transaction log as structured JSON.
      *  No-op when cohTrace is off. */
     void writeCohTrace(std::ostream &os);
 
-    /** Analyze the task-event log and serialize the report as
-     *  structured JSON. No-op when taskTrace is off. */
-    void writeTaskTrace(std::ostream &os);
+    profile::ProfileSource profileSource() const override;
 
-    /** Assemble the report writers' view of this run. */
-    profile::ProfileSource profileSource() const;
-
-    /** Interval time series (nullptr unless params.statsInterval). */
-    const profile::IntervalSampler *intervalSampler() const
+    const profile::IntervalSampler *intervalSampler() const override
     {
         return interval_.get();
     }
@@ -189,7 +192,7 @@ class AlewifeMachine : public stats::Group
      * count (per node and per frame). quiesce() calls this; tests and
      * tools may call it at any point.
      */
-    void verifyCycleAccounting() const;
+    void verifyCycleAccounting() const override;
 
   private:
     struct Shard;

@@ -2,9 +2,9 @@
  * @file
  * Coherence observability reports: aggregate the always-on directory
  * census, the network telemetry and (when enabled) the transaction
- * trace of an AlewifeMachine into the april-coh text/JSON reports —
- * hottest lines, widest sharer sets, slowest transactions, per-class
- * network latency and the invalidation/ack balance.
+ * trace of an AlewifeMachine into the `april run --coh` text/JSON
+ * reports — hottest lines, widest sharer sets, slowest transactions,
+ * per-class network latency and the invalidation/ack balance.
  */
 
 #ifndef APRIL_MACHINE_COH_REPORT_HH
@@ -18,7 +18,7 @@
 namespace april
 {
 
-/** Report shaping knobs (the april-coh --top flag). */
+/** Report shaping knobs (the `april run --top` flag). */
 struct CohReportOptions
 {
     size_t topLines = 10;       ///< churn top-N (directory census)
@@ -27,7 +27,7 @@ struct CohReportOptions
     size_t topPairs = 10;       ///< busiest node-pair top-N
 };
 
-/** Human-readable report (april-coh default output). */
+/** Human-readable report (what `april run --coh` prints). */
 void writeCohReportText(std::ostream &os, AlewifeMachine &machine,
                         const CohReportOptions &opts = {});
 

@@ -27,13 +27,78 @@ hostThreadCount(uint32_t requested)
 namespace
 {
 
-/** Result extraction shared by both machine kinds (which expose the
- *  same accessor surface without a common base). */
-template <typename Machine>
-DriverResult
-collectResult(Machine &machine, const Program &prog,
-              const DriverOptions &options)
+/** A square 2-D mesh when netRadix is 0, the explicit shape
+ *  otherwise; fatal unless it covers options.nodes exactly. */
+net::NetworkParams
+meshFor(const DriverOptions &options)
 {
+    net::NetworkParams np;
+    np.dim = options.netDim;
+    np.radix = options.netRadix;
+    if (!np.radix) {
+        np.dim = 2;
+        while (uint64_t(np.radix) * uint64_t(np.radix) < options.nodes)
+            ++np.radix;
+    }
+    uint64_t covered = 1;
+    for (int d = 0; d < np.dim; ++d)
+        covered *= uint64_t(np.radix);
+    if (covered != options.nodes) {
+        fatal("driver: ", options.nodes, " nodes do not fill a ",
+              np.radix, "^", np.dim, " mesh");
+    }
+    return np;
+}
+
+} // namespace
+
+std::unique_ptr<Machine>
+makeMachine(const Program &prog, const DriverOptions &options,
+            const MachineBoot &boot)
+{
+    if (options.nodes == 0)
+        fatal("driver: a machine needs at least one node");
+    if (!options.debugFlags.empty())
+        debug::setFlags(options.debugFlags);
+
+    std::unique_ptr<Machine> m;
+    if (options.alewife) {
+        AlewifeParams ap;
+        ap.network = meshFor(options);
+        ap.wordsPerNode = options.wordsPerNode;
+        ap.proc = options.proc;
+        ap.controller = options.controller;
+        ap.dirScheme = options.dirScheme;
+        ap.dirPointers = options.dirPointers;
+        ap.seed = options.seed;
+        ap.bootRuntime = !boot;
+        ap.cycleSkip = options.cycleSkip;
+        ap.hostThreads = hostThreadCount(options.hostThreads);
+        static_cast<ObsParams &>(ap) = options;
+        m = std::make_unique<AlewifeMachine>(ap, &prog);
+    } else {
+        PerfectMachineParams mp;
+        mp.numNodes = options.nodes;
+        mp.wordsPerNode = options.wordsPerNode;
+        mp.proc = options.proc;
+        mp.seed = options.seed;
+        mp.bootRuntime = !boot;
+        mp.cycleSkip = options.cycleSkip;
+        static_cast<ObsParams &>(mp) = options;
+        m = std::make_unique<PerfectMachine>(mp, &prog);
+    }
+    if (boot)
+        boot(*m, prog);
+    return m;
+}
+
+DriverResult
+runMultProgram(const std::string &source, const DriverOptions &options)
+{
+    Program prog = mult::compileProgram(source, options.compile);
+    std::unique_ptr<Machine> m = makeMachine(prog, options);
+    Machine &machine = *m;
+
     machine.run(options.maxCycles);
     if (!machine.halted()) {
         fatal("driver: program did not halt within ", options.maxCycles,
@@ -80,81 +145,13 @@ collectResult(Machine &machine, const Program &prog,
         machine.intervalSampler()->writeCsv(os);
         r.statsSeriesCsv = os.str();
     }
+    auto *alewife = dynamic_cast<AlewifeMachine *>(&machine);
+    if (alewife && options.cohTrace) {
+        std::ostringstream os;
+        alewife->writeCohTrace(os);
+        r.cohTraceJson = os.str();
+    }
     return r;
-}
-
-/** A square 2-D mesh when netRadix is 0, the explicit shape
- *  otherwise; fatal unless it covers options.nodes exactly. */
-net::NetworkParams
-meshFor(const DriverOptions &options)
-{
-    net::NetworkParams np;
-    np.dim = options.netDim;
-    np.radix = options.netRadix;
-    if (!np.radix) {
-        np.dim = 2;
-        while (uint32_t(np.radix * np.radix) < options.nodes)
-            ++np.radix;
-    }
-    uint64_t covered = 1;
-    for (int d = 0; d < np.dim; ++d)
-        covered *= uint64_t(np.radix);
-    if (covered != options.nodes) {
-        fatal("driver: ", options.nodes, " nodes do not fill a ",
-              np.radix, "^", np.dim, " mesh");
-    }
-    return np;
-}
-
-} // namespace
-
-DriverResult
-runMultProgram(const std::string &source, const DriverOptions &options)
-{
-    if (!options.debugFlags.empty())
-        debug::setFlags(options.debugFlags);
-
-    rt::RuntimeOptions ropts;
-    ropts.encore = options.compile.softwareChecks;
-
-    Assembler as;
-    rt::Runtime runtime(ropts);
-    runtime.emit(as);
-    mult::Compiler compiler(as, options.compile);
-    compiler.compileSource(source);
-    Program prog = as.finish();
-
-    if (options.alewife) {
-        AlewifeParams ap;
-        ap.network = meshFor(options);
-        ap.wordsPerNode = options.wordsPerNode;
-        ap.proc = options.proc;
-        ap.controller = options.controller;
-        ap.dirScheme = options.dirScheme;
-        ap.dirPointers = options.dirPointers;
-        ap.seed = options.seed;
-        ap.cycleSkip = options.cycleSkip;
-        ap.hostThreads = hostThreadCount(options.hostThreads);
-        static_cast<ObsParams &>(ap) = options;
-        AlewifeMachine machine(ap, &prog);
-        DriverResult r = collectResult(machine, prog, options);
-        if (options.cohTrace) {
-            std::ostringstream os;
-            machine.writeCohTrace(os);
-            r.cohTraceJson = os.str();
-        }
-        return r;
-    }
-
-    PerfectMachineParams mp;
-    mp.numNodes = options.nodes;
-    mp.wordsPerNode = options.wordsPerNode;
-    mp.proc = options.proc;
-    mp.seed = options.seed;
-    mp.cycleSkip = options.cycleSkip;
-    static_cast<ObsParams &>(mp) = options;
-    PerfectMachine machine(mp, &prog);
-    return collectResult(machine, prog, options);
 }
 
 } // namespace april

@@ -3,12 +3,16 @@
  * One-call driver: compile a Mul-T program with a chosen future
  * strategy, boot an APRIL machine, run to completion, return metrics.
  * Shared by the benchmark harnesses, the examples and the tests.
+ * makeMachine() is the one place a DriverOptions becomes a machine;
+ * the `april` CLI builds its machines through it too.
  */
 
 #ifndef APRIL_MACHINE_DRIVER_HH
 #define APRIL_MACHINE_DRIVER_HH
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -112,6 +116,20 @@ struct DriverResult
     /// options.statsInterval.
     std::string statsSeriesCsv;
 };
+
+/** Points a raw (runtime-free) program's cores at their entries and
+ *  seeds its memory, in place of the Mul-T run-time system's boot. */
+using MachineBoot = std::function<void(Machine &, const Program &)>;
+
+/**
+ * Build the machine @p options describe (ALEWIFE or perfect memory)
+ * for @p prog, which must outlive it. With @p boot the run-time
+ * system is not booted and @p boot runs on the new machine instead.
+ * Raises FatalError on a configuration it cannot build.
+ */
+std::unique_ptr<Machine> makeMachine(const Program &prog,
+                                     const DriverOptions &options,
+                                     const MachineBoot &boot = {});
 
 /**
  * Compile and run @p source under @p options.

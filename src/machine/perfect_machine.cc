@@ -12,7 +12,7 @@ namespace april
 
 PerfectMachine::PerfectMachine(const PerfectMachineParams &p,
                                const Program *prog)
-    : stats::Group("machine"),
+    : Machine("machine"),
       params(p),
       mem({.numNodes = p.numNodes, .wordsPerNode = p.wordsPerNode}),
       statTraceDropped(
@@ -71,20 +71,6 @@ PerfectMachine::writeTrace(std::ostream &os)
             if (t)
                 task::writeChromeEvents(o, first, *t);
         });
-}
-
-void
-PerfectMachine::writeTaskTrace(std::ostream &os)
-{
-    task::Tracer *t = taskTracer();
-    if (!t)
-        return;
-    task::AnalyzeParams p;
-    p.numNodes = params.numNodes;
-    p.totalCycles = _cycle;
-    task::Report r = task::analyze(t->events(), p);
-    r.dropped = task_.dropped();
-    task::writeReportJson(os, r);
 }
 
 profile::ProfileSource

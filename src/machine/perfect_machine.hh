@@ -25,6 +25,7 @@
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "isa/assembler.hh"
+#include "machine/machine.hh"
 #include "mem/memory.hh"
 #include "proc/perfect_port.hh"
 #include "proc/processor.hh"
@@ -55,7 +56,7 @@ struct PerfectMachineParams : ObsParams
 };
 
 /** N APRIL cores on zero-latency shared memory. */
-class PerfectMachine : public stats::Group
+class PerfectMachine final : public Machine
 {
   public:
     PerfectMachine(const PerfectMachineParams &params,
@@ -68,7 +69,7 @@ class PerfectMachine : public stats::Group
      * Run until the machine halts (boot thread finished) or
      * @p max_cycles elapse. @return elapsed machine cycles.
      */
-    uint64_t run(uint64_t max_cycles);
+    uint64_t run(uint64_t max_cycles) override;
 
     /**
      * Earliest cycle at which any processor can do observable work;
@@ -87,42 +88,37 @@ class PerfectMachine : public stats::Group
      * instruction short of their own HALT — snapshot/compare flows
      * quiesce first so final state is well defined.
      */
-    bool quiesce(uint64_t max_cycles);
+    bool quiesce(uint64_t max_cycles) override;
 
-    bool halted() const { return haltFlag; }
-    uint64_t cycle() const { return _cycle; }
+    bool halted() const override { return haltFlag; }
+    uint64_t cycle() const override { return _cycle; }
 
-    Processor &proc(uint32_t n) { return *procs.at(n); }
-    SharedMemory &memory() { return mem; }
-    uint32_t numNodes() const { return params.numNodes; }
+    Processor &proc(uint32_t n) override { return *procs.at(n); }
+    SharedMemory &memory() override { return mem; }
+    uint32_t numNodes() const override { return params.numNodes; }
 
-    /** Console output (all nodes, in emission order). */
-    const std::vector<Word> &console() const { return consoleWords; }
+    const std::vector<Word> &console() const override
+    {
+        return consoleWords;
+    }
 
-    /** Sum a node-block run-time counter across nodes. */
-    uint64_t runtimeCounter(int slot) const;
+    uint64_t runtimeCounter(int slot) const override;
 
     /** Event recorder (nullptr unless params.traceEvents). */
     trace::Recorder *traceRecorder() { return trace_.merged(); }
 
     /** Task-event log (nullptr unless params.taskTrace). The single
      *  sequential lane is already (cycle, node)-canonical. */
-    task::Tracer *taskTracer() { return task_.merged(); }
+    task::Tracer *taskTracer() override { return task_.merged(); }
 
     /** Serialize the event log as Chrome trace-event JSON, stitching
      *  in task spans when task tracing is on. No-op when machine
      *  tracing is off. */
-    void writeTrace(std::ostream &os);
+    void writeTrace(std::ostream &os) override;
 
-    /** Serialize the task-observability report as JSON.
-     *  No-op when task tracing is off. */
-    void writeTaskTrace(std::ostream &os);
+    profile::ProfileSource profileSource() const override;
 
-    /** Assemble the report writers' view of this run. */
-    profile::ProfileSource profileSource() const;
-
-    /** Interval time series (nullptr unless params.statsInterval). */
-    const profile::IntervalSampler *intervalSampler() const
+    const profile::IntervalSampler *intervalSampler() const override
     {
         return interval_.get();
     }
@@ -132,7 +128,7 @@ class PerfectMachine : public stats::Group
      * count (per node and per frame). quiesce() calls this; tests and
      * tools may call it at any point.
      */
-    void verifyCycleAccounting() const;
+    void verifyCycleAccounting() const override;
 
   private:
     /** Per-node memory-mapped I/O. */

@@ -558,7 +558,7 @@ isQuiescent(const State &s, uint32_t nodes)
 }
 
 // ---------------------------------------------------------------------
-// Trace rendering (april-coh span vocabulary)
+// Trace rendering (coherence-report span vocabulary)
 // ---------------------------------------------------------------------
 
 std::string

@@ -125,7 +125,7 @@ struct Violation
     std::string kind;           ///< "SWMR", "DataValue", ...
     std::string detail;
     /// Message-sequence trace from the initial state, one line per
-    /// step in april-coh span vocabulary (Issue / HomeQueue /
+    /// step in coherence-report span vocabulary (Issue / HomeQueue /
     /// HomeHandle / InvSend / InvAck / WbReqSend / WbRecv /
     /// ReplySend / Fill).
     std::vector<std::string> trace;

@@ -958,4 +958,15 @@ Compiler::compileSource(const std::string &source)
     compileProgram(readAll(source));
 }
 
+Program
+compileProgram(const std::string &source, const CompileOptions &opts,
+               rt::RuntimeOptions runtime)
+{
+    runtime.encore = opts.softwareChecks;
+    Assembler as;
+    rt::Runtime{runtime}.emit(as);
+    Compiler{as, opts}.compileSource(source);
+    return as.finish();
+}
+
 } // namespace april::mult

@@ -36,6 +36,7 @@
 
 #include "isa/assembler.hh"
 #include "mult/sexp.hh"
+#include "runtime/runtime.hh"
 
 namespace april::mult
 {
@@ -169,6 +170,16 @@ class Compiler
     static constexpr uint8_t SCR = 19;   ///< extra scratch
     static constexpr uint8_t TST = 20;   ///< tag-test scratch (emitCheck)
 };
+
+/**
+ * One bootable image: the run-time system followed by @p source
+ * compiled under @p opts. The runtime's `encore` mode follows
+ * opts.softwareChecks (Encore code generation needs the Encore
+ * runtime); the other RuntimeOptions come from @p runtime.
+ */
+Program compileProgram(const std::string &source,
+                       const CompileOptions &opts,
+                       rt::RuntimeOptions runtime = {});
 
 } // namespace april::mult
 

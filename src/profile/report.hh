@@ -1,8 +1,8 @@
 /**
  * @file
  * Profile report writers: turn a finished run's cycle-accounting
- * buckets, PC samples and interval series into the formats `april-prof`
- * and the machines export — a human-readable breakdown, profile JSON
+ * buckets, PC samples and interval series into the formats `april run
+ * --prof` and the machines export — a human-readable breakdown, profile JSON
  * (schema in tools/april_prof_schema.json), folded-stack text for
  * flamegraph tools, and Perfetto counter tracks of per-node
  * utilization.

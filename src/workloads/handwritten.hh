@@ -34,8 +34,8 @@ FineGrainSync buildFineGrainSync();
 
 /**
  * The contended coherent-loop microbenchmark shared by
- * bench_sim_speed, bench_prof_overhead and the april-coh balance
- * gate: every node increments an f/e-locked shared counter `iters`
+ * bench_sim_speed, bench_prof_overhead and the coherence balance
+ * gate (`april run coherent16 --verify`): every node increments an f/e-locked shared counter `iters`
  * times with a DIV per iteration, node 0 spins until the counter
  * reaches nodes * iters and halts the machine. Pure coherence
  * traffic — every increment bounces the lock and counter lines

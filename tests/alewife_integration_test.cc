@@ -30,12 +30,7 @@ struct FullRig
     {
         mult::CompileOptions copts;
         copts.futures = futures;
-        Assembler as;
-        rt::Runtime runtime;
-        runtime.emit(as);
-        mult::Compiler compiler(as, copts);
-        compiler.compileSource(source);
-        prog = as.finish();
+        prog = mult::compileProgram(source, copts);
 
         AlewifeParams p;
         p.network = {.dim = dim, .radix = radix};
@@ -167,12 +162,7 @@ TEST(AlewifeIntegration, FreshMachineMemoryIsMostlyAbsent)
     // Construction writes each node's run-time block and nothing else,
     // so the driver's default 16 x 2M-word image (256 MB if dense)
     // holds one page per node (DESIGN.md §7.11).
-    Assembler as;
-    rt::Runtime runtime;
-    runtime.emit(as);
-    mult::Compiler compiler(as, mult::CompileOptions{});
-    compiler.compileSource(workloads::fibSource(5));
-    Program prog = as.finish();
+    Program prog = mult::compileProgram(workloads::fibSource(5), {});
     PerfectMachineParams p;
     p.numNodes = 16;
     p.wordsPerNode = DriverOptions{}.wordsPerNode;
@@ -195,12 +185,7 @@ TEST(AlewifeIntegration, RuntimeCountersReadModifiedLines)
     DriverResult r = runMultProgram(source, o);
 
     // The same run, on a machine the test can inspect.
-    Assembler as;
-    rt::Runtime runtime;
-    runtime.emit(as);
-    mult::Compiler compiler(as, o.compile);
-    compiler.compileSource(source);
-    Program prog = as.finish();
+    Program prog = mult::compileProgram(source, o.compile);
     AlewifeParams p;
     p.network = {.dim = 2, .radix = 4};
     p.wordsPerNode = o.wordsPerNode;

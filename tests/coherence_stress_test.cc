@@ -112,14 +112,7 @@ runStress(bool use_tas, int dim, int radix, uint32_t *inv_out = nullptr)
         for (uint32_t n = 0; n < m.numNodes(); ++n)
             *inv_out += uint32_t(m.controller(n).statInvSent.value());
     }
-    // Read the authoritative value: recall the line by peeking every
-    // cache for a modified copy, falling back to memory.
-    for (uint32_t n = 0; n < m.numNodes(); ++n) {
-        auto *line = m.controller(n).cacheRef().find(kCount / 4);
-        if (line && line->state == cache::LineState::Modified)
-            return toInt(line->words[kCount % 4].data);
-    }
-    return toInt(m.memory().read(kCount));
+    return toInt(m.coherentRead(kCount));
 }
 
 TEST(CoherenceStress, FeLockCounterFourNodes)

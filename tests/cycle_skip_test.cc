@@ -217,12 +217,7 @@ runEagerFibAlewife(bool skip)
 {
     mult::CompileOptions copts;
     copts.futures = mult::CompileOptions::FutureMode::Eager;
-    Assembler as;
-    rt::Runtime runtime;
-    runtime.emit(as);
-    mult::Compiler compiler(as, copts);
-    compiler.compileSource(workloads::fibSource(9));
-    Program prog = as.finish();
+    Program prog = mult::compileProgram(workloads::fibSource(9), copts);
 
     AlewifeParams p;
     p.network = {.dim = 2, .radix = 2};

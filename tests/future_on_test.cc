@@ -47,17 +47,11 @@ TEST(FutureOn, PlacementReachesTheNamedNode)
     // executes the work loop, and the spawn lands on its queue.
     mult::CompileOptions c;
     c.futures = FM::Eager;
-
-    rt::RuntimeOptions ropts;
-    Assembler as;
-    rt::Runtime runtime(ropts);
-    runtime.emit(as);
-    mult::Compiler compiler(as, c);
-    compiler.compileSource(
+    Program prog = mult::compileProgram(
         "(define (spin n acc)"
         "  (if (= n 0) acc (spin (- n 1) (+ acc 1))))"
-        "(define (main) (touch (future-on 2 (spin 200 0))))");
-    Program prog = as.finish();
+        "(define (main) (touch (future-on 2 (spin 200 0))))",
+        c);
 
     PerfectMachineParams mp;
     mp.numNodes = 4;

@@ -35,12 +35,7 @@ runSwitchMode(const std::string &src, ProcParams::SwitchMode mode)
     copts.futures = FM::Eager;
     rt::RuntimeOptions ropts;
     ropts.hardwareSwitch = mode == ProcParams::SwitchMode::Hardware;
-    Assembler as;
-    rt::Runtime runtime(ropts);
-    runtime.emit(as);
-    mult::Compiler compiler(as, copts);
-    compiler.compileSource(src);
-    Program prog = as.finish();
+    Program prog = mult::compileProgram(src, copts, ropts);
 
     AlewifeParams p;
     p.network = {.dim = 2, .radix = 2};

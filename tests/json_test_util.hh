@@ -1,8 +1,8 @@
 /**
  * @file
  * Test alias for the minimal JSON parser. The parser itself now lives
- * in src/common/json_parse.hh (april-prof uses it for --diff and
- * schema validation); tests keep their historical april::testutil
+ * in src/common/json_parse.hh (`april diff` and `april check` use
+ * it); tests keep their historical april::testutil
  * spelling via these aliases.
  */
 

@@ -22,12 +22,7 @@ TEST(MachineStats, DumpCoversEverySubsystem)
 {
     mult::CompileOptions copts;
     copts.futures = mult::CompileOptions::FutureMode::Eager;
-    Assembler as;
-    rt::Runtime runtime;
-    runtime.emit(as);
-    mult::Compiler compiler(as, copts);
-    compiler.compileSource(workloads::fibSource(9));
-    Program prog = as.finish();
+    Program prog = mult::compileProgram(workloads::fibSource(9), copts);
 
     AlewifeParams p;
     p.network = {.dim = 2, .radix = 2};
@@ -50,12 +45,7 @@ TEST(MachineStats, DumpCoversEverySubsystem)
 TEST(MachineStats, UtilizationFormulaIsConsistent)
 {
     mult::CompileOptions copts;
-    Assembler as;
-    rt::Runtime runtime;
-    runtime.emit(as);
-    mult::Compiler compiler(as, copts);
-    compiler.compileSource("(define (main) (+ 1 2))");
-    Program prog = as.finish();
+    Program prog = mult::compileProgram("(define (main) (+ 1 2))", copts);
 
     AlewifeParams p;
     p.network = {.dim = 1, .radix = 2};
@@ -82,12 +72,7 @@ TEST(MachineStats, UtilizationFormulaIsConsistent)
 TEST(MachineStats, ResetClearsTheWholeTree)
 {
     mult::CompileOptions copts;
-    Assembler as;
-    rt::Runtime runtime;
-    runtime.emit(as);
-    mult::Compiler compiler(as, copts);
-    compiler.compileSource("(define (main) 7)");
-    Program prog = as.finish();
+    Program prog = mult::compileProgram("(define (main) 7)", copts);
 
     AlewifeParams p;
     p.network = {.dim = 1, .radix = 2};

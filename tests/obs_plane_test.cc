@@ -1,10 +1,12 @@
 /**
  * @file
- * The shared observability plane (common/obs_log.hh) under overflow:
+ * The shared observability plane (common/obs_log.hh). Under overflow:
  * with every trace plane capped far below what a run records, the
  * dropped-event stats and the merged logs must be the same for every
  * host-thread count, and each stat must read the same before the
- * per-shard lanes are merged as after.
+ * per-shard lanes are merged as after. Independence: a plane records
+ * the same log, and the machine the same statistics, whichever other
+ * planes are on.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <sstream>
 
 #include "machine/alewife_machine.hh"
+#include "machine/workload.hh"
 #include "mult/compiler.hh"
 #include "workloads/workloads.hh"
 
@@ -76,14 +79,9 @@ runOverflowing(const Program &prog, uint32_t threads)
 
 TEST(ObsPlane, DroppedEventsAgreeAcrossThreadsAndMerge)
 {
-    Assembler as;
-    rt::Runtime runtime;
-    runtime.emit(as);
-    mult::CompileOptions copts;
-    copts.futures = mult::CompileOptions::FutureMode::Lazy;
-    mult::Compiler compiler(as, copts);
-    compiler.compileSource(workloads::fibSource(10));
-    Program prog = as.finish();
+    Program prog = mult::compileProgram(
+        workloads::fibSource(10),
+        {.futures = mult::CompileOptions::FutureMode::Lazy});
 
     const PlaneRun base = runOverflowing(prog, 1);
     for (size_t i = 0; i < kDroppedStats.size(); ++i)
@@ -101,6 +99,72 @@ TEST(ObsPlane, DroppedEventsAgreeAcrossThreadsAndMerge)
         EXPECT_EQ(r.coh, base.coh);
         EXPECT_EQ(r.task, base.task);
     }
+}
+
+/** What each plane leaves behind, plus the statistics tree. */
+struct PlaneOutputs
+{
+    std::string stats;
+    std::vector<trace::Event> trace;    ///< unstitched machine events
+    std::string coh;
+    std::string task;
+    std::string profile;
+};
+
+/** Lazy fib:8 on the 2x2 ALEWIFE of the CLI with the given planes. */
+PlaneOutputs
+runWithPlanes(bool trace, bool coh, bool task, bool profile)
+{
+    workloads::Workload w = workloads::fromSpec("fib:8");
+    w.options.traceEvents = trace;
+    w.options.cohTrace = coh;
+    w.options.taskTrace = task;
+    w.options.profile = profile;
+    std::unique_ptr<Machine> m = makeMachine(w.prog, w.options);
+    auto &alewife = dynamic_cast<AlewifeMachine &>(*m);
+    m->run(50'000'000);
+    EXPECT_TRUE(m->halted());
+
+    auto capture = [](auto &&writer) {
+        std::ostringstream os;
+        writer(os);
+        return os.str();
+    };
+    PlaneOutputs out;
+    out.stats = capture([&](std::ostream &os) { m->dumpJson(os); });
+    if (trace)
+        out.trace = alewife.traceRecorder()->events();
+    out.coh = capture([&](std::ostream &os) { alewife.writeCohTrace(os); });
+    out.task = capture([&](std::ostream &os) { m->writeTaskTrace(os); });
+    if (profile) {
+        out.profile = capture([&](std::ostream &os) {
+            profile::writeProfileJson(os, m->profileSource());
+        });
+    }
+    return out;
+}
+
+TEST(ObsPlane, EachPlaneIsIndependentOfTheOthers)
+{
+    const PlaneOutputs all = runWithPlanes(true, true, true, true);
+    EXPECT_FALSE(all.trace.empty());
+    EXPECT_FALSE(all.coh.empty());
+    EXPECT_FALSE(all.task.empty());
+    EXPECT_FALSE(all.profile.empty());
+
+    const PlaneOutputs trace = runWithPlanes(true, false, false, false);
+    EXPECT_EQ(trace.trace, all.trace);
+    EXPECT_EQ(trace.stats, all.stats);
+    const PlaneOutputs coh = runWithPlanes(false, true, false, false);
+    EXPECT_EQ(coh.coh, all.coh);
+    EXPECT_EQ(coh.stats, all.stats);
+    const PlaneOutputs task = runWithPlanes(false, false, true, false);
+    EXPECT_EQ(task.task, all.task);
+    EXPECT_EQ(task.stats, all.stats);
+    const PlaneOutputs profile = runWithPlanes(false, false, false, true);
+    EXPECT_EQ(profile.profile, all.profile);
+    EXPECT_EQ(profile.stats, all.stats);
+    EXPECT_EQ(runWithPlanes(false, false, false, false).stats, all.stats);
 }
 
 } // namespace

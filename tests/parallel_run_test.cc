@@ -43,12 +43,7 @@ compileLazy(const std::string &source)
 {
     mult::CompileOptions copts;
     copts.futures = mult::CompileOptions::FutureMode::Lazy;
-    Assembler as;
-    rt::Runtime runtime;
-    runtime.emit(as);
-    mult::Compiler compiler(as, copts);
-    compiler.compileSource(source);
-    return as.finish();
+    return mult::compileProgram(source, copts);
 }
 
 std::unique_ptr<AlewifeMachine>

@@ -219,13 +219,7 @@ TEST(Futures, DeterministicAcrossSeedsInResult)
 {
     // Scheduling is seed-dependent; results must not be.
     for (uint64_t seed = 1; seed <= 3; ++seed) {
-        rt::RuntimeOptions ropts;
-        Assembler as;
-        rt::Runtime runtime(ropts);
-        runtime.emit(as);
-        mult::Compiler compiler(as, mode(FM::Lazy));
-        compiler.compileSource(kFib);
-        Program prog = as.finish();
+        Program prog = mult::compileProgram(kFib, mode(FM::Lazy));
 
         PerfectMachineParams mp;
         mp.numNodes = 3;

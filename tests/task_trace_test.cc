@@ -176,12 +176,7 @@ runLazyFib(bool skip, uint32_t threads)
 {
     mult::CompileOptions copts;
     copts.futures = mult::CompileOptions::FutureMode::Lazy;
-    Assembler as;
-    rt::Runtime runtime;
-    runtime.emit(as);
-    mult::Compiler compiler(as, copts);
-    compiler.compileSource(workloads::fibSource(10));
-    Program prog = as.finish();
+    Program prog = mult::compileProgram(workloads::fibSource(10), copts);
 
     AlewifeParams p;
     p.network = {.dim = 2, .radix = 2};
@@ -323,12 +318,7 @@ TEST(TaskTrace, UntracedMachineHasNoTracer)
 {
     mult::CompileOptions copts;
     copts.futures = mult::CompileOptions::FutureMode::Lazy;
-    Assembler as;
-    rt::Runtime runtime;
-    runtime.emit(as);
-    mult::Compiler compiler(as, copts);
-    compiler.compileSource(workloads::fibSource(8));
-    Program prog = as.finish();
+    Program prog = mult::compileProgram(workloads::fibSource(8), copts);
 
     AlewifeParams p;
     p.network = {.dim = 2, .radix = 2};

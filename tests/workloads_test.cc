@@ -2,11 +2,18 @@
  * @file
  * The four Table 3 workloads validated against native C++ oracles in
  * every system configuration (T seq / APRIL eager / APRIL lazy /
- * Encore) and at several processor counts.
+ * Encore) and at several processor counts; the workload-spec parser
+ * (machine/workload.hh) with its defaults, arguments, rejections and
+ * oracles; and the `april` CLI's refusal of bad run arguments.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdlib>
+
+#include "machine/workload.hh"
 #include "test_support/mult_run.hh"
 #include "workloads/workloads.hh"
 
@@ -142,6 +149,126 @@ TEST(WorkloadOracles, SpeedupOnFourProcessors)
         EXPECT_LT(double(r4.cycles), 0.8 * double(r1.cycles))
             << b.name << " lazy 4p vs 1p";
     }
+}
+
+TEST(WorkloadSpec, DefaultsAndShapes)
+{
+    using workloads::fromSpec;
+    const workloads::Workload fib = fromSpec("fib");
+    EXPECT_EQ(fib.name, "fib");
+    EXPECT_EQ(fib.expected, workloads::fibExpected(12));
+    EXPECT_FALSE(fib.boot);
+    EXPECT_TRUE(fib.options.alewife);
+    EXPECT_EQ(fib.options.nodes, 4u);
+    EXPECT_EQ(fib.options.netRadix, 2);
+    EXPECT_EQ(fib.options.wordsPerNode, 1u << 20);
+    EXPECT_EQ(fib.options.controller.cache.numLines, 4096u);
+    EXPECT_EQ(fib.options.compile.futures, FM::Lazy);
+    EXPECT_EQ(fromSpec("factor").expected,
+              workloads::factorExpected(1000, 1040));
+    EXPECT_EQ(fromSpec("queens").expected, workloads::queensExpected(6));
+    EXPECT_EQ(fromSpec("speech").expected,
+              workloads::speechExpected(8, 12));
+
+    const workloads::Workload coh = fromSpec("coherent16");
+    EXPECT_EQ(coh.expected, 16 * 200);
+    EXPECT_TRUE(coh.boot);
+    EXPECT_EQ(coh.options.nodes, 16u);
+    EXPECT_EQ(coh.options.netRadix, 4);
+    EXPECT_EQ(coh.options.controller.cache.numLines, 64u);
+
+    const workloads::Workload wide = fromSpec("wide");
+    EXPECT_EQ(wide.expected, 99);
+    EXPECT_TRUE(wide.boot);
+    EXPECT_EQ(wide.options.nodes, 64u);
+    EXPECT_EQ(wide.options.netRadix, 8);
+    EXPECT_EQ(wide.options.wordsPerNode, 1u << 14);
+}
+
+TEST(WorkloadSpec, ArgumentsOverrideDefaults)
+{
+    using workloads::fromSpec;
+    EXPECT_EQ(fromSpec("fib:10").expected, 55);
+    EXPECT_EQ(fromSpec("factor:10:12").expected, 19);
+    EXPECT_EQ(fromSpec("factor:1030").expected,
+              workloads::factorExpected(1030, 1040));
+    EXPECT_EQ(fromSpec("queens:5").expected, 10);
+    EXPECT_EQ(fromSpec("speech:4:6").expected,
+              workloads::speechExpected(4, 6));
+    EXPECT_EQ(fromSpec("coherent16:20").expected, 320);
+    const workloads::Workload wide = fromSpec("wide:16");
+    EXPECT_EQ(wide.options.nodes, 16u);
+    EXPECT_EQ(wide.options.netRadix, 4);
+}
+
+TEST(WorkloadSpec, RejectsMalformedSpecs)
+{
+    for (const char *bad :
+         {"", "fibonacci", "fib:", "fib:abc", "fib:-3", "fib:+3",
+          "fib: 3", "fib:0", "fib:3x", "fib:10:2", "fib:99999999999",
+          "factor:1040:1000", "factor:0:10", "queens:0", "speech:8:0",
+          "coherent16:0", "coherent16:5:5", "wide:0", "wide:1",
+          "wide:3", "wide:63"}) {
+        EXPECT_THROW(workloads::fromSpec(bad), FatalError) << bad;
+    }
+}
+
+TEST(WorkloadSpec, RunsToItsOracle)
+{
+    for (const char *spec : {"fib:8", "queens:4", "coherent16:10",
+                             "wide:16"}) {
+        SCOPED_TRACE(spec);
+        const workloads::Workload w = workloads::fromSpec(spec);
+        std::unique_ptr<Machine> m = makeMachine(w.prog, w.options,
+                                                 w.boot);
+        m->run(50'000'000);
+        ASSERT_TRUE(m->halted());
+        EXPECT_EQ(w.answer(*m), w.expected);
+    }
+    workloads::Workload perfect = workloads::fromSpec("queens:4");
+    perfect.options.alewife = false;
+    std::unique_ptr<Machine> m = makeMachine(perfect.prog, perfect.options);
+    m->run(50'000'000);
+    ASSERT_TRUE(m->halted());
+    EXPECT_EQ(perfect.answer(*m), perfect.expected);
+}
+
+TEST(WorkloadSpec, MakeMachineRejectsAnEmptyMachine)
+{
+    workloads::Workload w = workloads::fromSpec("fib:5");
+    w.options.nodes = 0;
+    EXPECT_THROW(makeMachine(w.prog, w.options), FatalError);
+    w.options.alewife = false;
+    EXPECT_THROW(makeMachine(w.prog, w.options), FatalError);
+}
+
+/** Exit status of `april ARGS`, output discarded. */
+int
+runCli(const std::string &args)
+{
+    int status = std::system(
+        (std::string(APRIL_CLI) + " " + args + " >/dev/null 2>&1")
+            .c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(AprilCli, RejectsBadRunArgumentsBeforeBuilding)
+{
+    for (const char *args :
+         {"run", "run fib:abc", "run coherent16:0", "run wide:10",
+          "run fib --perfect --nodes=abc", "run fib --perfect --nodes=0",
+          "run fib --nodes=16",
+          "run fib --threads=abc", "run fib --threads=-1",
+          "run fib --frames=0", "run fib --max-cycles=1e9",
+          "run fib --dir=none", "run fib --bogus", "run fib fib",
+          "run coherent16 --perfect", "run wide:16 --perfect",
+          "run coherent16 --nodes=16", "run fib --perfect --coh",
+          "run fib --perfect --txns=t.json", "run fib --perfect --verify",
+          "check prof", "diff coh a.json b.json", "bogus"}) {
+        EXPECT_EQ(runCli(args), 2) << args;
+    }
+    EXPECT_EQ(runCli("run fib:5"), 0);
+    EXPECT_EQ(runCli("run fib:5 --perfect --nodes=2"), 0);
 }
 
 } // namespace

@@ -38,7 +38,6 @@
 #include "analysis/checks.hh"
 #include "fuzz/generator.hh"
 #include "mult/compiler.hh"
-#include "runtime/runtime.hh"
 #include "workloads/handwritten.hh"
 #include "workloads/workloads.hh"
 
@@ -143,20 +142,6 @@ dirHandlerOptions(const workloads::DirHandlers &dh)
     return opts;
 }
 
-Program
-buildMult(const std::string &source)
-{
-    mult::CompileOptions copts;
-    rt::RuntimeOptions ropts;
-    ropts.encore = copts.softwareChecks;
-    Assembler as;
-    rt::Runtime runtime(ropts);
-    runtime.emit(as);
-    mult::Compiler compiler(as, copts);
-    compiler.compileSource(source);
-    return as.finish();
-}
-
 int
 lintWorkloads(Gate &gate)
 {
@@ -168,7 +153,7 @@ lintWorkloads(Gate &gate)
         workloads::makeSpeech(sizes),
     };
     for (const workloads::Benchmark &b : benches) {
-        Program prog = buildMult(b.source);
+        Program prog = mult::compileProgram(b.source, {});
         gate.check("workload:" + b.name, prog,
                    analysis::allSymbolRoots(prog));
     }

@@ -13,7 +13,7 @@
  *       deadlock freedom and bounded liveness (every state can reach
  *       quiescence). Prints state/transition counts and per-rule
  *       coverage; a violation prints its shortest counterexample as
- *       a message-sequence trace in april-coh span vocabulary.
+ *       a message-sequence trace in coherence-report span vocabulary.
  *
  *   april-mc --mutate=RULE [same options]
  *       The checker checks itself: plant a protocol bug by rotating
@@ -22,8 +22,8 @@
  *       1 when it survives — the CI mutation gate.
  *
  *   april-mc --replay=FILE
- *       Validate a recorded coherence-transaction trace (april-coh
- *       --export-trace / AlewifeMachine::writeCohTrace JSON) against
+ *       Validate a recorded coherence-transaction trace (`april run
+ *       --txns=FILE` / AlewifeMachine::writeCohTrace JSON) against
  *       the protocol's span shape: leg ordering, exactly one
  *       Issue/ReplySend/Fill per complete transaction, Inv/InvAck and
  *       WbReqSend/WbRecv balance, summary-tally agreement. Refuses

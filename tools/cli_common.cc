@@ -1,7 +1,6 @@
 #include "cli_common.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -19,28 +18,6 @@ optValue(const std::string &arg, const char *prefix)
     return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
 }
 
-bool
-parseU32(const char *s, uint32_t &out)
-{
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    if (!end || end == s || *end || v > UINT32_MAX)
-        return false;
-    out = uint32_t(v);
-    return true;
-}
-
-bool
-parseU64(const char *s, uint64_t &out)
-{
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    if (!end || end == s || *end)
-        return false;
-    out = uint64_t(v);
-    return true;
-}
-
 std::string
 readFile(const char *tool, const std::string &path)
 {
@@ -50,29 +27,6 @@ readFile(const char *tool, const std::string &path)
     std::ostringstream os;
     os << is.rdbuf();
     return os.str();
-}
-
-std::vector<std::string>
-splitSpec(const std::string &spec)
-{
-    std::vector<std::string> parts;
-    size_t pos = 0;
-    while (pos <= spec.size()) {
-        size_t colon = spec.find(':', pos);
-        if (colon == std::string::npos) {
-            parts.push_back(spec.substr(pos));
-            break;
-        }
-        parts.push_back(spec.substr(pos, colon - pos));
-        pos = colon + 1;
-    }
-    return parts;
-}
-
-int
-specArg(const std::vector<std::string> &parts, size_t i, int fallback)
-{
-    return parts.size() > i ? std::atoi(parts[i].c_str()) : fallback;
 }
 
 void

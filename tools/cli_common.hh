@@ -1,22 +1,21 @@
 /**
  * @file
- * Plumbing shared by the report tools (april-prof, april-coh,
- * april-mc, april-task): --name=value option parsing, workload-spec
- * splitting, file slurping, report-file writing with the "wrote X"
- * confirmation, and the --check mode's schema-plus-invariants
- * validation loop.
+ * Plumbing shared by the command-line tools (april, april-mc):
+ * --name=value option parsing, file slurping, report-file writing
+ * with the "wrote X" confirmation, and the check mode's
+ * schema-plus-invariants validation loop.
  */
 
 #ifndef APRIL_TOOLS_CLI_COMMON_HH
 #define APRIL_TOOLS_CLI_COMMON_HH
 
-#include <cstdint>
 #include <functional>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "common/json_parse.hh"
+#include "common/parse_int.hh"
 
 namespace april::cli
 {
@@ -26,19 +25,8 @@ namespace april::cli
  *  chains read like april-mc's parser). */
 const char *optValue(const std::string &arg, const char *prefix);
 
-/** Strict decimal parses; false on trailing junk or overflow. */
-bool parseU32(const char *s, uint32_t &out);
-bool parseU64(const char *s, uint64_t &out);
-
 /** Slurp @p path; fatal("<tool>: cannot open <path>") on failure. */
 std::string readFile(const char *tool, const std::string &path);
-
-/** Split a "name:arg1:arg2" workload spec on colons. */
-std::vector<std::string> splitSpec(const std::string &spec);
-
-/** Spec part @p i as an int, @p fallback when absent. */
-int specArg(const std::vector<std::string> &parts, size_t i,
-            int fallback);
 
 /** When @p path is non-empty: open it, run @p writer on the stream,
  *  print "wrote <path>"; fatal on open failure. */
@@ -51,7 +39,7 @@ using ExtraCheck =
     std::function<void(const json::Json &, std::vector<std::string> &)>;
 
 /**
- * The tools' --check mode: parse @p file and @p schema_path, validate
+ * A tool's check mode: parse @p file and @p schema_path, validate
  * the report against the schema subset, run @p extra (may be null),
  * then print "<file>: ok (<what>)" or every violation to stderr.
  * @return process exit code: 0 ok, 1 violation.

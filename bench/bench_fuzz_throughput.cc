@@ -23,6 +23,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "fuzz/differential.hh"
 #include "machine/alewife_machine.hh"
 

@@ -18,6 +18,11 @@
  * Workers spin with a bounded busy-wait and then fall back to
  * yielding, so an idle pool (machine paused between run() calls)
  * costs no meaningful CPU.
+ *
+ * A job that throws does not take the host down: each worker's
+ * exception is captured, the quantum's barrier completes as usual,
+ * and the coordinator rethrows the lowest-indexed worker's exception
+ * from runQuantum(). The pool stays usable and joinable.
  */
 
 #ifndef APRIL_COMMON_PARALLEL_HH
@@ -25,6 +30,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -44,7 +50,8 @@ class WorkerPool
      */
     WorkerPool(uint32_t num_workers,
                std::function<void(uint32_t)> job)
-        : numWorkers_(num_workers), job_(std::move(job))
+        : numWorkers_(num_workers), job_(std::move(job)),
+          errors_(num_workers)
     {
         for (uint32_t w = 1; w < numWorkers_; ++w)
             threads_.emplace_back([this, w] { workerLoop(w); });
@@ -65,13 +72,15 @@ class WorkerPool
      * Run one quantum: every worker (including the caller, as worker
      * 0) executes the job, and the call returns once all of them have
      * finished. The caller may touch any shard's data between calls.
+     * If any job threw, the lowest-indexed worker's exception is
+     * rethrown here, after every worker has finished.
      */
     void
     runQuantum()
     {
         done_.store(0, std::memory_order_relaxed);
         epoch_.fetch_add(1, std::memory_order_release);
-        job_(0);
+        runJob(0);
         // Wait for workers 1..N-1 (acquire pairs with their release).
         // Bounded spin, then yield: on an oversubscribed host the
         // laggards need this core, and a pause-only spin would burn a
@@ -84,6 +93,14 @@ class WorkerPool
             else
                 std::this_thread::yield();
         }
+        std::exception_ptr first;
+        for (std::exception_ptr &e : errors_) {
+            if (!first)
+                first = e;
+            e = nullptr;
+        }
+        if (first)
+            std::rethrow_exception(first);
     }
 
     uint32_t numWorkers() const { return numWorkers_; }
@@ -97,6 +114,18 @@ class WorkerPool
 #else
         std::this_thread::yield();
 #endif
+    }
+
+    /** Run worker @p index's job, keeping what it throws for the
+     *  coordinator (published by the done_ release). */
+    void
+    runJob(uint32_t index)
+    {
+        try {
+            job_(index);
+        } catch (...) {
+            errors_[index] = std::current_exception();
+        }
     }
 
     void
@@ -114,13 +143,14 @@ class WorkerPool
             ++seen;
             if (stop_.load(std::memory_order_relaxed))
                 return;
-            job_(index);
+            runJob(index);
             done_.fetch_add(1, std::memory_order_release);
         }
     }
 
     uint32_t numWorkers_;
     std::function<void(uint32_t)> job_;
+    std::vector<std::exception_ptr> errors_;    ///< per worker
     std::atomic<uint64_t> epoch_{0};
     std::atomic<uint32_t> done_{0};
     std::atomic<bool> stop_{false};

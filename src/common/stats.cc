@@ -301,6 +301,7 @@ Group::resetStats()
 {
     for (Info *info : _stats)
         info->reset();
+    resetOwnState();
     for (Group *child : _children)
         child->resetStats();
 }

@@ -281,6 +281,12 @@ class Group
     /** All direct child groups, in creation order. */
     const std::vector<Group *> &childGroups() const { return _children; }
 
+  protected:
+    /** Clear what a subclass keeps beside its statistics and derives
+     *  from the same events; resetStats() calls it after this group's
+     *  own statistics. */
+    virtual void resetOwnState() {}
+
   private:
     friend class Info;
 

@@ -7,7 +7,6 @@
 #include "machine/perfect_machine.hh"
 #include "machine/snapshot.hh"
 #include "profile/report.hh"
-#include "task/task_trace.hh"
 
 namespace april::fuzz
 {
@@ -37,6 +36,25 @@ struct Variant
     int radix = 0;
 };
 
+/** The settings every machine of case @p c shares. */
+void
+configure(MachineParams &p, const FuzzCase &c)
+{
+    p.wordsPerNode = c.wordsPerNode;
+    p.proc.numFrames = c.numFrames;
+    p.seed = c.seed;
+    p.bootRuntime = false;
+}
+
+/** Seed @p m's memory and point its cores at the case's entries. */
+void
+bootCase(Machine &m, const FuzzCase &c, const Program &prog)
+{
+    applyMemInit(c, m.memory());
+    for (uint32_t n = 0; n < m.numNodes(); ++n)
+        bootFuzzProcessor(m.proc(n), prog);
+}
+
 AlewifeRun
 runAlewife(const FuzzCase &c, const Program &prog, bool cycle_skip,
            const DiffOptions &opts, uint32_t host_threads = 1,
@@ -44,14 +62,11 @@ runAlewife(const FuzzCase &c, const Program &prog, bool cycle_skip,
 {
     AlewifeRun run;
     AlewifeParams p;
+    configure(p, c);
     p.network.dim = v.dim ? v.dim : c.dim;
     p.network.radix = v.radix ? v.radix : c.radix;
     p.dirScheme = v.scheme;
     p.dirPointers = v.ptrs;
-    p.wordsPerNode = c.wordsPerNode;
-    p.proc.numFrames = c.numFrames;
-    p.seed = c.seed;
-    p.bootRuntime = false;
     p.cycleSkip = cycle_skip;
     p.traceEvents = opts.compareTraces;
     // Transaction tracing is always on in the differential: the span
@@ -71,9 +86,7 @@ runAlewife(const FuzzCase &c, const Program &prog, bool cycle_skip,
 
     run.machine = std::make_unique<AlewifeMachine>(p, &prog);
     AlewifeMachine &m = *run.machine;
-    applyMemInit(c, m.memory());
-    for (uint32_t n = 0; n < m.numNodes(); ++n)
-        bootFuzzProcessor(m.proc(n), prog);
+    bootCase(m, c, prog);
 
     m.run(opts.maxCycles);
     if (!m.halted()) {
@@ -107,12 +120,8 @@ runAlewife(const FuzzCase &c, const Program &prog, bool cycle_skip,
     std::ostringstream coh;
     m.writeCohTrace(coh);
     run.cohTrace = coh.str();
-    task::AnalyzeParams tp;
-    tp.numNodes = m.numNodes();
-    tp.totalCycles = m.cycle();
     std::ostringstream task_os;
-    task::writeReportJson(task_os,
-                          task::analyze(m.taskTracer()->events(), tp));
+    m.writeTaskTrace(task_os);
     run.taskTrace = task_os.str();
     return run;
 }
@@ -303,15 +312,10 @@ runDifferential(const FuzzCase &c, const DiffOptions &opts)
 
     // The oracle: perfect memory, same cores, same program.
     PerfectMachineParams pp;
+    configure(pp, c);
     pp.numNodes = c.numNodes();
-    pp.wordsPerNode = c.wordsPerNode;
-    pp.proc.numFrames = c.numFrames;
-    pp.seed = c.seed;
-    pp.bootRuntime = false;
     PerfectMachine oracle(pp, &prog);
-    applyMemInit(c, oracle.memory());
-    for (uint32_t n = 0; n < oracle.numNodes(); ++n)
-        bootFuzzProcessor(oracle.proc(n), prog);
+    bootCase(oracle, c, prog);
     oracle.run(opts.maxCycles);
     if (!oracle.halted()) {
         std::ostringstream os;

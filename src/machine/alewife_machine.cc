@@ -6,40 +6,47 @@
 #include "common/debug.hh"
 #include "common/logging.hh"
 #include "machine/trace_config.hh"
-#include "runtime/layout.hh"
 
 namespace april
 {
 
+namespace
+{
+
+/** The node count @p p describes. */
+uint32_t
+nodeCount(const AlewifeParams &p)
+{
+    uint32_t n = 1;
+    for (int d = 0; d < p.network.dim; ++d)
+        n *= uint32_t(p.network.radix);
+    return n;
+}
+
+/** The shards (= host worker threads) a machine of @p p runs on. */
+uint32_t
+shardCount(const AlewifeParams &p)
+{
+    if (p.detectRaces)
+        return 1;   // the race observer keeps cross-node state
+    return std::clamp<uint32_t>(p.hostThreads, 1, nodeCount(p));
+}
+
+} // namespace
+
 AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
                                const Program *prog)
-    : Machine("alewife"),
-      params(p),
-      mem({.numNodes = [&] {
-               uint32_t n = 1;
-               for (int d = 0; d < p.network.dim; ++d)
-                   n *= uint32_t(p.network.radix);
-               return n;
-           }(),
-           .wordsPerNode = p.wordsPerNode}),
+    : Machine({.name = "alewife",
+               .numNodes = nodeCount(p),
+               .lanes = shardCount(p),
+               .coherent = true},
+              p, prog),
+      ctrlParams_(p.controller),
       net_(p.network, this),
-      telemetry_(mem.numNodes(), messageClassNames(), this,
-                 net_.maxHops()),
-      statTraceDropped(
-          this, "traceDropped",
-          "machine trace events dropped at the capacity cap",
-          [this] { return double(trace_.dropped()); }),
-      statCohTraceDropped(
-          this, "cohTraceDropped",
-          "coherence-transaction legs dropped at the capacity cap",
-          [this] { return double(coh_.dropped()); }),
-      statTaskTraceDropped(
-          this, "taskTraceDropped",
-          "task events dropped at the capacity cap",
-          [this] { return double(task_.dropped()); })
+      telemetry_(numNodes(), messageClassNames(), this, net_.maxHops())
 {
-    debug::initFromEnv();
-    uint32_t n = mem.numNodes();
+    uint32_t n = numNodes();
+    uint32_t w = shardCount(p);
 
     // The quantum: no cross-node message (coherence packet or IPI)
     // sent at cycle c can be observed before c + Q, so shards may
@@ -49,19 +56,6 @@ AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
     if (quantum_ == 0)
         quantum_ = 1;
 
-    uint32_t w = std::clamp<uint32_t>(params.hostThreads, 1, n);
-    if (params.detectRaces)
-        w = 1;      // the race observer keeps cross-node state
-    params.hostThreads = w;
-
-    if (p.traceEvents)
-        trace_.open(p.capacity, w);
-    if (p.cohTrace)
-        coh_.open(p.capacity, w);
-    if (p.taskTrace) {
-        task_.open(p.capacity, w);
-        taskProbes_ = std::make_unique<task::ProbeMap>(*prog);
-    }
     if (p.detectRaces) {
         races = std::make_unique<analysis::RaceDetector>(
             n, p.raceMaxReports, this);
@@ -84,42 +78,24 @@ AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
 
     // AlewifeParams::dirScheme is authoritative over whatever the
     // embedded ControllerParams carries.
-    params.controller.dirScheme = p.dirScheme;
-    params.controller.dirPointers = p.dirPointers;
+    ctrlParams_.dirScheme = p.dirScheme;
+    ctrlParams_.dirPointers = p.dirPointers;
 
     for (uint32_t i = 0; i < n; ++i) {
-        rt::Runtime::initNode(mem, i);
         uint32_t shard = shardOf(i);
         Shard *sh = &shards[shard];
         fabrics.push_back(std::make_unique<NodeFabric>(this, sh));
         ctrls.push_back(std::make_unique<coh::Controller>(
-            params.controller, i, p.proc.numFrames, &mem,
+            ctrlParams_, i, p.proc.numFrames, &mem_,
             fabrics.back().get(), this));
-        ios.push_back(std::make_unique<NodeIo>(this, sh, i,
-                                               p.seed * 1000003 + i));
-        ProcParams pp = p.proc;
-        pp.nodeId = i;
-        procs.push_back(std::make_unique<Processor>(
-            pp, prog, ctrls.back().get(), ios.back().get(), this));
-        ctrls.back()->setProcessor(procs.back().get());
-        ctrls.back()->setTraceRecorder(sh->trace);
-        ctrls.back()->setTxnTracer(coh_.lane(shard));
-        ctrls.back()->setObserver(races.get());
-        ctrls.back()->setTransitionListener(conform_.get());
-        procs.back()->setTraceRecorder(sh->trace);
-        procs.back()->setTaskProbe(taskProbes_.get(), task_.lane(shard));
-        if (p.bootRuntime)
-            rt::Runtime::bootProcessor(*procs.back(), *prog, mem, i, n);
-        if (p.profile) {
-            samplers.push_back(std::make_unique<profile::PcSampler>(
-                p.profilePeriod));
-            procs.back()->setPcSampler(samplers.back().get());
-        }
+        coh::Controller &ctrl = *ctrls.back();
+        ctrl.setProcessor(&addNode(i, &ctrl, shard, &sh->cycle));
+        ctrl.setTraceRecorder(sh->trace);
+        ctrl.setTxnTracer(coh_.lane(shard));
+        ctrl.setObserver(races.get());
+        ctrl.setTransitionListener(conform_.get());
     }
-    // Built last so every subsystem's statistics become columns.
-    if (p.statsInterval)
-        interval_ = std::make_unique<profile::IntervalSampler>(
-            p.statsInterval, *this);
+    startIntervalSampler();
     if (w > 1) {
         pool_ = std::make_unique<par::WorkerPool>(
             w, [this](uint32_t worker) {
@@ -156,27 +132,6 @@ uint64_t
 AlewifeMachine::nextGrid(uint64_t c) const
 {
     return (c / quantum_ + 1) * quantum_;
-}
-
-profile::ProfileSource
-AlewifeMachine::profileSource() const
-{
-    profile::ProfileSource src;
-    src.machineCycles = _cycle;
-    src.program = procs.empty() ? nullptr : procs[0]->program();
-    for (const auto &p : procs)
-        src.procs.push_back(p.get());
-    for (const auto &s : samplers)
-        src.samplers.push_back(s.get());
-    src.intervals = interval_.get();
-    return src;
-}
-
-void
-AlewifeMachine::verifyCycleAccounting() const
-{
-    for (const auto &p : procs)
-        p->verifyCycleAccounting();
 }
 
 // ---------------------------------------------------------------------
@@ -251,10 +206,10 @@ AlewifeMachine::queueIpi(Shard &s, uint32_t src, uint32_t dst,
     // remote controller: occupancy + traversal. The latency is at
     // least the quantum for any cross-node pair, so the parallel
     // engine can commit them at barriers.
-    uint64_t due = s.cycle + params.controller.occupancy +
+    uint64_t due = s.cycle + ctrlParams_.occupancy +
                    uint64_t(net_.distance(src, dst)) *
                        net_.hopCycles() +
-                   params.controller.reqFlits;
+                   ctrlParams_.reqFlits;
     PendingIpi ipi{due, src, dst, arg};
     Shard &home = shards[shardOf(dst)];
     if (&home == &s) {
@@ -277,7 +232,7 @@ AlewifeMachine::applyIpis(Shard &s)
     size_t n = 0;
     while (n < s.ipiPending.size() && s.ipiPending[n].due <= s.cycle) {
         const PendingIpi &ipi = s.ipiPending[n];
-        procs[ipi.dst]->postIpi(ipi.arg);
+        procs_[ipi.dst]->postIpi(ipi.arg);
         ++n;
     }
     s.ipiPending.erase(s.ipiPending.begin(),
@@ -318,13 +273,13 @@ AlewifeMachine::executeBlockOp(const BlockOp &op)
             auto *line = cache.find(Addr(w));
             if (line && line->state == cache::LineState::Modified) {
                 for (uint32_t k = 0; k < lw; ++k)
-                    mem.word(Addr(w * lw + k)) = line->words[k];
+                    mem_.word(Addr(w * lw + k)) = line->words[k];
             }
         }
     }
-    const SharedMemory &image = mem;    // reading never materialises
+    const SharedMemory &image = mem_;   // reading never materialises
     for (Word i = 0; i < op.len; ++i)
-        mem.word(op.dst + i) = image.word(op.src + i);
+        mem_.word(op.dst + i) = image.word(op.src + i);
     for (uint32_t node_i = 0; node_i < numNodes(); ++node_i) {
         auto &cache = ctrls[node_i]->cacheRef();
         uint32_t lw = cache.lineWords();
@@ -354,7 +309,7 @@ AlewifeMachine::shardNextEvent(const Shard &s) const
     // wants the very next tick: the common busy case must not pay
     // full scans.
     for (uint32_t i = s.first; i < s.last; ++i) {
-        next = std::min(next, procs[i]->nextEventCycle());
+        next = std::min(next, procs_[i]->nextEventCycle());
         if (next <= soon)
             return next;
     }
@@ -376,7 +331,7 @@ void
 AlewifeMachine::shardSkip(Shard &s, uint64_t cycles)
 {
     for (uint32_t i = s.first; i < s.last; ++i)
-        procs[i]->skipCycles(cycles);
+        procs_[i]->skipCycles(cycles);
     // Controllers keep no per-cycle state (absolute due times), and
     // packet arrivals are absolute-cycle heaps: only the processors
     // and the shard clock move.
@@ -395,24 +350,17 @@ AlewifeMachine::advanceShard(Shard &s, uint64_t target)
         uint64_t stop = std::min({target, s.haltAt, s.blockMin});
         if (s.cycle >= stop)
             break;
-        if (params.cycleSkip && s.cycle >= s.probeAt) {
+        if (params_.cycleSkip && s.probe.due(s.cycle)) {
             uint64_t next = shardNextEvent(s);
             if (next > s.cycle + 1) {
-                s.probeBackoff = 0;
+                s.probe.hit();
                 uint64_t to = std::min(next - 1, stop);
                 if (to > s.cycle) {
                     shardSkip(s, to - s.cycle);
                     continue;
                 }
             } else {
-                // Nothing to skip: on probe-hostile phases (coherence
-                // traffic every cycle) the full scan is pure overhead,
-                // so back off exponentially before asking again. A
-                // window that opens mid-back-off is simply ticked
-                // through, which the skip contract makes equivalent.
-                s.probeBackoff = std::min<uint32_t>(
-                    s.probeBackoff ? s.probeBackoff * 2 : 1, 32);
-                s.probeAt = s.cycle + 1 + s.probeBackoff;
+                s.probe.miss(s.cycle);
             }
         }
         ++s.cycle;
@@ -420,7 +368,7 @@ AlewifeMachine::advanceShard(Shard &s, uint64_t target)
         for (uint32_t i = s.first; i < s.last; ++i) {
             deliverNode(s, i);
             ctrls[i]->tick();
-            procs[i]->tick();
+            procs_[i]->tick();
         }
     }
 }
@@ -428,7 +376,7 @@ AlewifeMachine::advanceShard(Shard &s, uint64_t target)
 void
 AlewifeMachine::syncAt(uint64_t t)
 {
-    _cycle = t;
+    cycle_ = t;
     // Cross-shard packets: the arrival heaps order by the canonical
     // (arrive, src, seq) key, so insertion order is irrelevant — but
     // every merged packet must still be in this barrier's future.
@@ -494,7 +442,7 @@ AlewifeMachine::syncAt(uint64_t t)
     // Halt commits at its grid boundary.
     for (Shard &s : shards) {
         if (s.haltAt <= t) {
-            haltFlag = true;
+            haltFlag_ = true;
             s.haltAt = kNeverCycle;
         }
     }
@@ -517,14 +465,15 @@ AlewifeMachine::syncAt(uint64_t t)
                                                 : a.node < b.node;
                   });
         for (const ConsoleEntry &e : merged)
-            consoleWords.push_back(e.word);
+            console_.push_back(e.word);
     }
     if (interval_) {
         foldObservability();
         interval_->sampleIfDue(t);
     }
     // Raise any conformance violation the shard workers recorded
-    // from the coordinating thread (workers must stay noexcept).
+    // from the coordinating thread, at the same barrier for every
+    // host-thread count.
     if (conform_)
         conform_->check();
 }
@@ -535,7 +484,7 @@ AlewifeMachine::tick()
     // Serial one-cycle advance (tests, quiesce): shard order equals
     // node order, so this is the same schedule the parallel engine's
     // barriers guarantee.
-    uint64_t t = _cycle + 1;
+    uint64_t t = cycle_ + 1;
     for (Shard &s : shards)
         advanceShard(s, t);
     syncAt(t);
@@ -549,21 +498,21 @@ AlewifeMachine::nextEventCycle() const
         next = pendingBlocks.front().commit;
     for (const Shard &s : shards) {
         next = std::min(next, shardNextEvent(s));
-        if (next <= _cycle + 1)
+        if (next <= cycle_ + 1)
             return next;
     }
     return next;
 }
 
 uint64_t
-AlewifeMachine::run(uint64_t max_cycles)
+AlewifeMachine::run(uint64_t maxcycle_s)
 {
-    uint64_t start = _cycle;
-    uint64_t end = max_cycles > kNeverCycle - _cycle
+    uint64_t start = cycle_;
+    uint64_t end = maxcycle_s > kNeverCycle - cycle_
         ? kNeverCycle
-        : _cycle + max_cycles;
+        : cycle_ + maxcycle_s;
     uint32_t w = hostThreads();
-    while (!haltFlag && _cycle < end) {
+    while (!haltFlag_ && cycle_ < end) {
         uint64_t target = end;
         for (const Shard &s : shards)
             target = std::min({target, s.haltAt, s.blockMin});
@@ -571,7 +520,7 @@ AlewifeMachine::run(uint64_t max_cycles)
             target = std::min(target, pendingBlocks.front().commit);
         if (interval_)
             target = std::min(target,
-                              interval_->nextSampleCycle(_cycle));
+                              interval_->nextSampleCycle(cycle_));
         if (w == 1) {
             // One shard: no quantum needed — the shard slices itself
             // at its own commit boundaries.
@@ -579,18 +528,18 @@ AlewifeMachine::run(uint64_t max_cycles)
             syncAt(shards[0].cycle);
             continue;
         }
-        target = std::min(target, nextGrid(_cycle));
-        if (params.cycleSkip) {
+        target = std::min(target, nextGrid(cycle_));
+        if (params_.cycleSkip) {
             // Whole-machine fast-forward across quanta: sound because
             // every shard's next event (including in-flight arrivals
             // and pending commits) bounds the window.
             uint64_t next = nextEventCycle();
-            if (next > _cycle + 1) {
+            if (next > cycle_ + 1) {
                 uint64_t to = std::min(
                     next == kNeverCycle ? end : next - 1, target);
-                if (to > _cycle) {
+                if (to > cycle_) {
                     for (Shard &s : shards)
-                        shardSkip(s, to - _cycle);
+                        shardSkip(s, to - cycle_);
                     syncAt(to);
                     continue;
                 }
@@ -601,9 +550,8 @@ AlewifeMachine::run(uint64_t max_cycles)
         syncAt(target);
     }
     foldObservability();
-    obs::warnOverflow(warnedTraceDrop_, trace_.dropped(), coh_.dropped(),
-                      task_.dropped());
-    return _cycle - start;
+    warnPlaneOverflow();
+    return cycle_ - start;
 }
 
 bool
@@ -642,88 +590,36 @@ AlewifeMachine::coherentRead(Addr a) const
         if (line && line->state == cache::LineState::Modified)
             return line->words[cache.offsetOf(a)].data;
     }
-    return mem.read(a);
-}
-
-uint64_t
-AlewifeMachine::runtimeCounter(int slot) const
-{
-    uint64_t total = 0;
-    for (uint32_t i = 0; i < numNodes(); ++i)
-        total += coherentRead(mem.nodeBase(i) + rt::nodeBlockOff +
-                              Addr(slot));
-    return total;
+    return mem_.read(a);
 }
 
 void
-AlewifeMachine::writeTrace(std::ostream &os)
+AlewifeMachine::consoleOut(uint32_t node, Word word)
 {
-    trace::Recorder *r = traceRecorder();
-    if (!r)
-        return;
-    coh::TxnTracer *t = txnTracer();
-    task::Tracer *tt = taskTracer();
-    trace::writeChromeTrace(
-        os, *r, makeRecorderConfig(numNodes(), params.proc.numFrames),
-        [t, tt](std::ostream &o, bool &first) {
-            if (t)
-                coh::writeChromeEvents(o, first, *t);
-            if (tt)
-                task::writeChromeEvents(o, first, *tt);
-        });
+    Shard &s = shards[shardOf(node)];
+    s.console.push_back({s.cycle, node, word});
 }
 
 void
-AlewifeMachine::writeCohTrace(std::ostream &os)
+AlewifeMachine::machineHalt(uint32_t node)
 {
-    if (coh::TxnTracer *t = txnTracer())
-        coh::writeJson(os, *t);
+    // Commits at the next grid boundary (identical for every
+    // host-thread count: the boundary depends only on the write cycle
+    // and the quantum).
+    Shard &s = shards[shardOf(node)];
+    s.haltAt = std::min(s.haltAt, gridAlign(s.cycle));
 }
 
-Word
-AlewifeMachine::NodeIo::ioRead(IoReg r)
+void
+AlewifeMachine::sendIpi(uint32_t src, uint32_t dst, Word arg)
 {
-    switch (r) {
-      case IoReg::CycleCount: return Word(s->cycle);
-      case IoReg::NodeId: return node;
-      case IoReg::NumNodes: return m->numNodes();
-      case IoReg::Random: return Word(rng.next());
-      default: return 0;
-    }
+    queueIpi(shards[shardOf(src)], src, dst, arg);
 }
 
 uint32_t
-AlewifeMachine::NodeIo::ioWrite(IoReg r, Word value)
+AlewifeMachine::blockGo(uint32_t node, Word src, Word dst, Word len)
 {
-    switch (r) {
-      case IoReg::ConsoleOut:
-        s->console.push_back({s->cycle, node, value});
-        break;
-      case IoReg::MachineHalt:
-        // Commits at the next grid boundary (identical for every
-        // host-thread count: the boundary depends only on the write
-        // cycle and the quantum).
-        s->haltAt = std::min(s->haltAt, m->gridAlign(s->cycle));
-        break;
-      case IoReg::IpiDest:
-        ipiDest = value;
-        break;
-      case IoReg::IpiSend:
-        if (ipiDest < m->numNodes())
-            m->queueIpi(*s, node, uint32_t(ipiDest), value);
-        break;
-      case IoReg::BlockSrc:
-        blockSrc = value;
-        break;
-      case IoReg::BlockDst:
-        blockDst = value;
-        break;
-      case IoReg::BlockGo:
-        return m->queueBlockGo(*s, node, blockSrc, blockDst, value);
-      default:
-        break;
-    }
-    return 0;
+    return queueBlockGo(shards[shardOf(node)], node, src, dst, len);
 }
 
 } // namespace april

@@ -17,6 +17,11 @@
  * run is bit-identical for every host-thread count (the 1-thread
  * configuration IS the sequential simulator; there is no separate
  * sequential loop).
+ *
+ * The shared layer (machine/machine.hh) owns the nodes' processors,
+ * I/O registers, planes and clock; this machine adds the memory
+ * system under them: caches and controllers, the network, the shards
+ * and the barrier merge.
  */
 
 #ifndef APRIL_MACHINE_ALEWIFE_MACHINE_HH
@@ -28,29 +33,18 @@
 #include "analysis/race_detector.hh"
 #include "coherence/controller.hh"
 #include "mc/conform.hh"
-#include "common/obs_log.hh"
 #include "common/parallel.hh"
-#include "common/random.hh"
-#include "common/trace.hh"
 #include "machine/machine.hh"
 #include "network/network.hh"
 #include "network/telemetry.hh"
-#include "proc/processor.hh"
-#include "profile/interval.hh"
-#include "profile/pc_sampler.hh"
-#include "profile/report.hh"
-#include "runtime/runtime.hh"
 
 namespace april
 {
 
-/** Configuration of the full machine (the observability planes come
- *  from ObsParams). */
-struct AlewifeParams : ObsParams
+/** Configuration of the full machine. */
+struct AlewifeParams : MachineParams
 {
     net::NetworkParams network;     ///< defines the node count
-    uint32_t wordsPerNode = 1u << 20;
-    ProcParams proc;
     coh::ControllerParams controller;
     /// Directory organization, copied into every controller at
     /// construction (authoritative over controller.dirScheme).
@@ -61,14 +55,6 @@ struct AlewifeParams : ObsParams
     /// Hardware pointers per line under LimitedPtr (0 forces the
     /// software spill handler on every sharer addition).
     uint32_t dirPointers = 4;
-    uint64_t seed = 12345;
-    /// Boot the Mul-T run-time system on every node (requires the
-    /// runtime's symbols in the program). Turn off for raw programs.
-    bool bootRuntime = true;
-    /// Fast-forward cycles in run() when every processor, controller
-    /// and the network is provably idle (cycle-exact; see
-    /// nextEventCycle()). Off forces the plain per-cycle loop.
-    bool cycleSkip = true;
     /// Host worker threads for run(). Nodes are split into that many
     /// contiguous shards advanced in parallel; results are
     /// bit-identical for every value. Clamped to [1, numNodes] and
@@ -109,10 +95,6 @@ class AlewifeMachine final : public Machine
      */
     uint64_t nextEventCycle() const;
 
-    /** Toggle cycle-skipping in run() (construction-time default
-     *  comes from AlewifeParams::cycleSkip). */
-    void setCycleSkipping(bool on) { params.cycleSkip = on; }
-
     /**
      * Tick until no component has a pending event or @p max_cycles
      * elapse; @return true when fully quiescent. run() exits when the
@@ -123,76 +105,24 @@ class AlewifeMachine final : public Machine
      */
     bool quiesce(uint64_t max_cycles) override;
 
-    bool halted() const override { return haltFlag; }
-    uint64_t cycle() const override { return _cycle; }
-    uint32_t numNodes() const override { return net_.numNodes(); }
-
     /** Number of shards (= host worker threads) actually in use. */
     uint32_t hostThreads() const { return uint32_t(shards.size()); }
 
     /** The parallel quantum Q (minimum cross-node network latency). */
     uint64_t quantum() const { return quantum_; }
 
-    Processor &proc(uint32_t n) override { return *procs.at(n); }
     coh::Controller &controller(uint32_t n) { return *ctrls.at(n); }
     net::Network &network() { return net_; }
-    SharedMemory &memory() override { return mem; }
-
-    const std::vector<Word> &console() const override
-    {
-        return consoleWords;
-    }
-    /** Counters are read coherently (see coherentRead()). */
-    uint64_t runtimeCounter(int slot) const override;
 
     /** The word at @p a as the coherent image holds it: a Modified
      *  copy in some cache wins over the backing store. */
-    Word coherentRead(Addr a) const;
-
-    /** Event recorder with all lanes merged (nullptr unless
-     *  params.traceEvents). */
-    trace::Recorder *traceRecorder() { return trace_.merged(); }
-
-    /** Coherence-transaction tracer with all lanes merged (nullptr
-     *  unless params.cohTrace). */
-    coh::TxnTracer *txnTracer() { return coh_.merged(); }
-
-    /** Task-event tracer with all lanes merged (nullptr unless
-     *  params.taskTrace). */
-    task::Tracer *taskTracer() override { return task_.merged(); }
+    Word coherentRead(Addr a) const override;
 
     /** Network telemetry (always on; folded at sync points). */
     net::Telemetry &telemetry() { return telemetry_; }
 
     /** Race detector (nullptr unless params.detectRaces). */
     analysis::RaceDetector *raceDetector() { return races.get(); }
-
-    /** Spec-conformance listener (nullptr unless
-     *  params.conformance). */
-    const mc::Conformance *conformance() const { return conform_.get(); }
-
-    /** Serialize the event log as Chrome trace-event JSON, stitching
-     *  in coherence-transaction flow events when cohTrace is on.
-     *  No-op when tracing is off. */
-    void writeTrace(std::ostream &os) override;
-
-    /** Serialize the coherence-transaction log as structured JSON.
-     *  No-op when cohTrace is off. */
-    void writeCohTrace(std::ostream &os);
-
-    profile::ProfileSource profileSource() const override;
-
-    const profile::IntervalSampler *intervalSampler() const override
-    {
-        return interval_.get();
-    }
-
-    /**
-     * Panic unless every processor's bucket sums equal its cycle
-     * count (per node and per frame). quiesce() calls this; tests and
-     * tools may call it at any point.
-     */
-    void verifyCycleAccounting() const override;
 
   private:
     struct Shard;
@@ -281,27 +211,6 @@ class AlewifeMachine final : public Machine
         Shard *s;
     };
 
-    class NodeIo : public IoPort
-    {
-      public:
-        NodeIo(AlewifeMachine *machine, Shard *shard, uint32_t node,
-               uint64_t seed)
-            : m(machine), s(shard), node(node), rng(seed)
-        {}
-
-        Word ioRead(IoReg r) override;
-        uint32_t ioWrite(IoReg r, Word value) override;
-
-      private:
-        AlewifeMachine *m;
-        Shard *s;
-        uint32_t node;
-        Rng rng;
-        Word ipiDest = 0;
-        Word blockSrc = 0;
-        Word blockDst = 0;
-    };
-
     /** One worker thread's slice of the machine. */
     struct alignas(64) Shard
     {
@@ -320,13 +229,7 @@ class AlewifeMachine final : public Machine
         std::vector<BlockOp> blockOps;
         uint64_t blockMin = kNeverCycle;  ///< earliest pending commit
         uint64_t haltAt = kNeverCycle;    ///< committed halt boundary
-        /// Host-side skip-probe hysteresis: after a probe finds no
-        /// skippable window, don't probe again before this cycle
-        /// (back-off doubles up to a cap, resets on any skip). Pure
-        /// heuristic — skipping fewer provably idle windows cannot
-        /// change simulated state, only host speed.
-        uint64_t probeAt = 0;
-        uint32_t probeBackoff = 0;
+        ProbeBackoff probe;
         /// The machine-trace log this shard's network events go to
         /// (nullptr when tracing is off).
         trace::Recorder *trace = nullptr;
@@ -349,6 +252,12 @@ class AlewifeMachine final : public Machine
                           Word len);
     void executeBlockOp(const BlockOp &op);
 
+    void consoleOut(uint32_t node, Word word) override;
+    void machineHalt(uint32_t node) override;
+    void sendIpi(uint32_t src, uint32_t dst, Word arg) override;
+    uint32_t blockGo(uint32_t node, Word src, Word dst,
+                     Word len) override;
+
     /** Earliest observable event for @p s's own components. */
     uint64_t shardNextEvent(const Shard &s) const;
     /** Skip @p cycles provably idle cycles on @p s (cycle-exact). */
@@ -370,30 +279,17 @@ class AlewifeMachine final : public Machine
      *  deterministic-sync-point bundle around net_.foldStats()). */
     void foldObservability();
 
-    AlewifeParams params;
-    SharedMemory mem;
-    obs::Plane<trace::Event> trace_;
-    obs::Plane<coh::TxnEvent> coh_;
-    obs::Plane<task::TaskEvent> task_;
-    std::unique_ptr<task::ProbeMap> taskProbes_;
+    /// Controller configuration, the directory scheme applied.
+    coh::ControllerParams ctrlParams_;
     std::unique_ptr<analysis::RaceDetector> races;
     std::unique_ptr<mc::Conformance> conform_;
     net::Network net_;
     net::Telemetry telemetry_;
-    /// Plane overflow surfaced in stats JSON (Plane::dropped()).
-    stats::Formula statTraceDropped;
-    stats::Formula statCohTraceDropped;
-    stats::Formula statTaskTraceDropped;
-    bool warnedTraceDrop_ = false;
     uint64_t quantum_ = 1;
     std::vector<Shard> shards;
     std::vector<ArrivalQueue> arrivals;
     std::vector<std::unique_ptr<coh::Controller>> ctrls;
     std::vector<std::unique_ptr<NodeFabric>> fabrics;
-    std::vector<std::unique_ptr<NodeIo>> ios;
-    std::vector<std::unique_ptr<Processor>> procs;
-    std::vector<std::unique_ptr<profile::PcSampler>> samplers;
-    std::unique_ptr<profile::IntervalSampler> interval_;
     std::unique_ptr<par::WorkerPool> pool_;
     /// Quantum end published to the worker pool for the current
     /// runQuantum() call (the pool's epoch counter orders the write).
@@ -402,9 +298,6 @@ class AlewifeMachine final : public Machine
     /// they were collected at (budget/interval-clamped quanta), in
     /// canonical (commit, issued, node) order.
     std::vector<BlockOp> pendingBlocks;
-    std::vector<Word> consoleWords;
-    bool haltFlag = false;
-    uint64_t _cycle = 0;
 };
 
 } // namespace april

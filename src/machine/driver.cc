@@ -61,30 +61,28 @@ makeMachine(const Program &prog, const DriverOptions &options,
     if (!options.debugFlags.empty())
         debug::setFlags(options.debugFlags);
 
-    std::unique_ptr<Machine> m;
-    if (options.alewife) {
-        AlewifeParams ap;
-        ap.network = meshFor(options);
-        ap.wordsPerNode = options.wordsPerNode;
-        ap.proc = options.proc;
-        ap.controller = options.controller;
-        ap.dirScheme = options.dirScheme;
-        ap.dirPointers = options.dirPointers;
-        ap.seed = options.seed;
-        ap.bootRuntime = !boot;
-        ap.cycleSkip = options.cycleSkip;
-        ap.hostThreads = hostThreadCount(options.hostThreads);
-        static_cast<ObsParams &>(ap) = options;
-        m = std::make_unique<AlewifeMachine>(ap, &prog);
-    } else {
-        PerfectMachineParams mp;
-        mp.numNodes = options.nodes;
+    auto shared = [&](MachineParams &mp) {
+        static_cast<ObsParams &>(mp) = options;
         mp.wordsPerNode = options.wordsPerNode;
         mp.proc = options.proc;
         mp.seed = options.seed;
         mp.bootRuntime = !boot;
         mp.cycleSkip = options.cycleSkip;
-        static_cast<ObsParams &>(mp) = options;
+    };
+    std::unique_ptr<Machine> m;
+    if (options.alewife) {
+        AlewifeParams ap;
+        shared(ap);
+        ap.network = meshFor(options);
+        ap.controller = options.controller;
+        ap.dirScheme = options.dirScheme;
+        ap.dirPointers = options.dirPointers;
+        ap.hostThreads = hostThreadCount(options.hostThreads);
+        m = std::make_unique<AlewifeMachine>(ap, &prog);
+    } else {
+        PerfectMachineParams mp;
+        shared(mp);
+        mp.numNodes = options.nodes;
         m = std::make_unique<PerfectMachine>(mp, &prog);
     }
     if (boot)
@@ -145,10 +143,9 @@ runMultProgram(const std::string &source, const DriverOptions &options)
         machine.intervalSampler()->writeCsv(os);
         r.statsSeriesCsv = os.str();
     }
-    auto *alewife = dynamic_cast<AlewifeMachine *>(&machine);
-    if (alewife && options.cohTrace) {
+    if (options.cohTrace) {
         std::ostringstream os;
-        alewife->writeCohTrace(os);
+        machine.writeCohTrace(os);
         r.cohTraceJson = os.str();
     }
     return r;

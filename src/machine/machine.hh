@@ -1,36 +1,99 @@
 /**
  * @file
- * What every APRIL machine offers the code that builds, runs and
- * reports on it: the perfect-memory multiprocessor
- * (machine/perfect_machine.hh) and the full ALEWIFE machine
- * (machine/alewife_machine.hh) both implement this interface, so the
- * driver and the `april` CLI run either through one code path.
+ * The layer every APRIL machine shares: the processors and what sits
+ * between them and the code that builds, runs and reports on a
+ * machine. The paper's simulator is one processor simulator with the
+ * cache and network simulators layered under it, and its perfect-
+ * memory runs leave those lower layers out (Section 7). Here Machine
+ * is that upper layer. It owns the memory image, the processors and
+ * their I/O registers, the console, the halt flag and the clock, and
+ * the observability planes, samplers and probe map. The two machines
+ * derive from it and keep only their memory systems and run loops:
+ * the perfect-memory multiprocessor (machine/perfect_machine.hh) and
+ * the full ALEWIFE machine (machine/alewife_machine.hh).
  *
- * Whole-run calls only: run() is entered once per run and the
- * simulator's per-cycle code never calls through this interface.
+ * run() and quiesce() are whole-run calls and the only virtuals the
+ * driver uses. The I/O hooks fire only on STIO writes: nothing on a
+ * machine's per-cycle path calls through a virtual.
  */
 
 #ifndef APRIL_MACHINE_MACHINE_HH
 #define APRIL_MACHINE_MACHINE_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <vector>
 
+#include "coherence/coh_trace.hh"
+#include "common/obs_log.hh"
 #include "common/stats.hh"
+#include "common/trace.hh"
 #include "mem/memory.hh"
 #include "proc/processor.hh"
 #include "profile/interval.hh"
+#include "profile/pc_sampler.hh"
 #include "profile/report.hh"
 #include "task/task_trace.hh"
 
 namespace april
 {
 
+/** Configuration every machine shares (the observability planes come
+ *  from ObsParams). */
+struct MachineParams : ObsParams
+{
+    uint32_t wordsPerNode = 1u << 20;
+    ProcParams proc;            ///< per-processor parameters
+    uint64_t seed = 12345;      ///< work-stealing RNG seed
+    /// Boot the Mul-T run-time system on every node (requires the
+    /// runtime's symbols in the program). Turn off for raw programs
+    /// that manage their own entry points and trap vectors.
+    bool bootRuntime = true;
+    /// Fast-forward cycles in run() when every component is provably
+    /// idle (cycle-exact; see each machine's nextEventCycle()). Off
+    /// forces the plain per-cycle loop.
+    bool cycleSkip = true;
+};
+
+/**
+ * Skip-probe hysteresis. A probe asks whether the next cycles are
+ * provably idle; when one finds no window, the next probe waits,
+ * the wait doubling up to a cap, and a probe that finds a window
+ * resets it. Probe-hostile phases (every core busy every cycle) then
+ * don't pay the scan per tick. Ticking through a window that opens
+ * mid-back-off is equivalent to skipping it, so this is a host-speed
+ * knob only: it cannot change simulated state.
+ */
+class ProbeBackoff
+{
+  public:
+    /** Whether a probe is worth making at @p cycle. */
+    bool due(uint64_t cycle) const { return cycle >= probeAt_; }
+
+    /** The probe found a window: probe freely again. */
+    void hit() { backoff_ = 0; }
+
+    /** The probe at @p cycle found no window: wait before the next. */
+    void
+    miss(uint64_t cycle)
+    {
+        backoff_ = std::min<uint32_t>(backoff_ ? backoff_ * 2 : 1, 32);
+        probeAt_ = cycle + 1 + backoff_;
+    }
+
+  private:
+    uint64_t probeAt_ = 0;
+    uint32_t backoff_ = 0;
+};
+
 /** An APRIL multiprocessor; its statistics tree is the machine. */
 class Machine : public stats::Group
 {
   public:
+    ~Machine() override;
+
     /**
      * Run until the machine halts or @p max_cycles elapse.
      * @return elapsed machine cycles.
@@ -39,40 +102,49 @@ class Machine : public stats::Group
 
     /**
      * Tick until no component has a pending event or @p max_cycles
-     * elapse; @return true when fully quiescent.
+     * elapse; @return true when fully quiescent. run() stops at the
+     * halt, which can leave work in flight; snapshot and compare flows
+     * quiesce first so the final state is well defined.
      */
     virtual bool quiesce(uint64_t max_cycles) = 0;
 
-    virtual bool halted() const = 0;
-    virtual uint64_t cycle() const = 0;
-    virtual uint32_t numNodes() const = 0;
+    bool halted() const { return haltFlag_; }
+    uint64_t cycle() const { return cycle_; }
+    uint32_t numNodes() const { return mem_.numNodes(); }
 
-    virtual Processor &proc(uint32_t n) = 0;
-    virtual SharedMemory &memory() = 0;
+    Processor &proc(uint32_t n) { return *procs_.at(n); }
+    SharedMemory &memory() { return mem_; }
 
     /** Console output (all nodes, in emission order). */
-    virtual const std::vector<Word> &console() const = 0;
+    const std::vector<Word> &console() const { return console_; }
 
-    /** A node-block run-time counter summed across nodes. */
-    virtual uint64_t runtimeCounter(int slot) const = 0;
+    /** The word at @p a as the coherent image holds it. Without
+     *  caches that is the backing store. */
+    virtual Word coherentRead(Addr a) const { return mem_.read(a); }
 
-    /** Serialize the event log as Chrome trace-event JSON, with the
-     *  machine's other planes stitched in. No-op when tracing is
-     *  off. */
-    virtual void writeTrace(std::ostream &os) = 0;
+    /** A node-block run-time counter summed across nodes, read
+     *  coherently. */
+    uint64_t runtimeCounter(int slot) const;
 
-    /** Task-event log (nullptr unless the taskTrace plane is on). */
-    virtual task::Tracer *taskTracer() = 0;
+    /** Event log with all lanes merged (nullptr unless traceEvents). */
+    trace::Recorder *traceRecorder() { return trace_.merged(); }
 
-    /** The report writers' view of this run. */
-    virtual profile::ProfileSource profileSource() const = 0;
+    /** Coherence-transaction log with all lanes merged (nullptr
+     *  unless cohTrace on a machine with caches). */
+    coh::TxnTracer *txnTracer() { return coh_.merged(); }
 
-    /** Interval time series (nullptr unless statsInterval is set). */
-    virtual const profile::IntervalSampler *intervalSampler() const = 0;
+    /** Task-event log with all lanes merged (nullptr unless
+     *  taskTrace). */
+    task::Tracer *taskTracer() { return task_.merged(); }
 
-    /** Panic unless every processor's bucket sums equal its cycle
-     *  count (per node and per frame). */
-    virtual void verifyCycleAccounting() const = 0;
+    /** Serialize the event log as Chrome trace-event JSON, stitching
+     *  in the coherence-transaction flows and task spans of the planes
+     *  that are on. No-op when machine tracing is off. */
+    void writeTrace(std::ostream &os);
+
+    /** Serialize the coherence-transaction log as structured JSON.
+     *  No-op when that plane is off. */
+    void writeCohTrace(std::ostream &os);
 
     /** Analyze the task-event log up to the current cycle; the task
      *  plane must be on. */
@@ -82,8 +154,93 @@ class Machine : public stats::Group
      *  tracing is off. */
     void writeTaskTrace(std::ostream &os);
 
+    /** The report writers' view of this run. */
+    profile::ProfileSource profileSource() const;
+
+    /** Interval time series (nullptr unless statsInterval is set). */
+    const profile::IntervalSampler *
+    intervalSampler() const
+    {
+        return interval_.get();
+    }
+
+    /** Panic unless every processor's bucket sums equal its cycle
+     *  count (per node and per frame). quiesce() calls this; tests and
+     *  tools may call it at any point. */
+    void verifyCycleAccounting() const;
+
   protected:
-    using stats::Group::Group;
+    /** What a concrete machine tells the shared layer about itself. */
+    struct Shape
+    {
+        const char *name = "machine";   ///< root stats group
+        uint32_t numNodes = 1;
+        uint32_t lanes = 1;     ///< trace lanes per plane (one per shard)
+        /// The machine has caches: it gets the coherence-transaction
+        /// plane and its cohTraceDropped statistic.
+        bool coherent = false;
+    };
+
+    /** Build the memory image and open the planes @p p asks for.
+     *  @p prog must outlive the machine. */
+    Machine(const Shape &shape, const MachineParams &p,
+            const Program *prog);
+
+    /**
+     * Wire node @p n: initialise its node block, build its processor
+     * on @p port with its I/O registers, attach lane @p lane of the
+     * trace and task planes, boot it when bootRuntime is set and give
+     * it a PC sampler when profiling. The node's CycleCount register
+     * reads @p clock. Call once per node, in node order.
+     */
+    Processor &addNode(uint32_t n, MemPort *port, uint32_t lane,
+                       const uint64_t *clock);
+
+    /** Build the interval sampler when statsInterval is set. Call it
+     *  last in the constructor, so every subsystem's statistics exist
+     *  and become columns. */
+    void startIntervalSampler();
+
+    /** Warn once on stderr if any plane dropped events. */
+    void warnPlaneOverflow();
+
+    // The I/O-register effects each machine implements its own way;
+    // NodeIo decodes the registers and calls these on STIO writes.
+
+    /** Node @p node wrote @p word to the console. */
+    virtual void consoleOut(uint32_t node, Word word) = 0;
+    /** Node @p node wrote MachineHalt. */
+    virtual void machineHalt(uint32_t node) = 0;
+    /** Node @p src sent interrupt @p arg to node @p dst. */
+    virtual void sendIpi(uint32_t src, uint32_t dst, Word arg) = 0;
+    /** Node @p node started a block transfer of @p len words;
+     *  @return cycles its processor is held. */
+    virtual uint32_t blockGo(uint32_t node, Word src, Word dst,
+                             Word len) = 0;
+
+    const MachineParams params_;
+    SharedMemory mem_;
+    obs::Plane<trace::Event> trace_;
+    obs::Plane<coh::TxnEvent> coh_;
+    obs::Plane<task::TaskEvent> task_;
+    std::vector<std::unique_ptr<Processor>> procs_;
+    std::unique_ptr<profile::IntervalSampler> interval_;
+    std::vector<Word> console_;
+    bool haltFlag_ = false;
+    uint64_t cycle_ = 0;
+
+  private:
+    class NodeIo;
+
+    const Program *prog_;
+    std::unique_ptr<task::ProbeMap> taskProbes_;
+    /// Plane overflow surfaced in stats JSON (Plane::dropped()).
+    stats::Formula statTraceDropped;
+    stats::Formula statCohTraceDropped;
+    stats::Formula statTaskTraceDropped;
+    bool warnedTraceDrop_ = false;
+    std::vector<std::unique_ptr<NodeIo>> ios_;
+    std::vector<std::unique_ptr<profile::PcSampler>> samplers_;
 };
 
 } // namespace april

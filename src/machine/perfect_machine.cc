@@ -3,160 +3,64 @@
 #include <algorithm>
 
 #include "common/bits.hh"
-#include "common/debug.hh"
-#include "machine/trace_config.hh"
-#include "runtime/layout.hh"
 
 namespace april
 {
 
 PerfectMachine::PerfectMachine(const PerfectMachineParams &p,
                                const Program *prog)
-    : Machine("machine"),
-      params(p),
-      mem({.numNodes = p.numNodes, .wordsPerNode = p.wordsPerNode}),
-      statTraceDropped(
-          this, "traceDropped",
-          "machine events lost to recorder overflow",
-          [this] { return double(trace_.dropped()); }),
-      statTaskTraceDropped(
-          this, "taskTraceDropped",
-          "task events dropped at the capacity cap",
-          [this] { return double(task_.dropped()); })
+    : Machine({.name = "machine", .numNodes = p.numNodes}, p, prog)
 {
-    debug::initFromEnv();
-    if (p.traceEvents)
-        trace_.open(p.capacity, 1);
-    if (p.taskTrace) {
-        task_.open(p.capacity, 1);
-        taskProbes_ = std::make_unique<task::ProbeMap>(*prog);
-    }
     for (uint32_t n = 0; n < p.numNodes; ++n) {
-        rt::Runtime::initNode(mem, n);
-        ports.push_back(std::make_unique<PerfectMemPort>(&mem));
-        ios.push_back(std::make_unique<NodeIo>(this, n,
-                                               p.seed * 1000003 + n));
-        ProcParams pp = p.proc;
-        pp.nodeId = n;
-        procs.push_back(std::make_unique<Processor>(
-            pp, prog, ports.back().get(), ios.back().get(), this));
-        procs.back()->setTraceRecorder(trace_.lane(0));
-        procs.back()->setTaskProbe(taskProbes_.get(), task_.lane(0));
-        if (p.bootRuntime) {
-            rt::Runtime::bootProcessor(*procs.back(), *prog, mem, n,
-                                       p.numNodes);
-        }
-        if (p.profile) {
-            samplers.push_back(std::make_unique<profile::PcSampler>(
-                p.profilePeriod));
-            procs.back()->setPcSampler(samplers.back().get());
-        }
+        ports.push_back(std::make_unique<PerfectMemPort>(&mem_));
+        addNode(n, ports.back().get(), 0, &cycle_);
     }
-    // Built last so every subsystem's statistics become columns.
-    if (p.statsInterval)
-        interval_ = std::make_unique<profile::IntervalSampler>(
-            p.statsInterval, *this);
+    startIntervalSampler();
 }
 
 void
-PerfectMachine::writeTrace(std::ostream &os)
+PerfectMachine::consoleOut(uint32_t, Word word)
 {
-    trace::Recorder *r = traceRecorder();
-    if (!r)
-        return;
-    task::Tracer *t = taskTracer();
-    trace::writeChromeTrace(
-        os, *r, makeRecorderConfig(params.numNodes, params.proc.numFrames),
-        [t](std::ostream &o, bool &first) {
-            if (t)
-                task::writeChromeEvents(o, first, *t);
-        });
-}
-
-profile::ProfileSource
-PerfectMachine::profileSource() const
-{
-    profile::ProfileSource src;
-    src.machineCycles = _cycle;
-    src.program = procs.empty() ? nullptr : procs[0]->program();
-    for (const auto &p : procs)
-        src.procs.push_back(p.get());
-    for (const auto &s : samplers)
-        src.samplers.push_back(s.get());
-    src.intervals = interval_.get();
-    return src;
+    console_.push_back(word);
 }
 
 void
-PerfectMachine::verifyCycleAccounting() const
+PerfectMachine::machineHalt(uint32_t)
 {
-    for (const auto &p : procs)
-        p->verifyCycleAccounting();
+    haltFlag_ = true;
 }
 
-Word
-PerfectMachine::NodeIo::ioRead(IoReg r)
+void
+PerfectMachine::sendIpi(uint32_t, uint32_t dst, Word arg)
 {
-    switch (r) {
-      case IoReg::CycleCount: return Word(m->_cycle);
-      case IoReg::NodeId: return node;
-      case IoReg::NumNodes: return m->params.numNodes;
-      case IoReg::Random: return Word(rng.next());
-      default: return 0;
-    }
+    procs_[dst]->postIpi(arg);
 }
 
 uint32_t
-PerfectMachine::NodeIo::ioWrite(IoReg r, Word value)
+PerfectMachine::blockGo(uint32_t, Word src, Word dst, Word len)
 {
-    switch (r) {
-      case IoReg::ConsoleOut:
-        m->consoleWords.push_back(value);
-        break;
-      case IoReg::MachineHalt:
-        m->haltFlag = true;
-        break;
-      case IoReg::IpiDest:
-        ipiDest = value;
-        break;
-      case IoReg::IpiSend:
-        if (ipiDest < m->params.numNodes)
-            m->procs[ipiDest]->postIpi(value);
-        break;
-      case IoReg::BlockSrc:
-        blockSrc = value;
-        break;
-      case IoReg::BlockDst:
-        blockDst = value;
-        break;
-      case IoReg::BlockGo: {
-        // Section 3.4 block transfer: data and f/e bits move together
-        // at one word per cycle (the processor is held meanwhile).
-        const SharedMemory &image = m->mem;
-        for (Word i = 0; i < value; ++i)
-            m->mem.word(blockDst + i) = image.word(blockSrc + i);
-        return value;
-      }
-      default:
-        break;
-    }
-    return 0;
+    // Section 3.4 block transfer: data and f/e bits move together at
+    // one word per cycle (the processor is held meanwhile).
+    const SharedMemory &image = mem_;
+    for (Word i = 0; i < len; ++i)
+        mem_.word(dst + i) = image.word(src + i);
+    return len;
 }
 
 void
 PerfectMachine::tick()
 {
-    ++_cycle;
-    for (auto &p : procs)
+    ++cycle_;
+    for (auto &p : procs_)
         p->tick();
 }
 
 uint64_t
 PerfectMachine::nextEventCycle() const
 {
-    uint64_t soon = _cycle + 1;
+    uint64_t soon = cycle_ + 1;
     uint64_t next = kNeverCycle;
-    for (const auto &p : procs) {
+    for (const auto &p : procs_) {
         next = std::min(next, p->nextEventCycle());
         if (next <= soon)
             return next;
@@ -167,51 +71,43 @@ PerfectMachine::nextEventCycle() const
 uint64_t
 PerfectMachine::run(uint64_t max_cycles)
 {
-    uint64_t start = _cycle;
-    while (!haltFlag && _cycle - start < max_cycles) {
-        if (params.cycleSkip && _cycle >= probeAt_) {
+    uint64_t start = cycle_;
+    while (!haltFlag_ && cycle_ - start < max_cycles) {
+        if (params_.cycleSkip && probe_.due(cycle_)) {
             uint64_t next = nextEventCycle();
-            if (next <= _cycle + 1) {
-                // No skippable window: back off before probing again
-                // so probe-hostile phases (every core busy every
-                // cycle) don't pay the scan per tick. Ticking through
-                // a window that opens mid-back-off is equivalent to
-                // skipping it, so this is a host-speed knob only.
-                probeBackoff_ = std::min<uint32_t>(
-                    probeBackoff_ ? probeBackoff_ * 2 : 1, 32);
-                probeAt_ = _cycle + 1 + probeBackoff_;
+            if (next <= cycle_ + 1) {
+                probe_.miss(cycle_);
             } else {
-                probeBackoff_ = 0;
+                probe_.hit();
                 // Every core is stalled (or halted) until `next`:
                 // credit the idle window in one arithmetic step,
                 // clamped to the caller's budget.
                 uint64_t idle = next == kNeverCycle
                     ? kNeverCycle
-                    : next - _cycle - 1;
+                    : next - cycle_ - 1;
                 uint64_t n =
-                    std::min(idle, max_cycles - (_cycle - start));
+                    std::min(idle, max_cycles - (cycle_ - start));
                 // Never skip past a stats-sample boundary: skipCycles
                 // is additive, so splitting the window is cycle-exact
                 // and the recorded series matches the per-cycle loop.
                 if (interval_) {
                     n = std::min(
-                        n, interval_->nextSampleCycle(_cycle) - _cycle);
+                        n, interval_->nextSampleCycle(cycle_) - cycle_);
                 }
-                _cycle += n;
-                for (auto &p : procs)
+                cycle_ += n;
+                for (auto &p : procs_)
                     p->skipCycles(n);
                 if (interval_)
-                    interval_->sampleIfDue(_cycle);
+                    interval_->sampleIfDue(cycle_);
                 continue;
             }
         }
         tick();
         if (interval_)
-            interval_->sampleIfDue(_cycle);
+            interval_->sampleIfDue(cycle_);
     }
-    obs::warnOverflow(warnedTraceDrop_, trace_.dropped(), 0,
-                      task_.dropped());
-    return _cycle - start;
+    warnPlaneOverflow();
+    return cycle_ - start;
 }
 
 bool
@@ -226,17 +122,6 @@ PerfectMachine::quiesce(uint64_t max_cycles)
     }
     verifyCycleAccounting();
     return nextEventCycle() == kNeverCycle;
-}
-
-uint64_t
-PerfectMachine::runtimeCounter(int slot) const
-{
-    uint64_t total = 0;
-    for (uint32_t n = 0; n < params.numNodes; ++n) {
-        total += mem.read(mem.nodeBase(n) + rt::nodeBlockOff +
-                          Addr(slot));
-    }
-    return total;
 }
 
 } // namespace april

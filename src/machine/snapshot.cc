@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "machine/alewife_machine.hh"
-#include "machine/perfect_machine.hh"
 
 namespace april
 {
@@ -53,20 +52,12 @@ copyMemory(const SharedMemory &mem)
     return image;
 }
 
-} // namespace
-
-MachineSnapshot
-snapshotMachine(AlewifeMachine &m)
+/** Fold Modified lines over the backing image; a quiesced machine
+ *  has no traffic in flight, so exactly one node may own any line
+ *  exclusively, and Shared copies must agree with the result. */
+void
+foldDirtyLines(AlewifeMachine &m, MachineSnapshot &s)
 {
-    MachineSnapshot s;
-    s.halted = m.halted();
-    s.cycle = m.cycle();
-    s.console = m.console();
-    s.memory = copyMemory(m.memory());
-
-    // Fold Modified lines over the backing image; a quiesced machine
-    // has no traffic in flight, so exactly one node may own any line
-    // exclusively, and Shared copies must agree with the result.
     std::map<Addr, uint32_t> modifiedBy;
     for (uint32_t n = 0; n < m.numNodes(); ++n) {
         const cache::Cache &cache = m.controller(n).cacheRef();
@@ -120,20 +111,20 @@ snapshotMachine(AlewifeMachine &m)
             }
         }
     }
-
-    for (uint32_t n = 0; n < m.numNodes(); ++n)
-        s.procs.push_back(snapshotProc(m.proc(n)));
-    return s;
 }
 
+} // namespace
+
 MachineSnapshot
-snapshotMachine(PerfectMachine &m)
+snapshotMachine(Machine &m)
 {
     MachineSnapshot s;
     s.halted = m.halted();
     s.cycle = m.cycle();
     s.console = m.console();
     s.memory = copyMemory(m.memory());
+    if (auto *alewife = dynamic_cast<AlewifeMachine *>(&m))
+        foldDirtyLines(*alewife, s);
     for (uint32_t n = 0; n < m.numNodes(); ++n)
         s.procs.push_back(snapshotProc(m.proc(n)));
     return s;

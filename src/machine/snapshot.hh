@@ -39,8 +39,7 @@
 namespace april
 {
 
-class AlewifeMachine;
-class PerfectMachine;
+class Machine;
 
 /** Captured state of one hardware task frame. */
 struct FrameSnapshot
@@ -84,10 +83,9 @@ struct MachineSnapshot
     std::vector<std::string> coherenceErrors;
 };
 
-/** Capture an ALEWIFE machine (folds dirty cache lines). */
-MachineSnapshot snapshotMachine(AlewifeMachine &m);
-/** Capture a perfect-memory machine. */
-MachineSnapshot snapshotMachine(PerfectMachine &m);
+/** Capture a machine; on ALEWIFE, dirty cache lines are folded over
+ *  the backing image. */
+MachineSnapshot snapshotMachine(Machine &m);
 
 /**
  * Bit-for-bit comparison of two runs of the same machine model.

@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "common/parse_int.hh"
-#include "machine/alewife_machine.hh"
 #include "workloads/handwritten.hh"
 #include "workloads/workloads.hh"
 
@@ -113,8 +112,7 @@ fromSpec(const std::string &spec, const rt::RuntimeOptions &runtime)
             m.memory().write(count, tagged::fixnum(0));
         };
         w.answer = [count](Machine &m) {
-            auto &alewife = dynamic_cast<AlewifeMachine &>(m);
-            return int64_t(tagged::toInt(alewife.coherentRead(count)));
+            return int64_t(tagged::toInt(m.coherentRead(count)));
         };
         return w;
     } else if (w.name == "wide") {

@@ -14,7 +14,7 @@
  * The listener only records under the parallel engine's shard
  * threads (atomics + a mutex on the first failure); the machine
  * raises the panic from the coordinating thread at its next sync
- * point, keeping worker threads noexcept.
+ * point, the same point at every host-thread count.
  */
 
 #ifndef APRIL_MC_CONFORM_HH

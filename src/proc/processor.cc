@@ -1,7 +1,6 @@
 #include "proc/processor.hh"
 
 #include <algorithm>
-#include <iostream>
 
 #include "common/bits.hh"
 #include "common/debug.hh"
@@ -103,6 +102,13 @@ Processor::verifyCycleAccounting() const
               params.nodeId, ": matrix sum ", frame_sum, " != cycles ",
               statCycles.value());
     }
+}
+
+void
+Processor::resetOwnState()
+{
+    for (auto &row : frameCycles_)
+        row.fill(0);
 }
 
 void
@@ -385,12 +391,6 @@ Processor::tick()
 
     const Instruction &inst = prog->at(_pc);
     uint32_t exec_pc = _pc;
-    if (params.trace) {
-        std::cerr << "[n" << params.nodeId << " c" << _cycle
-                  << " f" << _fp << "] " << _pc << " ("
-                  << prog->symbolAt(_pc) << "): " << disassemble(inst)
-                  << "\n";
-    }
     execute(inst);
     // A probe fires when its marked instruction completes: a trapped
     // or MHOLD-retried execution redirects and records nothing, so

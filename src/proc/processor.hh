@@ -75,7 +75,6 @@ struct ProcParams
     /// operations").
     uint32_t tasExtraCycles = 0;
     uint32_t nodeId = 0;
-    bool trace = false;             ///< print each executed instruction
 };
 
 /** PSR bit assignments. */
@@ -231,6 +230,10 @@ class Processor : public stats::Group
     std::vector<stats::Scalar> statBuckets; ///< per profile::Bucket
 
   private:
+    /** A stats reset zeroes the per-frame matrix with the bucket
+     *  statistics it mirrors, so the ledger still balances. */
+    void resetOwnState() override;
+
     void execute(const Instruction &inst);
     void executeCompute(const Instruction &inst);
     void executeMemory(const Instruction &inst);

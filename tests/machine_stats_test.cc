@@ -2,14 +2,19 @@
  * @file
  * The statistics tree of a full machine run: every subsystem reports
  * through one nested stats::Group dump (processors, caches,
- * controllers, network), and the derived utilization formula holds.
+ * controllers, network), the derived utilization formula holds, a
+ * reset keeps the cycle ledger consistent, and the report bytes of a
+ * fixed run are pinned.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "common/digest.hh"
 #include "machine/alewife_machine.hh"
+#include "machine/driver.hh"
+#include "machine/perfect_machine.hh"
 #include "mult/compiler.hh"
 #include "workloads/workloads.hh"
 
@@ -69,6 +74,19 @@ TEST(MachineStats, UtilizationFormulaIsConsistent)
     proc.verifyCycleAccounting();
 }
 
+/** After a reset every processor's ledger, the per-frame matrix
+ *  included, starts again from zero and still balances. */
+void
+expectLedgerCleared(Machine &m)
+{
+    m.verifyCycleAccounting();
+    for (uint32_t n = 0; n < m.numNodes(); ++n) {
+        for (const auto &row : m.proc(n).frameCycles())
+            for (uint64_t v : row)
+                EXPECT_EQ(v, 0u) << "node " << n;
+    }
+}
+
 TEST(MachineStats, ResetClearsTheWholeTree)
 {
     mult::CompileOptions copts;
@@ -85,6 +103,66 @@ TEST(MachineStats, ResetClearsTheWholeTree)
     EXPECT_EQ(m.proc(0).statCycles.value(), 0.0);
     EXPECT_EQ(m.network().statPackets.value(), 0.0);
     EXPECT_EQ(m.controller(0).cacheRef().statHits.value(), 0.0);
+    expectLedgerCleared(m);
+
+    PerfectMachineParams pp;
+    pp.numNodes = 2;
+    PerfectMachine pm(pp, &prog);
+    pm.run(1'000'000);
+    ASSERT_TRUE(pm.halted());
+    EXPECT_GT(pm.proc(0).statCycles.value(), 0.0);
+    pm.resetStats();
+    EXPECT_EQ(pm.proc(0).statCycles.value(), 0.0);
+    expectLedgerCleared(pm);
+}
+
+/** FNV-1a digest of one report. */
+uint64_t
+digestOf(const std::string &s)
+{
+    Digest d;
+    d.addString(s);
+    return d.value();
+}
+
+/**
+ * The bytes of every report a fib run writes are pinned: the stats
+ * JSON (which also fixes the order stats and groups register in),
+ * the profile JSON, the Chrome trace and the task JSON. A change to
+ * any of them must update these values on purpose. ALEWIFE is
+ * checked at one and at four host threads, which must agree.
+ */
+TEST(MachineStats, OutputDigestsArePinned)
+{
+    struct Pinned
+    {
+        uint64_t stats, profile, trace, task;
+    };
+    auto run = [](bool alewife, uint32_t threads) {
+        DriverOptions o;
+        o.nodes = 4;
+        o.alewife = alewife;
+        o.hostThreads = threads;
+        o.traceEvents = o.taskTrace = o.profile = true;
+        DriverResult r = runMultProgram(workloads::fibSource(8), o);
+        EXPECT_EQ(tagged::toInt(r.result), 21);
+        return Pinned{digestOf(r.statsJson), digestOf(r.profileJson),
+                      digestOf(r.traceJson), digestOf(r.taskTraceJson)};
+    };
+    auto expectPinned = [](const Pinned &got, const Pinned &want,
+                           const std::string &what) {
+        EXPECT_EQ(got.stats, want.stats) << what << " stats JSON";
+        EXPECT_EQ(got.profile, want.profile) << what << " profile JSON";
+        EXPECT_EQ(got.trace, want.trace) << what << " Chrome trace";
+        EXPECT_EQ(got.task, want.task) << what << " task JSON";
+    };
+    const Pinned perfect{0xc66b0fe174441092ull, 0x8c2883af92c1e2d0ull,
+                         0x469952aff0e59672ull, 0xc0f5553a74b0130eull};
+    const Pinned alewife{0xfdd8ba5a00b58aaeull, 0x614c41c15d9ebe9full,
+                         0x0904538de434d387ull, 0xf86923bd7b4a17c9ull};
+    expectPinned(run(false, 1), perfect, "perfect 4 nodes");
+    expectPinned(run(true, 1), alewife, "2x2 ALEWIFE 1 thread");
+    expectPinned(run(true, 4), alewife, "2x2 ALEWIFE 4 threads");
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/logging.hh"
 #include "machine/alewife_machine.hh"
 #include "machine/snapshot.hh"
 #include "mult/compiler.hh"
@@ -268,6 +269,54 @@ TEST(ParallelRunResume, ThreadsClampToNodeCount)
     EXPECT_LE(par.threadsUsed, 4u);
     EXPECT_GE(par.threadsUsed, 2u);
     expectTwin(ref, par, "threads=64 (clamped)");
+}
+
+/** A guest fault on one node, raised inside a shard's quantum,
+ *  reaches the caller of run() as the same PanicError at every thread
+ *  count, after the other workers have finished the quantum; the
+ *  machine and its worker pool are then destroyed normally. */
+TEST(ParallelRun, WorkerExceptionIsRethrown)
+{
+    // Node 3 runs a strict DIV on an untagged odd operand: a
+    // FutureCompute trap with no vector set. The other nodes halt.
+    Assembler as;
+    as.bind("worker");
+    as.ldio(1, int(IoReg::NodeId));
+    as.cmpiR(1, 3);
+    as.jRaw(Cond::NE, "done");
+    as.nop();
+    as.movi(2, 7);
+    as.movi(3, tagged::fixnum(1));
+    as.div(4, 2, 3);
+    as.bind("done");
+    as.halt();
+    Program prog = as.finish();
+
+    auto faultMessage = [&](uint32_t threads) {
+        AlewifeParams p;
+        p.network = {.dim = 2, .radix = 2};
+        p.bootRuntime = false;
+        p.hostThreads = threads;
+        auto m = std::make_unique<AlewifeMachine>(p, &prog);
+        EXPECT_EQ(m->hostThreads(), threads);
+        for (uint32_t n = 0; n < m->numNodes(); ++n)
+            m->proc(n).reset(prog.entry("worker"));
+        std::string what;
+        try {
+            m->run(10'000);
+        } catch (const PanicError &e) {
+            what = e.what();
+        }
+        m.reset();
+        return what;
+    };
+
+    std::string serial = faultMessage(1);
+    EXPECT_NE(serial.find("FutureCompute has no vector"),
+              std::string::npos)
+        << serial;
+    EXPECT_NE(serial.find("node 3"), std::string::npos) << serial;
+    EXPECT_EQ(faultMessage(4), serial);
 }
 
 } // namespace

@@ -563,7 +563,7 @@ runWorkload(const RunOptions &o)
     bool drained = false;
     if (o.coh) {
         if (w.boot)
-            drained = alewife->quiesce(1'000'000);
+            drained = m->quiesce(1'000'000);
         CohReportOptions ropt;
         ropt.topLines = ropt.topSharers = ropt.topTxns = ropt.topPairs =
             o.top ? o.top : 10;
@@ -572,7 +572,7 @@ runWorkload(const RunOptions &o)
             writeCohReportJson(os, *alewife, ropt);
         });
         write(o.txnsFile,
-              [&](std::ostream &os) { alewife->writeCohTrace(os); });
+              [&](std::ostream &os) { m->writeCohTrace(os); });
     }
     write(o.perfettoFile, [&](std::ostream &os) { m->writeTrace(os); });
 

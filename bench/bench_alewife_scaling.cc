@@ -128,9 +128,8 @@ runScale(const workloads::WideSharing &w, int radix,
     pt.console = m->console();
     coh::Controller &home = m->controller(0);
     Addr line = w.shared / 4;
-    auto it = home.lineCensus().find(line);
-    if (it != home.lineCensus().end())
-        pt.maxSharers = it->second.maxSharers;
+    if (const auto *census = home.lineCensus(line))
+        pt.maxSharers = census->maxSharers;
     for (uint32_t n = 0; n < m->numNodes(); ++n) {
         pt.overflowTraps += m->controller(n).statOverflowTraps.value();
         pt.spilledPtrs += m->controller(n).statSpilledPtrs.value();

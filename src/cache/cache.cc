@@ -19,9 +19,10 @@ Cache::Cache(const CacheParams &p, stats::Group *parent)
         fatal("Cache: numLines must be a multiple of assoc");
     if (!isPowerOf2(p.numLines / p.assoc))
         fatal("Cache: number of sets must be a power of two");
+    wordStore.resize(size_t(p.numLines) * p.lineWords);
     lines.resize(p.numLines);
-    for (CacheLine &l : lines)
-        l.words.resize(p.lineWords);
+    for (size_t i = 0; i < lines.size(); ++i)
+        lines[i].words = wordStore.data() + i * p.lineWords;
 }
 
 size_t
@@ -73,7 +74,7 @@ Cache::allocate(Addr line_addr, Victim *victim)
         ++statEvictions;
         victim->lineAddr = pick->lineAddr;
         victim->state = pick->state;
-        victim->words = pick->words;
+        victim->words.assign(pick->words, pick->words + params.lineWords);
         TRACE(Cache, "allocate line=", line_addr, " evicts line=",
               victim->lineAddr,
               victim->state == LineState::Modified ? " (dirty)" : "");

@@ -37,16 +37,18 @@ enum class LineState : uint8_t
     Modified,   ///< exclusive, dirty
 };
 
-/** One cache line: state + tagged/f-e words. */
+/** One cache line frame: state + tagged/f-e words. */
 struct CacheLine
 {
     Addr lineAddr = 0;          ///< line-granular address (addr/words)
     LineState state = LineState::Invalid;
-    std::vector<MemWord> words;
+    /// The frame's lineWords() words, in the cache's one word array.
+    MemWord *words = nullptr;
     uint64_t lastUse = 0;
 };
 
-/** Contents evicted to make room for a fill. */
+/** Contents evicted to make room for a fill: an owned copy, because
+ *  the frame it came from is refilled at once. */
 struct Victim
 {
     bool valid = false;
@@ -105,6 +107,9 @@ class Cache : public stats::Group
     size_t setBase(Addr line_addr) const;
 
     CacheParams params;
+    /// Every frame's words: frame i owns lineWords of them from
+    /// i * lineWords.
+    std::vector<MemWord> wordStore;
     std::vector<CacheLine> lines;
     uint64_t useClock = 0;
 };

@@ -1,6 +1,7 @@
 #include "coherence/controller.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bits.hh"
 #include "common/debug.hh"
@@ -10,6 +11,28 @@
 
 namespace april::coh
 {
+
+namespace
+{
+
+/** The first line whose first word is at or past word @p a. */
+Addr
+lineAtOrAfter(uint64_t a, uint32_t line_words)
+{
+    return Addr((a + line_words - 1) / line_words);
+}
+
+/** log2 of the lines per directory page: the lines of one memory
+ *  page (1,024 four-word lines in a 4,096-word page). */
+unsigned
+dirPageShift(const SharedMemory &mem, uint32_t line_words)
+{
+    unsigned page = unsigned(std::countr_zero(mem.pageWords()));
+    unsigned line = unsigned(std::bit_width(line_words - 1));
+    return page > line ? page - line : 0;
+}
+
+} // namespace
 
 Controller::Controller(const ControllerParams &p, uint32_t node_id,
                        uint32_t num_frames, SharedMemory *memory,
@@ -40,7 +63,15 @@ Controller::Controller(const ControllerParams &p, uint32_t node_id,
                      "instantaneous message-inbox depth",
                      [this] { return double(inbox.size()); }),
       params(p), nodeId(node_id), mem(memory), fabric(fabric_),
-      _cache(p.cache, this), mshrs(num_frames)
+      _cache(p.cache, this),
+      firstHomeLine(lineAtOrAfter(memory->nodeBase(node_id),
+                                  p.cache.lineWords)),
+      slots(lineAtOrAfter(uint64_t(memory->nodeBase(node_id)) +
+                              memory->wordsPerNode(),
+                          p.cache.lineWords) -
+                firstHomeLine,
+            dirPageShift(*memory, p.cache.lineWords)),
+      mshrs(num_frames)
 {
     statDirTransitions.reserve(kNumDirStates * kNumDirStates);
     for (size_t old_s = 0; old_s < kNumDirStates; ++old_s) {
@@ -58,6 +89,33 @@ uint32_t
 Controller::homeOf(Addr line_addr) const
 {
     return mem->homeNode(line_addr * params.cache.lineWords);
+}
+
+Controller::DirEntry &
+Controller::dirEntry(Addr line_addr)
+{
+    Addr local = line_addr - firstHomeLine;
+    if (line_addr < firstHomeLine || local >= slots.size())
+        panic("ctrl", nodeId, ": line ", line_addr, " is not homed here");
+    uint32_t &slot = slots[local];
+    if (slot == 0) {
+        entries.emplace_back();
+        slot = uint32_t(entries.size());
+    }
+    return entries[slot - 1];
+}
+
+const Controller::LineCensus *
+Controller::lineCensus(Addr line_addr) const
+{
+    Addr local = line_addr - firstHomeLine;
+    if (line_addr < firstHomeLine || local >= slots.size())
+        return nullptr;
+    const uint32_t *slot = slots.find(local);
+    if (!slot || *slot == 0)
+        return nullptr;
+    const LineCensus &c = entries[*slot - 1].census;
+    return c.recorded() ? &c : nullptr;
 }
 
 std::vector<MemWord>
@@ -164,7 +222,7 @@ Controller::fillReady(uint8_t frame) const
 }
 
 void
-Controller::recordTransition(const DirEntry &e, DirState old_state,
+Controller::recordTransition(DirEntry &e, DirState old_state,
                              Addr line_addr, uint32_t requester,
                              MsgType cause)
 {
@@ -185,7 +243,7 @@ Controller::recordTransition(const DirEntry &e, DirState old_state,
     statSharerCount.sample(int64_t(width));
     ++statDirTransitions[size_t(old_state) * kNumDirStates +
                          size_t(e.state)];
-    LineCensus &c = census[line_addr];
+    LineCensus &c = e.census;
     ++c.transitions;
     c.maxSharers = std::max(c.maxSharers, width);
     TRACE(Coh, "c", fabric->now(), " n", nodeId, " line=", line_addr,
@@ -196,8 +254,10 @@ Controller::recordTransition(const DirEntry &e, DirState old_state,
 uint32_t
 Controller::addSharer(DirEntry &e, Addr line_addr, uint32_t sharer)
 {
-    if (!e.sharers.insert(sharer).second)
+    auto at = std::lower_bound(e.sharers.begin(), e.sharers.end(), sharer);
+    if (at != e.sharers.end() && *at == sharer)
         return 0;               // already present: no new pointer
+    e.sharers.insert(at, sharer);
     if (params.dirScheme != DirScheme::LimitedPtr)
         return 0;
     uint32_t resident = uint32_t(e.sharers.size()) - e.spilled;
@@ -210,7 +270,7 @@ Controller::addSharer(DirEntry &e, Addr line_addr, uint32_t sharer)
     ++statOverflowTraps;
     statSpilledPtrs += double(resident);
     e.spilled = uint32_t(e.sharers.size());
-    ++census[line_addr].spills;
+    ++e.census.spills;
     TRACE(Coh, "c", fabric->now(), " n", nodeId, " line=", line_addr,
           " overflow trap: ", resident, " ptrs spilled (",
           e.sharers.size(), " sharers)");
@@ -257,7 +317,7 @@ Controller::access(const MemAccess &req)
             wb.lineAddr = line_addr;
             wb.requester = nodeId;
             wb.fenceAck = true;
-            wb.data = line->words;
+            wb.data.assign(line->words, line->words + _cache.lineWords());
             send(homeOf(line_addr), wb);
             ++statWritebacks;
             res.fenceDelta = 1;
@@ -351,7 +411,7 @@ Controller::fill(const Message &msg)
         line = _cache.allocate(msg.lineAddr, &victim);
         evict(victim);
     }
-    line->words = msg.data;
+    std::copy(msg.data.begin(), msg.data.end(), line->words);
     line->state = msg.type == MsgType::WriteReply
         ? cache::LineState::Modified
         : cache::LineState::Shared;
@@ -384,19 +444,20 @@ Controller::handleMessage(const Message &msg)
     switch (msg.type) {
       case MsgType::ReadReq:
       case MsgType::WriteReq: {
-        DirEntry &e = directory[msg.lineAddr];
+        DirEntry &e = dirEntry(msg.lineAddr);
+        Request req{msg.txn, msg.requester, msg.type};
         if (e.busy) {
             traceTxn(msg.txn, TxnPhase::HomeQueue, msg.lineAddr,
                      msg.requester, msg.type == MsgType::WriteReq);
-            e.waiting.push_back(msg);
+            e.waiting.push_back(req);
             return;
         }
-        handleHomeRequest(msg, e);
+        handleHomeRequest(msg.lineAddr, req, e);
         return;
       }
 
       case MsgType::InvAck: {
-        DirEntry &e = directory[msg.lineAddr];
+        DirEntry &e = dirEntry(msg.lineAddr);
         // Count and trace the ack before the staleness check: stale
         // acks carry their Inv's transaction id, so per-transaction
         // InvSend/InvAck legs balance exactly.
@@ -413,7 +474,7 @@ Controller::handleMessage(const Message &msg)
       }
 
       case MsgType::WbData: {
-        DirEntry &e = directory[msg.lineAddr];
+        DirEntry &e = dirEntry(msg.lineAddr);
         traceTxn(msg.txn, TxnPhase::WbRecv, msg.lineAddr, msg.from,
                  false);
         writeMemoryLine(msg.lineAddr, msg.data);
@@ -440,7 +501,7 @@ Controller::handleMessage(const Message &msg)
       case MsgType::WbEmpty: {
         // The owner's copy raced away via an eviction whose WbData
         // (FIFO-ordered on the same route) has already updated memory.
-        DirEntry &e = directory[msg.lineAddr];
+        DirEntry &e = dirEntry(msg.lineAddr);
         traceTxn(msg.txn, TxnPhase::WbRecv, msg.lineAddr, msg.from,
                  false);
         // The txn match pins the answer to the recall it was sent
@@ -459,9 +520,9 @@ Controller::handleMessage(const Message &msg)
       }
 
       case MsgType::Unpend: {
-        DirEntry &e = directory[msg.lineAddr];
+        DirEntry &e = dirEntry(msg.lineAddr);
         e.busy = false;
-        drainWaiting(msg.lineAddr);
+        drainWaiting(msg.lineAddr, e);
         return;
       }
 
@@ -482,7 +543,7 @@ Controller::handleMessage(const Message &msg)
             wb.type = MsgType::WbData;
             wb.lineAddr = msg.lineAddr;
             wb.requester = nodeId;
-            wb.data = line->words;
+            wb.data.assign(line->words, line->words + _cache.lineWords());
             wb.txn = msg.txn;
             if (msg.isWrite)
                 _cache.invalidate(msg.lineAddr);
@@ -513,22 +574,22 @@ Controller::handleMessage(const Message &msg)
 }
 
 void
-Controller::handleHomeRequest(const Message &msg, DirEntry &e)
+Controller::handleHomeRequest(Addr line_addr, const Request &req,
+                              DirEntry &e)
 {
-    bool write = msg.type == MsgType::WriteReq;
-    Addr line_addr = msg.lineAddr;
+    bool write = req.type == MsgType::WriteReq;
 
-    traceTxn(msg.txn, TxnPhase::HomeHandle, line_addr, msg.requester,
+    traceTxn(req.txn, TxnPhase::HomeHandle, line_addr, req.requester,
              write);
 
     // An Exclusive entry whose owner re-requests has lost its copy to
     // an eviction (whose WbData arrived first, FIFO): fold to
     // Uncached.
-    if (e.state == DirState::Exclusive && e.owner == msg.requester) {
+    if (e.state == DirState::Exclusive && e.owner == req.requester) {
         e.state = DirState::Uncached;
         clearSharers(e);
         recordTransition(e, DirState::Exclusive, line_addr,
-                         msg.requester, msg.type);
+                         req.requester, req.type);
     }
 
     DirState old_state = e.state;
@@ -539,17 +600,17 @@ Controller::handleHomeRequest(const Message &msg, DirEntry &e)
         uint32_t extra = 0;
         if (write) {
             e.state = DirState::Exclusive;
-            e.owner = msg.requester;
+            e.owner = req.requester;
             clearSharers(e);
             statInvPerWrite.sample(0);
         } else {
             e.state = DirState::Shared;
             clearSharers(e);
-            extra = addSharer(e, line_addr, msg.requester);
+            extra = addSharer(e, line_addr, req.requester);
         }
-        recordTransition(e, old_state, line_addr, msg.requester,
-                         msg.type);
-        replyAndUnpend(line_addr, msg.requester, write, msg.txn,
+        recordTransition(e, old_state, line_addr, req.requester,
+                         req.type);
+        replyAndUnpend(line_addr, req.requester, write, req.txn,
                        extra);
         return;
       }
@@ -557,44 +618,47 @@ Controller::handleHomeRequest(const Message &msg, DirEntry &e)
       case DirState::Shared: {
         if (!write) {
             e.busy = true;
-            uint32_t extra = addSharer(e, line_addr, msg.requester);
-            recordTransition(e, old_state, line_addr, msg.requester,
-                             msg.type);
-            replyAndUnpend(line_addr, msg.requester, false, msg.txn,
+            uint32_t extra = addSharer(e, line_addr, req.requester);
+            recordTransition(e, old_state, line_addr, req.requester,
+                             req.type);
+            replyAndUnpend(line_addr, req.requester, false, req.txn,
                            extra);
             return;
         }
         // Strong coherence: invalidate every other sharer and wait
         // for all acknowledgments before granting exclusivity.
-        std::set<uint32_t> to_inv = e.sharers;
-        to_inv.erase(msg.requester);
-        statInvPerWrite.sample(int64_t(to_inv.size()));
-        if (to_inv.empty()) {
+        bool requester_shares = std::binary_search(
+            e.sharers.begin(), e.sharers.end(), req.requester);
+        size_t to_inv = e.sharers.size() - size_t(requester_shares);
+        statInvPerWrite.sample(int64_t(to_inv));
+        if (to_inv == 0) {
             e.busy = true;
             e.state = DirState::Exclusive;
-            e.owner = msg.requester;
+            e.owner = req.requester;
             clearSharers(e);
-            recordTransition(e, old_state, line_addr, msg.requester,
-                             msg.type);
-            replyAndUnpend(line_addr, msg.requester, true, msg.txn);
+            recordTransition(e, old_state, line_addr, req.requester,
+                             req.type);
+            replyAndUnpend(line_addr, req.requester, true, req.txn);
             return;
         }
         e.busy = true;
         e.wait = DirEntry::Wait::Acks;
-        e.pendingReq = msg;
-        e.pendingAcks = uint32_t(to_inv.size());
-        census[line_addr].invs += to_inv.size();
+        e.pendingReq = req;
+        e.pendingAcks = uint32_t(to_inv);
+        e.census.invs += to_inv;
         // Sharers beyond the hardware pointers cost a software walk
         // of the spill table before the invalidations can go out.
         uint32_t walk = spillWalkCost(e);
-        for (uint32_t s : to_inv) {
+        for (uint32_t s : e.sharers) {
+            if (s == req.requester)
+                continue;
             Message inv;
             inv.type = MsgType::Inv;
             inv.lineAddr = line_addr;
-            inv.txn = msg.txn;
+            inv.txn = req.txn;
             send(s, inv, walk);
             ++statInvSent;
-            traceTxn(msg.txn, TxnPhase::InvSend, line_addr, s, true);
+            traceTxn(req.txn, TxnPhase::InvSend, line_addr, s, true);
         }
         return;
       }
@@ -602,16 +666,16 @@ Controller::handleHomeRequest(const Message &msg, DirEntry &e)
       case DirState::Exclusive: {
         e.busy = true;
         e.wait = DirEntry::Wait::Data;
-        e.pendingReq = msg;
+        e.pendingReq = req;
         if (write)
             statInvPerWrite.sample(1);  // the owner loses its copy
         Message wbreq;
         wbreq.type = MsgType::WbReq;
         wbreq.lineAddr = line_addr;
         wbreq.isWrite = write;
-        wbreq.txn = msg.txn;
+        wbreq.txn = req.txn;
         send(e.owner, wbreq);
-        traceTxn(msg.txn, TxnPhase::WbReqSend, line_addr, e.owner,
+        traceTxn(req.txn, TxnPhase::WbReqSend, line_addr, e.owner,
                  write);
         return;
       }
@@ -641,7 +705,7 @@ Controller::replyAndUnpend(Addr line_addr, uint32_t requester,
 void
 Controller::completePending(Addr line_addr, DirEntry &e, MsgType cause)
 {
-    Message req = e.pendingReq;
+    Request req = e.pendingReq;
     bool write = req.type == MsgType::WriteReq;
 
     uint32_t prev_owner = e.owner;
@@ -670,13 +734,12 @@ Controller::completePending(Addr line_addr, DirEntry &e, MsgType cause)
 }
 
 void
-Controller::drainWaiting(Addr line_addr)
+Controller::drainWaiting(Addr line_addr, DirEntry &e)
 {
-    DirEntry &e = directory[line_addr];
     while (!e.busy && !e.waiting.empty()) {
-        Message next = e.waiting.front();
-        e.waiting.pop_front();
-        handleHomeRequest(next, e);
+        Request next = e.waiting.front();
+        e.waiting.erase(e.waiting.begin());
+        handleHomeRequest(line_addr, next, e);
     }
 }
 

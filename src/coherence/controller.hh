@@ -23,8 +23,6 @@
 #define APRIL_COHERENCE_CONTROLLER_HH
 
 #include <deque>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -32,6 +30,7 @@
 #include "coherence/protocol.hh"
 #include "common/trace.hh"
 #include "mem/memory.hh"
+#include "mem/paged_array.hh"
 #include "proc/ports.hh"
 
 namespace april
@@ -149,14 +148,41 @@ class Controller : public MemPort, public stats::Group
         uint64_t invs = 0;
         uint32_t maxSharers = 0;
         uint64_t spills = 0;    ///< pointer-overflow traps on this line
+
+        /** Every census update bumps a counter, so a line was
+         *  censused exactly when one of them is nonzero. */
+        bool
+        recorded() const
+        {
+            return transitions != 0 || invs != 0 || spills != 0;
+        }
     };
 
-    /** Per-line census for every home line this directory touched
-     *  (std::map: deterministic address order for reports). */
-    const std::map<Addr, LineCensus> &lineCensus() const
+    /** The census of home line @p line_addr; nullptr when the line is
+     *  not homed here or was never censused. */
+    const LineCensus *lineCensus(Addr line_addr) const;
+
+    /** Call @p fn(line_addr, census) for every censused home line, in
+     *  ascending address order (what the reports list at ties). */
+    template <typename Fn>
+    void
+    forEachLineCensus(Fn &&fn) const
     {
-        return census;
+        slots.forEachResidentPage(
+            [&](size_t first, const uint32_t *page, size_t count) {
+                for (size_t i = 0; i < count; ++i) {
+                    if (page[i] == 0)
+                        continue;
+                    const LineCensus &c = entries[page[i] - 1].census;
+                    if (c.recorded())
+                        fn(Addr(firstHomeLine + first + i), c);
+                }
+            });
     }
+
+    /** Directory pages materialised so far (one per home memory
+     *  page that saw a coherence message). */
+    size_t residentDirectoryPages() const { return slots.residentPages(); }
 
     stats::Scalar statLocalMisses;
     stats::Scalar statRemoteMisses;
@@ -190,26 +216,39 @@ class Controller : public MemPort, public stats::Group
     stats::Formula statInboxDepth;
 
   private:
-    /** Directory entry for one home line. */
+    /** A home request (ReadReq/WriteReq) as the directory keeps it
+     *  while its line is busy: the fields the protocol still reads. */
+    struct Request
+    {
+        uint64_t txn = 0;
+        uint32_t requester = 0;
+        MsgType type = MsgType::ReadReq;
+    };
+
+    /** Directory entry for one home line. Nothing in it allocates
+     *  until the line has a sharer or a parked request. */
     struct DirEntry
     {
         /// What the in-progress transaction is waiting on.
         enum class Wait : uint8_t { None, Acks, Data };
 
         DirState state = DirState::Uncached;
-        /// The exact sharer set. Under LimitedPtr the first
-        /// (size() - spilled) members occupy hardware pointers and the
-        /// rest live in the software table; the set itself is always
-        /// precise, so the schemes differ in timing only.
-        std::set<uint32_t> sharers;
+        Wait wait = Wait::None;
+        bool busy = false;          ///< transaction in progress
         /// LimitedPtr: sharers resident in the software spill table.
         uint32_t spilled = 0;
         uint32_t owner = 0;
-        bool busy = false;          ///< transaction in progress
-        Wait wait = Wait::None;
         uint32_t pendingAcks = 0;
-        Message pendingReq;
-        std::deque<Message> waiting;
+        Request pendingReq;
+        /// The exact sharer set, ascending (invalidations go out in
+        /// this order). Under LimitedPtr the first (size() - spilled)
+        /// members occupy hardware pointers and the rest live in the
+        /// software table; the set itself is always precise, so the
+        /// schemes differ in timing only.
+        std::vector<uint32_t> sharers;
+        /// Requests parked behind the busy line, oldest first.
+        std::vector<Request> waiting;
+        LineCensus census;
     };
 
     /** Outstanding processor transaction (one per task frame). */
@@ -253,16 +292,20 @@ class Controller : public MemPort, public stats::Group
     /** Record a directory transition event (old state -> current);
      *  @p cause is the message type that drove it (the conformance
      *  listener checks (old, cause) -> new against the spec). */
-    void recordTransition(const DirEntry &e, DirState old_state,
+    void recordTransition(DirEntry &e, DirState old_state,
                           Addr line_addr, uint32_t requester,
                           MsgType cause);
 
+    /** The directory entry of home line @p line_addr. */
+    DirEntry &dirEntry(Addr line_addr);
+
     void handleMessage(const Message &msg);
-    void handleHomeRequest(const Message &msg, DirEntry &e);
+    void handleHomeRequest(Addr line_addr, const Request &req,
+                           DirEntry &e);
     /** Finish the parked request; @p cause is the message completing
      *  it (InvAck, WbData or WbEmpty). */
     void completePending(Addr line_addr, DirEntry &e, MsgType cause);
-    void drainWaiting(Addr line_addr);
+    void drainWaiting(Addr line_addr, DirEntry &e);
     void fill(const Message &msg);
     /** Schedule reply + unpend marker behind the memory access (plus
      *  @p extra software spill-handler cycles, 0 under FullMap).
@@ -296,9 +339,19 @@ class Controller : public MemPort, public stats::Group
     Processor *proc = nullptr;
     cache::Cache _cache;
 
-    std::map<Addr, DirEntry> directory;
+    /// The first line homed here; `slots` is indexed by line address
+    /// minus this.
+    Addr firstHomeLine;
+    /// Per home line: 1 + the index of its entry in `entries`, or 0
+    /// until the line's first coherence message. Paged like the memory
+    /// image; a page covers the lines of one memory page.
+    PagedArray<uint32_t> slots;
+    /// The entry of every touched home line, in first-touch order. A
+    /// run touches a sparse quarter of each resident page's lines, so
+    /// entries are not stored in the pages themselves; a deque keeps
+    /// references valid as it grows.
+    std::deque<DirEntry> entries;
     std::vector<Mshr> mshrs;
-    std::map<Addr, LineCensus> census;
     uint64_t txnSeq = 0;        ///< per-node transaction sequence
 
     struct Delayed

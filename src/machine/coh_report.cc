@@ -145,8 +145,10 @@ gather(AlewifeMachine &m, const CohReportOptions &opts)
         d.overflowTraps += uint64_t(c.statOverflowTraps.value());
         d.spilledPtrs += uint64_t(c.statSpilledPtrs.value());
         d.spillWalks += uint64_t(c.statSpillWalks.value());
-        for (const auto &[line, census] : c.lineCensus())
-            lines.push_back({line, n, census});
+        c.forEachLineCensus(
+            [&](Addr line, const coh::Controller::LineCensus &census) {
+                lines.push_back({line, n, census});
+            });
     }
 
     d.hottest = lines;

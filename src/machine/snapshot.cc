@@ -73,7 +73,7 @@ foldDirtyLines(AlewifeMachine &m, MachineSnapshot &s)
                 s.coherenceErrors.push_back(os.str());
                 continue;
             }
-            for (uint32_t k = 0; k < line.words.size(); ++k) {
+            for (uint32_t k = 0; k < cache.lineWords(); ++k) {
                 Addr a = line.lineAddr * cache.lineWords() + k;
                 if (a < s.memory.size())
                     s.memory[a] = line.words[k];
@@ -93,7 +93,7 @@ foldDirtyLines(AlewifeMachine &m, MachineSnapshot &s)
                 s.coherenceErrors.push_back(os.str());
                 continue;
             }
-            for (uint32_t k = 0; k < line.words.size(); ++k) {
+            for (uint32_t k = 0; k < cache.lineWords(); ++k) {
                 Addr a = line.lineAddr * cache.lineWords() + k;
                 if (a >= s.memory.size())
                     continue;

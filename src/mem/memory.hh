@@ -7,14 +7,14 @@
  * a full/empty synchronization bit (Section 3.3). The home node of a
  * word is determined by its address (contiguous per-node segments).
  *
- * The image is paged and materialised lazily. A run touches a small
- * part of its memory (node blocks, queues, the bump-allocated heap),
- * so pages of up to 4096 words are allocated on the first mutable
- * access to one of their words; an absent page reads as data 0, full,
- * which is what a fresh word holds. Pages never straddle two nodes'
- * home ranges: a page is only ever created by its home node, which
- * keeps the sharded engine race-free without atomics (DESIGN.md
- * §7.11).
+ * The image is a PagedArray, materialised lazily. A run touches a
+ * small part of its memory (node blocks, queues, the bump-allocated
+ * heap), so pages of up to 4096 words are allocated on the first
+ * mutable access to one of their words; an absent page reads as data
+ * 0, full, which is what a fresh word holds. Pages never straddle two
+ * nodes' home ranges: a page is only ever created by its home node,
+ * which keeps the sharded engine race-free without atomics
+ * (DESIGN.md §7.11).
  *
  * This class is purely functional state — timing (cache hits, network
  * latency, directory protocol) is layered on top by the cache,
@@ -27,11 +27,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "common/logging.hh"
 #include "isa/types.hh"
+#include "mem/paged_array.hh"
 
 namespace april
 {
@@ -50,12 +49,11 @@ class SharedMemory
     explicit SharedMemory(const MemoryParams &params)
         : _params(params),
           _sizeWords(size_t(params.numNodes) * params.wordsPerNode),
-          // The page size divides wordsPerNode, so a >> pageShift
-          // indexes the table per node: no page spans two homes.
-          pageShift(std::min<unsigned>(
-              maxPageShift, std::countr_zero(params.wordsPerNode))),
-          pageMask((Addr(1) << pageShift) - 1),
-          pages(_sizeWords >> pageShift)
+          // The page size divides wordsPerNode: no page spans two
+          // homes.
+          pages(_sizeWords,
+                std::min<unsigned>(maxPageShift,
+                                   std::countr_zero(params.wordsPerNode)))
     {
         if (params.numNodes == 0 || params.wordsPerNode == 0)
             fatal("SharedMemory: zero-sized configuration");
@@ -85,21 +83,14 @@ class SharedMemory
      * Mutable access to a word (data + f/e bit). Materialises the
      * word's page on first use.
      */
-    MemWord &
-    word(Addr a)
-    {
-        std::unique_ptr<MemWord[]> &page = pages[checkAddr(a) >> pageShift];
-        if (!page) [[unlikely]]
-            page = std::make_unique<MemWord[]>(pageMask + 1);
-        return page[a & pageMask];
-    }
+    MemWord &word(Addr a) { return pages[checkAddr(a)]; }
 
     /** Read-only access; an absent page reads as a fresh word. */
     const MemWord &
     word(Addr a) const
     {
-        const MemWord *page = pages[checkAddr(a) >> pageShift].get();
-        return page ? page[a & pageMask] : absentWord;
+        const MemWord *w = pages.find(checkAddr(a));
+        return w ? *w : absentWord;
     }
 
     // Convenience accessors used by the runtime and by tests.
@@ -125,13 +116,11 @@ class SharedMemory
         w.full = full;
     }
 
+    /** Words per page (a power of two dividing wordsPerNode). */
+    size_t pageWords() const { return pages.pageSize(); }
+
     /** @return the number of pages materialised so far. */
-    size_t
-    residentPages() const
-    {
-        return size_t(std::count_if(pages.begin(), pages.end(),
-                                    [](const auto &p) { return bool(p); }));
-    }
+    size_t residentPages() const { return pages.residentPages(); }
 
     /**
      * Call @p fn(base, words, count) for every resident page in
@@ -141,10 +130,7 @@ class SharedMemory
     void
     forEachResidentPage(Fn &&fn) const
     {
-        for (size_t i = 0; i < pages.size(); ++i) {
-            if (pages[i])
-                fn(Addr(i << pageShift), pages[i].get(), pageMask + 1);
-        }
+        pages.forEachResidentPage(fn);
     }
 
   private:
@@ -163,9 +149,7 @@ class SharedMemory
 
     MemoryParams _params;
     size_t _sizeWords;
-    unsigned pageShift;
-    Addr pageMask;
-    std::vector<std::unique_ptr<MemWord[]>> pages;
+    PagedArray<MemWord> pages;
 };
 
 } // namespace april

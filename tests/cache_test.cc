@@ -71,12 +71,46 @@ TEST(Cache, VictimCarriesDataAndState)
     c.use(l);
     CacheLine *l6 = c.allocate(6, &v);  // same set, second way
     l6->state = LineState::Shared;
-    c.allocate(10, &v);    // now one of them goes
+    c.allocate(10, &v);    // line 2 is the LRU way: it goes
     ASSERT_TRUE(v.valid);
-    if (v.lineAddr == 2) {
-        EXPECT_EQ(v.state, LineState::Modified);
-        EXPECT_EQ(v.words[3].data, 0xABCDu);
-        EXPECT_FALSE(v.words[3].full);
+    ASSERT_EQ(v.lineAddr, 2u);
+    EXPECT_EQ(v.state, LineState::Modified);
+    EXPECT_EQ(v.words[3].data, 0xABCDu);
+    EXPECT_FALSE(v.words[3].full);
+}
+
+/** A victim owns its words: refilling the frame it left, which is the
+ *  same slice of the cache's word array, must not change them, and no
+ *  frame's words overlap its neighbour's. */
+TEST(Cache, VictimSurvivesRefillOfItsFrame)
+{
+    for (uint32_t lw : {1u, 4u, 8u}) {
+        SCOPED_TRACE(lw);
+        Cache c({.lineWords = lw, .numLines = 2, .assoc = 1});
+        Victim v;
+        CacheLine *first = c.allocate(0, &v);       // set 0
+        CacheLine *neighbour = c.allocate(1, &v);   // set 1
+        for (uint32_t k = 0; k < lw; ++k) {
+            first->words[k] = {Word(100 + k), k % 2 == 0};
+            neighbour->words[k] = {Word(200 + k), true};
+        }
+        first->state = LineState::Modified;
+        neighbour->state = LineState::Shared;
+
+        CacheLine *refill = c.allocate(2, &v);      // set 0 again
+        ASSERT_TRUE(v.valid);
+        ASSERT_EQ(v.lineAddr, 0u);
+        EXPECT_EQ(refill, first);
+        for (uint32_t k = 0; k < lw; ++k)
+            refill->words[k] = {Word(300 + k), false};
+
+        ASSERT_EQ(v.words.size(), lw);
+        for (uint32_t k = 0; k < lw; ++k) {
+            EXPECT_EQ(v.words[k].data, 100 + k);
+            EXPECT_EQ(v.words[k].full, k % 2 == 0);
+            EXPECT_EQ(neighbour->words[k].data, 200 + k);
+            EXPECT_TRUE(neighbour->words[k].full);
+        }
     }
 }
 

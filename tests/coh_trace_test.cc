@@ -154,10 +154,10 @@ TEST(CohTrace, SpanCausalityOnSharingWorkload)
     EXPECT_GE(home.statDirTransitions[shared_to_excl].value(), 1.0);
 
     Addr line = kShared / 4;
-    auto it = home.lineCensus().find(line);
-    ASSERT_NE(it, home.lineCensus().end());
-    EXPECT_EQ(it->second.maxSharers, kSharers);
-    EXPECT_EQ(it->second.invs, kSharers);
+    const coh::Controller::LineCensus *census = home.lineCensus(line);
+    ASSERT_NE(census, nullptr);
+    EXPECT_EQ(census->maxSharers, kSharers);
+    EXPECT_EQ(census->invs, kSharers);
 
     // Network telemetry accounted each invalidation leg: at least
     // the three kShared invalidations crossed the network, and every

@@ -530,6 +530,35 @@ struct DirectedRig
     }
 };
 
+/** The directory pages in on first touch: fresh controllers hold no
+ *  directory page, and one remote read materialises exactly one, at
+ *  the line's home. */
+TEST(CoherenceDirected, RemoteReadMaterialisesOneDirectoryPage)
+{
+    using coh::MsgType;
+    constexpr Addr kW = 2 * (1u << 12) + 8;     // a word homed on node 2
+    DirectedRig rig;
+    for (const auto &c : rig.ctrls)
+        EXPECT_EQ(c->residentDirectoryPages(), 0u);
+
+    MemAccess req;
+    req.addr = kW;
+    req.op = MemOp::Load;
+    EXPECT_EQ(rig.ctrls[1]->access(req).kind, MemResult::Kind::Retry);
+    rig.settle();
+    rig.deliver(MsgType::ReadReq, 2);
+    rig.deliver(MsgType::ReadReply, 1);
+    EXPECT_TRUE(rig.ctrls[1]->fillReady(0));
+
+    EXPECT_EQ(rig.ctrls[0]->residentDirectoryPages(), 0u);
+    EXPECT_EQ(rig.ctrls[1]->residentDirectoryPages(), 0u);
+    EXPECT_EQ(rig.ctrls[2]->residentDirectoryPages(), 1u);
+    const auto *census = rig.ctrls[2]->lineCensus(kW / 4);
+    ASSERT_NE(census, nullptr);
+    EXPECT_EQ(census->transitions, 1u);
+    EXPECT_EQ(rig.ctrls[1]->lineCensus(kW / 4), nullptr);
+}
+
 TEST(CoherenceDirected, StaleWbEmptyCannotCompleteALaterRecall)
 {
     using coh::MsgType;

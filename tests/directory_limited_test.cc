@@ -76,10 +76,10 @@ TEST(DirectoryLimited, OverflowTrapFiresAndSpillPreservesCoherence)
 
     // The census recorded both the spill and the full sharer width.
     Addr line = w.shared / kLineWords;
-    auto it = home.lineCensus().find(line);
-    ASSERT_NE(it, home.lineCensus().end());
-    EXPECT_GE(it->second.spills, uint64_t(1));
-    EXPECT_EQ(it->second.maxSharers, 16u);
+    const coh::Controller::LineCensus *census = home.lineCensus(line);
+    ASSERT_NE(census, nullptr);
+    EXPECT_GE(census->spills, uint64_t(1));
+    EXPECT_EQ(census->maxSharers, 16u);
 
     // The invalidation storm stayed balanced under the spill walk.
     EXPECT_GE(uint64_t(home.statInvSent.value()), 15u);
@@ -88,7 +88,8 @@ TEST(DirectoryLimited, OverflowTrapFiresAndSpillPreservesCoherence)
     // The full-map oracle never traps...
     coh::Controller &ref = fullmap->controller(0);
     EXPECT_EQ(ref.statOverflowTraps.value(), 0.0);
-    EXPECT_EQ(ref.lineCensus().find(line)->second.spills, uint64_t(0));
+    ASSERT_NE(ref.lineCensus(line), nullptr);
+    EXPECT_EQ(ref.lineCensus(line)->spills, uint64_t(0));
 
     // ...and the two schemes finish architecturally identical: same
     // console, same memory image, same registers. Only timing moved.
@@ -255,10 +256,10 @@ TEST(DirectoryLimited, EvictReacquireRoundTrip)
     coh::Controller &home = limited->controller(0);
     EXPECT_GE(home.statOverflowTraps.value(), 1.0);
     Addr line = kShared / kLineWords;
-    auto it = home.lineCensus().find(line);
-    ASSERT_NE(it, home.lineCensus().end());
-    EXPECT_GE(it->second.spills, uint64_t(1));
-    EXPECT_EQ(it->second.maxSharers, 3u);
+    const coh::Controller::LineCensus *census = home.lineCensus(line);
+    ASSERT_NE(census, nullptr);
+    EXPECT_GE(census->spills, uint64_t(1));
+    EXPECT_EQ(census->maxSharers, 3u);
 
     // The storm targeted stale (flushed) sharers too; every
     // invalidation was still acknowledged.

@@ -13,8 +13,10 @@
 
 #include "common/digest.hh"
 #include "machine/alewife_machine.hh"
+#include "machine/coh_report.hh"
 #include "machine/driver.hh"
 #include "machine/perfect_machine.hh"
+#include "machine/workload.hh"
 #include "mult/compiler.hh"
 #include "workloads/workloads.hh"
 
@@ -128,9 +130,12 @@ digestOf(const std::string &s)
 /**
  * The bytes of every report a fib run writes are pinned: the stats
  * JSON (which also fixes the order stats and groups register in),
- * the profile JSON, the Chrome trace and the task JSON. A change to
- * any of them must update these values on purpose. ALEWIFE is
- * checked at one and at four host threads, which must agree.
+ * the profile JSON, the Chrome trace and the task JSON, plus the
+ * coherence report JSON (whose census lists follow the directory's
+ * address order at ties), the transaction log and the stats of a
+ * limited-directory run wider than 64 nodes. A change to any of them
+ * must update these values on purpose. ALEWIFE is checked at one and
+ * at four host threads, which must agree.
  */
 TEST(MachineStats, OutputDigestsArePinned)
 {
@@ -163,6 +168,42 @@ TEST(MachineStats, OutputDigestsArePinned)
     expectPinned(run(false, 1), perfect, "perfect 4 nodes");
     expectPinned(run(true, 1), alewife, "2x2 ALEWIFE 1 thread");
     expectPinned(run(true, 4), alewife, "2x2 ALEWIFE 4 threads");
+
+    // Runs @p spec to its halt and returns the machine for reporting.
+    auto runSpec = [](const std::string &spec, uint32_t threads,
+                      coh::DirScheme scheme) {
+        workloads::Workload w = workloads::fromSpec(spec);
+        w.options.hostThreads = threads;
+        w.options.cohTrace = true;
+        w.options.dirScheme = scheme;
+        std::unique_ptr<Machine> m =
+            makeMachine(w.prog, w.options, w.boot);
+        m->run(w.options.maxCycles);
+        EXPECT_TRUE(m->halted()) << spec;
+        EXPECT_EQ(w.answer(*m), w.expected) << spec;
+        return m;
+    };
+    for (uint32_t threads : {1u, 4u}) {
+        std::unique_ptr<Machine> m =
+            runSpec("fib:8", threads, coh::DirScheme::FullMap);
+        std::ostringstream report, txns;
+        writeCohReportJson(report, dynamic_cast<AlewifeMachine &>(*m));
+        m->writeCohTrace(txns);
+        std::string what = std::to_string(threads) + " thread(s)";
+        EXPECT_EQ(digestOf(report.str()), 0xa90682ec4f250b7aull)
+            << what << " coherence report JSON";
+        EXPECT_EQ(digestOf(txns.str()), 0x630f91e10308a0c1ull)
+            << what << " transaction log";
+    }
+    std::unique_ptr<Machine> wide =
+        runSpec("wide:81", 1, coh::DirScheme::LimitedPtr);
+    auto &limited = dynamic_cast<AlewifeMachine &>(*wide);
+    EXPECT_GT(limited.controller(0).statOverflowTraps.value(), 0.0)
+        << "the storm must overflow the pointer array";
+    std::ostringstream wideStats;
+    wide->dumpJson(wideStats);
+    EXPECT_EQ(digestOf(wideStats.str()), 0x997554360dc2cf99ull)
+        << "LimitedPtr wide:81 stats JSON";
 }
 
 } // namespace

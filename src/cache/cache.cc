@@ -1,5 +1,8 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/bits.hh"
 #include "common/debug.hh"
 #include "common/logging.hh"
@@ -7,23 +10,53 @@
 namespace april::cache
 {
 
+namespace
+{
+
+/** @p p, once its geometry is known to be usable. */
+const CacheParams &
+checked(const CacheParams &p)
+{
+    if (p.lineWords == 0)
+        fatal("Cache: lineWords must be positive");
+    if (!isPowerOf2(p.assoc))
+        fatal("Cache: assoc must be a power of two");
+    if (p.numLines % p.assoc != 0)
+        fatal("Cache: numLines must be a multiple of assoc");
+    if (!isPowerOf2(p.numLines / p.assoc))
+        fatal("Cache: number of sets must be a power of two");
+    return p;
+}
+
+/** log2 of the frames per page: 8 whole sets, or every set of a
+ *  smaller cache. */
+unsigned
+framePageShift(const CacheParams &p)
+{
+    return std::min(3u, log2i(p.numLines / p.assoc)) + log2i(p.assoc);
+}
+
+/** log2 of the words per page: room for a page of frames' words, each
+ *  frame's lineWords rounded up to a power of two for the shift. */
+unsigned
+wordPageShift(const CacheParams &p)
+{
+    return framePageShift(p) + unsigned(std::bit_width(p.lineWords - 1));
+}
+
+} // namespace
+
 Cache::Cache(const CacheParams &p, stats::Group *parent)
     : stats::Group("cache", parent),
       statHits(this, "hits", "lookup hits"),
       statMisses(this, "misses", "lookup misses"),
       statEvictions(this, "evictions", "capacity/conflict evictions"),
       statInvalidations(this, "invalidations", "coherence invalidations"),
-      params(p)
-{
-    if (p.assoc == 0 || p.numLines % p.assoc != 0)
-        fatal("Cache: numLines must be a multiple of assoc");
-    if (!isPowerOf2(p.numLines / p.assoc))
-        fatal("Cache: number of sets must be a power of two");
-    wordStore.resize(size_t(p.numLines) * p.lineWords);
-    lines.resize(p.numLines);
-    for (size_t i = 0; i < lines.size(); ++i)
-        lines[i].words = wordStore.data() + i * p.lineWords;
-}
+      params(checked(p)),
+      frames(p.numLines, framePageShift(p)),
+      words((size_t(p.numLines) >> framePageShift(p)) << wordPageShift(p),
+            wordPageShift(p))
+{}
 
 size_t
 Cache::setBase(Addr line_addr) const
@@ -32,11 +65,26 @@ Cache::setBase(Addr line_addr) const
 }
 
 CacheLine *
+Cache::fillableSet(size_t base)
+{
+    if (CacheLine *set = frames.find(base)) [[likely]]
+        return set;
+    size_t first = base & ~(frames.pageSize() - 1);
+    CacheLine *page = &frames[first];
+    MemWord *store = &words[first / frames.pageSize() * words.pageSize()];
+    for (size_t i = 0; i < frames.pageSize(); ++i)
+        page[i].words = store + i * params.lineWords;
+    return page + (base - first);
+}
+
+CacheLine *
 Cache::find(Addr line_addr)
 {
-    size_t base = setBase(line_addr);
+    CacheLine *set = frames.find(setBase(line_addr));
+    if (!set)
+        return nullptr;
     for (uint32_t w = 0; w < params.assoc; ++w) {
-        CacheLine &l = lines[base + w];
+        CacheLine &l = set[w];
         if (l.state != LineState::Invalid && l.lineAddr == line_addr)
             return &l;
     }
@@ -57,10 +105,10 @@ Cache::lookup(Addr line_addr)
 CacheLine *
 Cache::allocate(Addr line_addr, Victim *victim)
 {
-    size_t base = setBase(line_addr);
+    CacheLine *set = fillableSet(setBase(line_addr));
     CacheLine *pick = nullptr;
     for (uint32_t w = 0; w < params.assoc; ++w) {
-        CacheLine &l = lines[base + w];
+        CacheLine &l = set[w];
         if (l.state == LineState::Invalid) {
             pick = &l;
             break;
@@ -91,9 +139,11 @@ Cache::allocate(Addr line_addr, Victim *victim)
 void
 Cache::invalidate(Addr line_addr)
 {
-    size_t base = setBase(line_addr);
+    CacheLine *set = frames.find(setBase(line_addr));
+    if (!set)
+        return;
     for (uint32_t w = 0; w < params.assoc; ++w) {
-        CacheLine &l = lines[base + w];
+        CacheLine &l = set[w];
         if (l.state != LineState::Invalid && l.lineAddr == line_addr) {
             l.state = LineState::Invalid;
             ++statInvalidations;

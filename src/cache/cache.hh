@@ -8,6 +8,12 @@
  * Line states follow the directory protocol: Invalid, Shared
  * (read-only), Modified (exclusive, dirty). The Table 4 default
  * geometry is 64 KB of 16-byte (4-word) blocks.
+ *
+ * Storage is paged: a page holds the frames of a power-of-two number
+ * of whole sets (8 when the cache has that many) and their words, and
+ * it is materialised by the first fill of one of its sets. An absent
+ * page stands for frames that are all Invalid, so lookups never
+ * allocate, and a run pays only for the sets it fills.
  */
 
 #ifndef APRIL_CACHE_CACHE_HH
@@ -18,6 +24,7 @@
 
 #include "common/stats.hh"
 #include "isa/types.hh"
+#include "mem/paged_array.hh"
 
 namespace april::cache
 {
@@ -42,7 +49,7 @@ struct CacheLine
 {
     Addr lineAddr = 0;          ///< line-granular address (addr/words)
     LineState state = LineState::Invalid;
-    /// The frame's lineWords() words, in the cache's one word array.
+    /// The frame's lineWords() words, on its page's word array.
     MemWord *words = nullptr;
     uint64_t lastUse = 0;
 };
@@ -92,10 +99,26 @@ class Cache : public stats::Group
     void use(CacheLine *line) { line->lastUse = ++useClock; }
 
     /**
-     * Every line frame (including Invalid ones), for whole-machine
-     * snapshots that must fold dirty lines over the memory image.
+     * Call @p fn(frame) for every frame of every resident page
+     * (Invalid ones included) in ascending frame order, for
+     * whole-machine snapshots that must fold dirty lines over the
+     * memory image. Frames of absent pages are all Invalid.
      */
-    const std::vector<CacheLine> &allLines() const { return lines; }
+    template <typename Fn>
+    void
+    forEachFrame(Fn &&fn) const
+    {
+        frames.forEachResidentPage(
+            [&](size_t, const CacheLine *page, size_t count) {
+                for (size_t i = 0; i < count; ++i)
+                    fn(page[i]);
+            });
+    }
+
+    /** @return the number of pages materialised so far. */
+    size_t residentPages() const { return frames.residentPages(); }
+    /** @return the number of pages the cache's frames span. */
+    size_t numPages() const { return params.numLines / frames.pageSize(); }
 
     stats::Scalar statHits;
     stats::Scalar statMisses;
@@ -105,12 +128,14 @@ class Cache : public stats::Group
   private:
     uint32_t numSets() const { return params.numLines / params.assoc; }
     size_t setBase(Addr line_addr) const;
+    /** The set's first frame, materialising its page on first use. */
+    CacheLine *fillableSet(size_t base);
 
     CacheParams params;
-    /// Every frame's words: frame i owns lineWords of them from
-    /// i * lineWords.
-    std::vector<MemWord> wordStore;
-    std::vector<CacheLine> lines;
+    PagedArray<CacheLine> frames;
+    /// Page p of `frames` keeps its frames' words on page p here, frame
+    /// after frame, lineWords each.
+    PagedArray<MemWord> words;
     uint64_t useClock = 0;
 };
 

@@ -61,9 +61,9 @@ foldDirtyLines(AlewifeMachine &m, MachineSnapshot &s)
     std::map<Addr, uint32_t> modifiedBy;
     for (uint32_t n = 0; n < m.numNodes(); ++n) {
         const cache::Cache &cache = m.controller(n).cacheRef();
-        for (const cache::CacheLine &line : cache.allLines()) {
+        cache.forEachFrame([&](const cache::CacheLine &line) {
             if (line.state != cache::LineState::Modified)
-                continue;
+                return;
             auto [it, fresh] = modifiedBy.emplace(line.lineAddr, n);
             if (!fresh) {
                 std::ostringstream os;
@@ -71,27 +71,27 @@ foldDirtyLines(AlewifeMachine &m, MachineSnapshot &s)
                    << " Modified on both node " << it->second
                    << " and node " << n;
                 s.coherenceErrors.push_back(os.str());
-                continue;
+                return;
             }
             for (uint32_t k = 0; k < cache.lineWords(); ++k) {
                 Addr a = line.lineAddr * cache.lineWords() + k;
                 if (a < s.memory.size())
                     s.memory[a] = line.words[k];
             }
-        }
+        });
     }
     for (uint32_t n = 0; n < m.numNodes(); ++n) {
         const cache::Cache &cache = m.controller(n).cacheRef();
-        for (const cache::CacheLine &line : cache.allLines()) {
+        cache.forEachFrame([&](const cache::CacheLine &line) {
             if (line.state != cache::LineState::Shared)
-                continue;
+                return;
             if (modifiedBy.count(line.lineAddr)) {
                 std::ostringstream os;
                 os << "line " << line.lineAddr << " Shared on node "
                    << n << " while Modified on node "
                    << modifiedBy[line.lineAddr];
                 s.coherenceErrors.push_back(os.str());
-                continue;
+                return;
             }
             for (uint32_t k = 0; k < cache.lineWords(); ++k) {
                 Addr a = line.lineAddr * cache.lineWords() + k;
@@ -109,7 +109,7 @@ foldDirtyLines(AlewifeMachine &m, MachineSnapshot &s)
                     s.coherenceErrors.push_back(os.str());
                 }
             }
-        }
+        });
     }
 }
 

@@ -2,14 +2,15 @@
  * @file
  * A lazily paged array. The index space is cut into pages of
  * 2^pageShift elements, and a page is allocated, value-initialised,
- * on the first mutable access to one of its elements. An absent page
- * has no storage: const lookups report it as nullptr and the caller
+ * on the first operator[] access to one of its elements. An absent page
+ * has no storage: find() reports it as nullptr and the caller
  * supplies the default it stands for.
  *
- * The shared-memory image (one element per word) and each home's
- * coherence directory (one entry per line) page this way, because a
- * run touches a small part of either. Pages never move once made, so
- * element references stay valid while other pages materialise.
+ * The shared-memory image (one element per word), each home's
+ * coherence directory (one entry per line) and each cache (its frames
+ * and their words) page this way, because a run touches a small part
+ * of any of them. Pages never move once made, so element references
+ * stay valid while other pages materialise.
  */
 
 #ifndef APRIL_MEM_PAGED_ARRAY_HH
@@ -52,6 +53,14 @@ class PagedArray
     find(size_t i) const
     {
         const T *page = pages[i >> shift].get();
+        return page ? page + (i & mask) : nullptr;
+    }
+
+    /** find() for writing; an absent page stays absent. */
+    T *
+    find(size_t i)
+    {
+        T *page = pages[i >> shift].get();
         return page ? page + (i & mask) : nullptr;
     }
 

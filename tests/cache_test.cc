@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/cache.hh"
 #include "common/logging.hh"
 
@@ -146,6 +148,70 @@ TEST(Cache, BadGeometryIsFatal)
                  FatalError);
     EXPECT_THROW(Cache({.lineWords = 4, .numLines = 24, .assoc = 4}),
                  FatalError);
+    // A zero-word line would divide by zero in lineOf().
+    EXPECT_THROW(Cache({.lineWords = 0, .numLines = 8, .assoc = 2}),
+                 FatalError);
+    // A page holds whole sets, so the ways must be a power of two.
+    EXPECT_THROW(Cache({.lineWords = 4, .numLines = 12, .assoc = 3}),
+                 FatalError);
+    EXPECT_THROW(Cache({.lineWords = 4, .numLines = 8, .assoc = 0}),
+                 FatalError);
+}
+
+TEST(Cache, ConstructionLeavesNoPageResident)
+{
+    Cache c({.lineWords = 4, .numLines = 4096, .assoc = 4});
+    EXPECT_EQ(c.residentPages(), 0u);
+    EXPECT_EQ(c.numPages(), 128u);      // 8 sets of 4 frames per page
+    size_t frames = 0;
+    c.forEachFrame([&](const CacheLine &) { ++frames; });
+    EXPECT_EQ(frames, 0u);
+}
+
+TEST(Cache, AbsentLinesMaterialiseNothing)
+{
+    Cache c({.lineWords = 4, .numLines = 4096, .assoc = 4});
+    EXPECT_EQ(c.lookup(5), nullptr);
+    EXPECT_EQ(c.lookup(4000), nullptr);
+    EXPECT_EQ(c.find(5), nullptr);
+    c.invalidate(5);
+    EXPECT_EQ(c.residentPages(), 0u);
+    EXPECT_DOUBLE_EQ(c.statMisses.value(), 2.0);
+    EXPECT_DOUBLE_EQ(c.statHits.value(), 0.0);
+    EXPECT_DOUBLE_EQ(c.statInvalidations.value(), 0.0);
+}
+
+TEST(Cache, AllocateMaterialisesItsSetsPage)
+{
+    Cache c({.lineWords = 4, .numLines = 4096, .assoc = 4});
+    Victim v;
+    CacheLine *l = c.allocate(5, &v);   // set 5: page 0 (sets 0-7)
+    EXPECT_FALSE(v.valid);
+    EXPECT_EQ(c.residentPages(), 1u);
+    l->state = LineState::Shared;
+    c.allocate(7, &v);                  // set 7: the same page
+    c.allocate(5 + 1024, &v);           // set 5 again, another way
+    EXPECT_EQ(c.residentPages(), 1u);
+    EXPECT_EQ(c.lookup(9), nullptr);    // set 9: page 1, still absent
+    EXPECT_EQ(c.residentPages(), 1u);
+    c.allocate(9, &v);
+    EXPECT_EQ(c.residentPages(), 2u);
+
+    // A fresh page's frames are Invalid and never used, and frames
+    // come back in ascending order: pages 0 and 1, 32 frames each.
+    std::vector<const CacheLine *> seen;
+    c.forEachFrame([&](const CacheLine &f) { seen.push_back(&f); });
+    ASSERT_EQ(seen.size(), 64u);
+    size_t live = 0;
+    for (const CacheLine *f : seen) {
+        if (f->state == LineState::Invalid && f->lastUse == 0)
+            continue;
+        ++live;
+        EXPECT_TRUE(f->lineAddr == 5 || f->lineAddr == 7 ||
+                    f->lineAddr == 5 + 1024 || f->lineAddr == 9);
+    }
+    EXPECT_EQ(live, 4u);
+    EXPECT_EQ(seen[5 * 4], l);          // set 5, way 0
 }
 
 TEST(Cache, Table4Geometry)

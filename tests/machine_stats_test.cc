@@ -16,6 +16,7 @@
 #include "machine/coh_report.hh"
 #include "machine/driver.hh"
 #include "machine/perfect_machine.hh"
+#include "machine/snapshot.hh"
 #include "machine/workload.hh"
 #include "mult/compiler.hh"
 #include "workloads/workloads.hh"
@@ -204,6 +205,48 @@ TEST(MachineStats, OutputDigestsArePinned)
     wide->dumpJson(wideStats);
     EXPECT_EQ(digestOf(wideStats.str()), 0x997554360dc2cf99ull)
         << "LimitedPtr wide:81 stats JSON";
+}
+
+/**
+ * A 4x4 run of fib on the Table 4 cache. Its stats JSON and coherent
+ * memory image are pinned (values recorded while every cache was
+ * still built whole), so materialising cache storage on first fill
+ * cannot change a simulated byte. The machine starts with no cache
+ * page resident, and the run fills only some of them.
+ */
+TEST(MachineStats, Table4FibOn4x4IsPinned)
+{
+    workloads::Workload w = workloads::fromSpec("fib");
+    w.options.nodes = 16;
+    w.options.netRadix = 4;
+    w.options.wordsPerNode = 1u << 16;
+    std::unique_ptr<Machine> m = makeMachine(w.prog, w.options, w.boot);
+    auto &alewife = dynamic_cast<AlewifeMachine &>(*m);
+    auto residentCachePages = [&] {
+        size_t pages = 0;
+        for (uint32_t n = 0; n < alewife.numNodes(); ++n)
+            pages += alewife.controller(n).cacheRef().residentPages();
+        return pages;
+    };
+    EXPECT_EQ(residentCachePages(), 0u);
+    m->run(w.options.maxCycles);
+    ASSERT_TRUE(m->halted());
+    EXPECT_EQ(w.answer(*m), w.expected);
+
+    std::ostringstream stats;
+    m->dumpJson(stats);
+    MachineSnapshot snap = snapshotMachine(*m);
+    EXPECT_TRUE(snap.coherenceErrors.empty());
+    Digest memory;
+    for (const MemWord &word : snap.memory) {
+        memory.addWord(word.data);
+        memory.addByte(word.full);
+    }
+    EXPECT_EQ(digestOf(stats.str()), 0x6b7ea5dc1048a449ull) << "stats JSON";
+    EXPECT_EQ(memory.value(), 0xcf6ea960987db47dull) << "memory image";
+    const size_t pagesPerCache = alewife.controller(0).cacheRef().numPages();
+    EXPECT_GT(residentCachePages(), 0u);
+    EXPECT_LT(residentCachePages(), pagesPerCache * alewife.numNodes());
 }
 
 } // namespace

@@ -45,7 +45,7 @@ cyclesForAdd(Word value, bool resolved)
     PerfectMemPort port(&mem);
     SimpleIoPort io;
     Processor proc({}, &prog, &port, &io);
-    rt::Runtime::bootProcessor(proc, prog, mem, 0, 1);
+    rt::Runtime::bootProcessor(proc, rt::BootEntries::of(prog), mem, 0, 1);
     proc.setPcChain(prog.entry("bench$main"),
                     prog.entry("bench$main") + 1);
     proc.run(100000);

@@ -32,6 +32,27 @@ dirPageShift(const SharedMemory &mem, uint32_t line_words)
     return page > line ? page - line : 0;
 }
 
+/** dir<From>To<To> statistic text (old state x new state), built
+ *  once per process. */
+const std::vector<stats::FamilyText> &
+dirTransitionText()
+{
+    static const std::vector<stats::FamilyText> table = [] {
+        std::vector<stats::FamilyText> t;
+        for (size_t old_s = 0; old_s < kNumDirStates; ++old_s) {
+            for (size_t new_s = 0; new_s < kNumDirStates; ++new_s) {
+                const std::string from = dirStateName(DirState(old_s));
+                const std::string to = dirStateName(DirState(new_s));
+                t.push_back({"dir" + from + "To" + to,
+                             "directory transitions " + from + " -> " +
+                                 to});
+            }
+        }
+        return t;
+    }();
+    return table;
+}
+
 } // namespace
 
 Controller::Controller(const ControllerParams &p, uint32_t node_id,
@@ -73,16 +94,9 @@ Controller::Controller(const ControllerParams &p, uint32_t node_id,
             dirPageShift(*memory, p.cache.lineWords)),
       mshrs(num_frames)
 {
-    statDirTransitions.reserve(kNumDirStates * kNumDirStates);
-    for (size_t old_s = 0; old_s < kNumDirStates; ++old_s) {
-        for (size_t new_s = 0; new_s < kNumDirStates; ++new_s) {
-            std::string from = dirStateName(DirState(old_s));
-            std::string to = dirStateName(DirState(new_s));
-            statDirTransitions.emplace_back(
-                this, "dir" + from + "To" + to,
-                "directory transitions " + from + " -> " + to);
-        }
-    }
+    statDirTransitions.reserve(dirTransitionText().size());
+    for (const stats::FamilyText &t : dirTransitionText())
+        statDirTransitions.emplace_back(this, t.nameText(), t.descText());
 }
 
 uint32_t

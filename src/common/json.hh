@@ -15,15 +15,15 @@
 #include <cstdio>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 namespace april::json
 {
 
-/** Write @p s as a quoted, escaped JSON string. */
+/** Write @p s escaped for the inside of a JSON string, unquoted. */
 inline void
-writeString(std::ostream &os, const std::string &s)
+writeEscaped(std::ostream &os, std::string_view s)
 {
-    os << '"';
     for (char c : s) {
         switch (c) {
           case '"': os << "\\\""; break;
@@ -41,6 +41,14 @@ writeString(std::ostream &os, const std::string &s)
             }
         }
     }
+}
+
+/** Write @p s as a quoted, escaped JSON string. */
+inline void
+writeString(std::ostream &os, std::string_view s)
+{
+    os << '"';
+    writeEscaped(os, s);
     os << '"';
 }
 

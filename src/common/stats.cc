@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <iomanip>
 #include <limits>
 
@@ -11,27 +12,53 @@
 namespace april::stats
 {
 
-Info::Info(Group *parent, std::string name, std::string desc)
-    : _name(std::move(name)), _desc(std::move(desc))
+namespace
+{
+
+/** Width of the label column of a dump line. */
+constexpr size_t kLabelWidth = 44;
+
+/**
+ * Write @p prefix, @p name and @p suffix as one left-aligned label
+ * padded to kLabelWidth with the stream's fill character: the bytes
+ * `os << std::left << std::setw(44) << (prefix + name + suffix)`
+ * writes, without building the string. Leaves the stream
+ * right-aligned for the value that follows.
+ */
+void
+writeLabel(std::ostream &os, std::string_view prefix, std::string_view name,
+           std::string_view suffix = {})
+{
+    os.width(0);
+    os << prefix << name << suffix;
+    size_t len = prefix.size() + name.size() + suffix.size();
+    for (const char fill = os.fill(); len < kLabelWidth; ++len)
+        os.put(fill);
+    os << std::right;
+}
+
+} // namespace
+
+Info::Info(Group *parent, Text name, Text desc)
+    : _name(name.view()), _desc(desc.view())
 {
     if (parent)
         parent->addStat(this);
 }
 
 void
-Scalar::print(std::ostream &os, const std::string &prefix) const
+Scalar::print(std::ostream &os, std::string_view prefix) const
 {
-    os << std::left << std::setw(44) << (prefix + name())
-       << std::right << std::setw(14) << _value
-       << "  # " << desc() << "\n";
+    writeLabel(os, prefix, name());
+    os << std::setw(14) << _value << "  # " << desc() << "\n";
 }
 
 void
-Average::print(std::ostream &os, const std::string &prefix) const
+Average::print(std::ostream &os, std::string_view prefix) const
 {
-    os << std::left << std::setw(44) << (prefix + name())
-       << std::right << std::setw(14) << mean()
-       << "  # " << desc() << " (samples=" << _count << ")\n";
+    writeLabel(os, prefix, name());
+    os << std::setw(14) << mean() << "  # " << desc()
+       << " (samples=" << _count << ")\n";
 }
 
 void
@@ -56,10 +83,9 @@ Average::printJson(std::ostream &os) const
     os << ",\"count\":" << _count << "}";
 }
 
-Distribution::Distribution(Group *parent, std::string name, std::string desc,
-                           int64_t lo, int64_t hi, int64_t bucket_size)
-    : Info(parent, std::move(name), std::move(desc)),
-      _lo(lo), _hi(hi), _bucketSize(bucket_size)
+Distribution::Distribution(Group *parent, Text name, Text desc, int64_t lo,
+                           int64_t hi, int64_t bucket_size)
+    : Info(parent, name, desc), _lo(lo), _hi(hi), _bucketSize(bucket_size)
 {
     if (bucket_size <= 0 || hi <= lo)
         panic("Distribution ", this->name(), ": bad bucket spec");
@@ -88,29 +114,30 @@ Distribution::sample(int64_t v)
 }
 
 void
-Distribution::print(std::ostream &os, const std::string &prefix) const
+Distribution::print(std::ostream &os, std::string_view prefix) const
 {
-    os << std::left << std::setw(44) << (prefix + name())
-       << std::right << std::setw(14) << mean()
-       << "  # " << desc() << " (mean; samples=" << _count
+    writeLabel(os, prefix, name());
+    os << std::setw(14) << mean() << "  # " << desc()
+       << " (mean; samples=" << _count
        << " min=" << (_count ? _min : 0)
        << " max=" << (_count ? _max : 0) << ")\n";
     for (size_t i = 0; i < _buckets.size(); ++i) {
         if (!_buckets[i])
             continue;
-        int64_t b_lo = _lo + int64_t(i) * _bucketSize;
-        os << std::left << std::setw(44)
-           << (prefix + name() + "[" + std::to_string(b_lo) + ","
-               + std::to_string(b_lo + _bucketSize) + ")")
-           << std::right << std::setw(14) << _buckets[i] << "\n";
+        long long b_lo = _lo + int64_t(i) * _bucketSize;
+        char range[48];
+        std::snprintf(range, sizeof range, "[%lld,%lld)", b_lo,
+                      b_lo + _bucketSize);
+        writeLabel(os, prefix, name(), range);
+        os << std::setw(14) << _buckets[i] << "\n";
     }
     if (_underflow) {
-        os << std::left << std::setw(44) << (prefix + name() + "[under]")
-           << std::right << std::setw(14) << _underflow << "\n";
+        writeLabel(os, prefix, name(), "[under]");
+        os << std::setw(14) << _underflow << "\n";
     }
     if (_overflow) {
-        os << std::left << std::setw(44) << (prefix + name() + "[over]")
-           << std::right << std::setw(14) << _overflow << "\n";
+        writeLabel(os, prefix, name(), "[over]");
+        os << std::setw(14) << _overflow << "\n";
     }
 }
 
@@ -142,9 +169,9 @@ Distribution::reset()
     _max = std::numeric_limits<int64_t>::min();
 }
 
-Histogram::Histogram(Group *parent, std::string name, std::string desc,
+Histogram::Histogram(Group *parent, Text name, Text desc,
                      size_t num_buckets)
-    : Info(parent, std::move(name), std::move(desc))
+    : Info(parent, name, desc)
 {
     if (num_buckets < 2)
         panic("Histogram ", this->name(), ": need at least 2 buckets");
@@ -201,26 +228,27 @@ Histogram::sample(int64_t v)
 }
 
 void
-Histogram::print(std::ostream &os, const std::string &prefix) const
+Histogram::print(std::ostream &os, std::string_view prefix) const
 {
-    os << std::left << std::setw(44) << (prefix + name())
-       << std::right << std::setw(14) << mean()
-       << "  # " << desc() << " (mean; samples=" << _count
+    writeLabel(os, prefix, name());
+    os << std::setw(14) << mean() << "  # " << desc()
+       << " (mean; samples=" << _count
        << " min=" << (_count ? _min : 0)
        << " max=" << (_count ? _max : 0) << ")\n";
     for (size_t i = 0; i < _buckets.size(); ++i) {
         if (!_buckets[i])
             continue;
-        std::string range;
+        char range[48];
         if (i == 0)
-            range = "(-inf,1)";
+            std::snprintf(range, sizeof range, "(-inf,1)");
         else if (i == _buckets.size() - 1)
-            range = "[" + std::to_string(int64_t(1) << (i - 1)) + ",inf)";
+            std::snprintf(range, sizeof range, "[%lld,inf)",
+                          1LL << (i - 1));
         else
-            range = "[" + std::to_string(int64_t(1) << (i - 1)) + ","
-                    + std::to_string(int64_t(1) << i) + ")";
-        os << std::left << std::setw(44) << (prefix + name() + range)
-           << std::right << std::setw(14) << _buckets[i] << "\n";
+            std::snprintf(range, sizeof range, "[%lld,%lld)",
+                          1LL << (i - 1), 1LL << i);
+        writeLabel(os, prefix, name(), range);
+        os << std::setw(14) << _buckets[i] << "\n";
     }
 }
 
@@ -249,11 +277,10 @@ Histogram::reset()
 }
 
 void
-Formula::print(std::ostream &os, const std::string &prefix) const
+Formula::print(std::ostream &os, std::string_view prefix) const
 {
-    os << std::left << std::setw(44) << (prefix + name())
-       << std::right << std::setw(14) << value()
-       << "  # " << desc() << "\n";
+    writeLabel(os, prefix, name());
+    os << std::setw(14) << value() << "  # " << desc() << "\n";
 }
 
 void
@@ -287,11 +314,17 @@ Group::removeChild(Group *g)
 }
 
 void
-Group::dump(std::ostream &os, const std::string &prefix) const
+Group::dump(std::ostream &os, std::string_view prefix) const
 {
-    std::string here = prefix.empty() ? _name : prefix + "." + _name;
+    std::string here(prefix);
+    if (!here.empty())
+        here += '.';
+    here += _name;
+    const size_t path = here.size();
+    here += '.';
     for (const Info *info : _stats)
-        info->print(os, here + ".");
+        info->print(os, here);
+    here.resize(path);
     for (const Group *child : _children)
         child->dump(os, here);
 }
@@ -329,7 +362,7 @@ Group::dumpJson(std::ostream &os) const
 }
 
 const Info *
-Group::findStat(const std::string &name) const
+Group::findStat(std::string_view name) const
 {
     for (const Info *info : _stats) {
         if (info->name() == name)
@@ -339,7 +372,7 @@ Group::findStat(const std::string &name) const
 }
 
 const Group *
-Group::findGroup(const std::string &name) const
+Group::findGroup(std::string_view name) const
 {
     for (const Group *child : _children) {
         if (child->groupName() == name)
@@ -349,12 +382,12 @@ Group::findGroup(const std::string &name) const
 }
 
 const Info *
-Group::resolve(const std::string &path) const
+Group::resolve(std::string_view path) const
 {
     const Group *g = this;
     size_t pos = 0;
     size_t dot;
-    while ((dot = path.find('.', pos)) != std::string::npos) {
+    while ((dot = path.find('.', pos)) != std::string_view::npos) {
         g = g->findGroup(path.substr(pos, dot - pos));
         if (!g)
             return nullptr;

@@ -6,6 +6,11 @@
  * a description and knows how to print itself. Groups nest, so a
  * machine can dump one coherent report covering processors, caches,
  * directories and network routers.
+ *
+ * A statistic's name and description are static text (stats::Text):
+ * a literal, or an entry of a name table built once per process. A
+ * machine builds hundreds of statistics, and none of them copies its
+ * text (DESIGN.md §7.14).
  */
 
 #ifndef APRIL_COMMON_STATS_HH
@@ -15,6 +20,7 @@
 #include <functional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace april::stats
@@ -22,18 +28,53 @@ namespace april::stats
 
 class Group;
 
+/**
+ * The name or description of a statistic: a view of text that
+ * outlives every statistic, a literal or an entry of a table built
+ * once per process. Building one from a std::string is deleted, so a
+ * temporary can never become a dangling name.
+ */
+class Text
+{
+  public:
+    constexpr Text(const char *s) : _view(s) {}
+    constexpr Text(std::string_view s) : _view(s) {}
+    Text(const std::string &) = delete;
+
+    constexpr std::string_view view() const { return _view; }
+
+  private:
+    std::string_view _view;
+};
+
+/**
+ * Name and description of one statistic of a family (traps<Kind>,
+ * dir<From>To<To>, latency<Class>, ...). A family's table is built
+ * once per process, in a function-local static that never changes
+ * after its initialisation, and its statistics view the entries.
+ */
+struct FamilyText
+{
+    std::string name;
+    std::string desc;
+
+    Text nameText() const { return std::string_view(name); }
+    Text descText() const { return std::string_view(desc); }
+};
+
 /** Common interface of all statistics. */
 class Info
 {
   public:
-    Info(Group *parent, std::string name, std::string desc);
+    Info(Group *parent, Text name, Text desc);
     virtual ~Info() = default;
 
-    const std::string &name() const { return _name; }
-    const std::string &desc() const { return _desc; }
+    std::string_view name() const { return _name; }
+    std::string_view desc() const { return _desc; }
 
-    /** Print "name value # desc" style line(s). */
-    virtual void print(std::ostream &os, const std::string &prefix) const = 0;
+    /** Print "name value # desc" style line(s), each name after
+     *  @p prefix. */
+    virtual void print(std::ostream &os, std::string_view prefix) const = 0;
 
     /**
      * Emit this statistic's value as one JSON object
@@ -54,16 +95,15 @@ class Info
     virtual double summaryValue() const = 0;
 
   private:
-    std::string _name;
-    std::string _desc;
+    std::string_view _name;
+    std::string_view _desc;
 };
 
 /** A monotonically updated scalar counter / value. */
 class Scalar : public Info
 {
   public:
-    Scalar(Group *parent, std::string name, std::string desc)
-        : Info(parent, std::move(name), std::move(desc))
+    Scalar(Group *parent, Text name, Text desc) : Info(parent, name, desc)
     {}
 
     Scalar &operator++() { ++_value; return *this; }
@@ -72,7 +112,7 @@ class Scalar : public Info
 
     double value() const { return _value; }
 
-    void print(std::ostream &os, const std::string &prefix) const override;
+    void print(std::ostream &os, std::string_view prefix) const override;
     void printJson(std::ostream &os) const override;
     void reset() override { _value = 0; }
     double summaryValue() const override { return _value; }
@@ -85,8 +125,7 @@ class Scalar : public Info
 class Average : public Info
 {
   public:
-    Average(Group *parent, std::string name, std::string desc)
-        : Info(parent, std::move(name), std::move(desc))
+    Average(Group *parent, Text name, Text desc) : Info(parent, name, desc)
     {}
 
     /** Record one sample. */
@@ -109,7 +148,7 @@ class Average : public Info
     uint64_t count() const { return _count; }
     double sum() const { return _sum; }
 
-    void print(std::ostream &os, const std::string &prefix) const override;
+    void print(std::ostream &os, std::string_view prefix) const override;
     void printJson(std::ostream &os) const override;
     void reset() override { _sum = 0; _count = 0; }
     double summaryValue() const override { return mean(); }
@@ -128,8 +167,8 @@ class Distribution : public Info
      * @param hi highest bucketed value (exclusive)
      * @param bucket_size width of each bucket
      */
-    Distribution(Group *parent, std::string name, std::string desc,
-                 int64_t lo, int64_t hi, int64_t bucket_size);
+    Distribution(Group *parent, Text name, Text desc, int64_t lo,
+                 int64_t hi, int64_t bucket_size);
 
     void sample(int64_t v);
 
@@ -140,7 +179,7 @@ class Distribution : public Info
     uint64_t bucketCount(size_t i) const { return _buckets.at(i); }
     size_t numBuckets() const { return _buckets.size(); }
 
-    void print(std::ostream &os, const std::string &prefix) const override;
+    void print(std::ostream &os, std::string_view prefix) const override;
     void printJson(std::ostream &os) const override;
     void reset() override;
     double summaryValue() const override { return mean(); }
@@ -162,14 +201,14 @@ class Distribution : public Info
 class Formula : public Info
 {
   public:
-    Formula(Group *parent, std::string name, std::string desc,
+    Formula(Group *parent, Text name, Text desc,
             std::function<double()> fn)
-        : Info(parent, std::move(name), std::move(desc)), _fn(std::move(fn))
+        : Info(parent, name, desc), _fn(std::move(fn))
     {}
 
     double value() const { return _fn ? _fn() : 0.0; }
 
-    void print(std::ostream &os, const std::string &prefix) const override;
+    void print(std::ostream &os, std::string_view prefix) const override;
     void printJson(std::ostream &os) const override;
     void reset() override {}
     double summaryValue() const override { return value(); }
@@ -190,7 +229,7 @@ class Histogram : public Info
   public:
     static constexpr size_t kDefaultBuckets = 24;
 
-    Histogram(Group *parent, std::string name, std::string desc,
+    Histogram(Group *parent, Text name, Text desc,
               size_t num_buckets = kDefaultBuckets);
 
     void sample(int64_t v);
@@ -222,7 +261,7 @@ class Histogram : public Info
     uint64_t bucketCount(size_t i) const { return _buckets.at(i); }
     size_t numBuckets() const { return _buckets.size(); }
 
-    void print(std::ostream &os, const std::string &prefix) const override;
+    void print(std::ostream &os, std::string_view prefix) const override;
     void printJson(std::ostream &os) const override;
     void reset() override;
     double summaryValue() const override { return mean(); }
@@ -248,7 +287,7 @@ class Group
     const std::string &groupName() const { return _name; }
 
     /** Recursively print all statistics under this group. */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
+    void dump(std::ostream &os, std::string_view prefix = {}) const;
 
     /**
      * Emit the full hierarchical statistics tree as one JSON object:
@@ -261,10 +300,10 @@ class Group
     void resetStats();
 
     /** Look up a direct child statistic by name (nullptr if absent). */
-    const Info *findStat(const std::string &name) const;
+    const Info *findStat(std::string_view name) const;
 
     /** Look up a direct child group by name (nullptr if absent). */
-    const Group *findGroup(const std::string &name) const;
+    const Group *findGroup(std::string_view name) const;
 
     /**
      * Resolve a dotted path of child groups ending in a statistic,
@@ -273,7 +312,7 @@ class Group
      * without dots is equivalent to findStat(). @return nullptr when
      * any component is missing.
      */
-    const Info *resolve(const std::string &path) const;
+    const Info *resolve(std::string_view path) const;
 
     /** All statistics owned directly by this group, in creation order. */
     const std::vector<Info *> &statsList() const { return _stats; }

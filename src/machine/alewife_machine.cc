@@ -43,7 +43,7 @@ AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
               p, prog),
       ctrlParams_(p.controller),
       net_(p.network, this),
-      telemetry_(numNodes(), messageClassNames(), this, net_.maxHops())
+      telemetry_(numNodes(), messageClasses(), this, net_.maxHops())
 {
     uint32_t n = numNodes();
     uint32_t w = shardCount(p);
@@ -151,7 +151,7 @@ AlewifeMachine::shardTransmit(Shard &s, uint32_t to,
                               const coh::Message &msg, uint32_t flits)
 {
     net::Injection inj = net_.inject(msg.from, to, flits, s.cycle);
-    telemetry_.recordSend(msg.from, to, uint8_t(msg.type), flits);
+    telemetry_.recordSend(msg.from, uint8_t(msg.type));
     if (s.trace) {
         s.trace->record({s.cycle, msg.from, trace::EventKind::NetSend,
                          0, 0, to, flits});

@@ -97,6 +97,8 @@ Machine::Machine(const Shape &shape, const MachineParams &p,
           [this] { return double(task_.dropped()); })
 {
     debug::initFromEnv();
+    if (p.bootRuntime)
+        bootEntries_ = rt::BootEntries::of(*prog);
     if (p.traceEvents)
         trace_.open(p.capacity, shape.lanes);
     if (p.cohTrace && shape.coherent)
@@ -124,7 +126,7 @@ Machine::addNode(uint32_t n, MemPort *port, uint32_t lane,
     proc.setTraceRecorder(trace_.lane(lane));
     proc.setTaskProbe(taskProbes_.get(), task_.lane(lane));
     if (params_.bootRuntime)
-        rt::Runtime::bootProcessor(proc, *prog_, mem_, n, numNodes());
+        rt::Runtime::bootProcessor(proc, bootEntries_, mem_, n, numNodes());
     if (params_.profile) {
         samplers_.push_back(
             std::make_unique<profile::PcSampler>(params_.profilePeriod));

@@ -35,6 +35,7 @@
 #include "profile/interval.hh"
 #include "profile/pc_sampler.hh"
 #include "profile/report.hh"
+#include "runtime/runtime.hh"
 #include "task/task_trace.hh"
 
 namespace april
@@ -233,6 +234,8 @@ class Machine : public stats::Group
     class NodeIo;
 
     const Program *prog_;
+    /// The run-time system's entry points, when bootRuntime is set.
+    rt::BootEntries bootEntries_;
     std::unique_ptr<task::ProbeMap> taskProbes_;
     /// Plane overflow surfaced in stats JSON (Plane::dropped()).
     stats::Formula statTraceDropped;

@@ -8,9 +8,14 @@
 #ifndef APRIL_MACHINE_TRACE_CONFIG_HH
 #define APRIL_MACHINE_TRACE_CONFIG_HH
 
+#include <span>
+#include <string>
+#include <vector>
+
 #include "coherence/protocol.hh"
 #include "common/trace.hh"
 #include "isa/instruction.hh"
+#include "network/telemetry.hh"
 
 namespace april
 {
@@ -30,16 +35,20 @@ makeRecorderConfig(uint32_t num_nodes, uint32_t frames)
     return rc;
 }
 
-/** Message-class name table for net::Telemetry (one class per
- *  coherence MsgType; same injection idiom as the recorder config). */
-inline std::vector<std::string>
-messageClassNames()
+/** Message-class text for net::Telemetry (one class per coherence
+ *  MsgType; same injection idiom as the recorder config), built once
+ *  per process. */
+inline std::span<const net::ClassText>
+messageClasses()
 {
-    std::vector<std::string> names;
-    names.reserve(coh::kNumMsgTypes);
-    for (size_t t = 0; t < coh::kNumMsgTypes; ++t)
-        names.emplace_back(coh::msgTypeName(coh::MsgType(t)));
-    return names;
+    static const std::vector<net::ClassText> table = [] {
+        std::vector<std::string> names;
+        names.reserve(coh::kNumMsgTypes);
+        for (size_t t = 0; t < coh::kNumMsgTypes; ++t)
+            names.emplace_back(coh::msgTypeName(coh::MsgType(t)));
+        return net::Telemetry::classText(names);
+    }();
+    return table;
 }
 
 } // namespace april

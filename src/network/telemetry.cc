@@ -2,12 +2,62 @@
 
 #include <algorithm>
 #include <limits>
+#include <new>
 
 namespace april::net
 {
 
+namespace
+{
+
+constexpr size_t kBuckets = stats::Histogram::kDefaultBuckets;
+constexpr uint64_t kNoMin = uint64_t(std::numeric_limits<int64_t>::max());
+constexpr uint64_t kNoMax = uint64_t(std::numeric_limits<int64_t>::min());
+
+/** Hop distances the process-wide text table covers: every mesh in the
+ *  repository (a 32x32 mesh spans 62 hops). */
+constexpr size_t kNamedHops = 64;
+
+stats::FamilyText
+hopText(size_t h)
+{
+    const std::string hops = std::to_string(h);
+    return {"latencyHops" + hops,
+            "send-to-delivery cycles at hop distance " + hops};
+}
+
+/** latencyHops<h> statistic text, built once per process. */
+const std::vector<stats::FamilyText> &
+namedHopText()
+{
+    static const std::vector<stats::FamilyText> table = [] {
+        std::vector<stats::FamilyText> t;
+        for (size_t h = 0; h < kNamedHops; ++h)
+            t.push_back(hopText(h));
+        return t;
+    }();
+    return table;
+}
+
+} // namespace
+
+std::vector<ClassText>
+Telemetry::classText(const std::vector<std::string> &names)
+{
+    std::vector<ClassText> table;
+    for (const std::string &name : names) {
+        table.push_back({name,
+                         {"sent" + name, name + " messages sent"},
+                         {"delivered" + name, name + " messages delivered"},
+                         {"flits" + name, name + " flits delivered"},
+                         {"latency" + name,
+                          name + " send-to-delivery cycles"}});
+    }
+    return table;
+}
+
 Telemetry::Telemetry(uint32_t num_nodes,
-                     std::vector<std::string> class_names,
+                     std::span<const ClassText> classes_,
                      stats::Group *parent, uint32_t max_hops)
     : stats::Group("telemetry", parent),
       statSent(this, "sent", "messages handed to the network"),
@@ -17,60 +67,71 @@ Telemetry::Telemetry(uint32_t num_nodes,
       statHops(this, "hops",
                "mesh hop distance of delivered messages"),
       nodes(num_nodes), maxHops_(max_hops),
-      pairMatrix(num_nodes <= kPairMatrixMaxNodes),
-      classNames(std::move(class_names))
+      pairMatrix(num_nodes <= kPairMatrixMaxNodes), classes(classes_)
 {
-    size_t classes = classNames.size();
-    size_t hop_slots = size_t(maxHops_) + 1;
-    srcSlots.resize(nodes);
-    dstSlots.resize(nodes);
-    for (SrcSlot &s : srcSlots) {
-        s.count.resize(classes, 0);
-        s.flits.resize(classes, 0);
+    const size_t n_classes = classes.size();
+    const size_t hop_slots = size_t(maxHops_) + 1;
+    const size_t pair_words = pairMatrix ? size_t(nodes) * n_classes : 0;
+    size_t words = 0;
+    auto place = [&words](size_t &at, size_t n) {
+        at = words;
+        words += n;
+    };
+    place(layout.sent, n_classes);
+    place(layout.count, n_classes);
+    place(layout.flits, n_classes);
+    place(layout.latSum, n_classes);
+    place(layout.latMin, n_classes);
+    place(layout.latMax, n_classes);
+    place(layout.buckets, n_classes * kBuckets);
+    place(layout.pairCount, pair_words);
+    place(layout.pairFlits, pair_words);
+    place(layout.hopCount, hop_slots);
+    place(layout.hopLatSum, hop_slots);
+    place(layout.hopLatMin, hop_slots);
+    place(layout.hopLatMax, hop_slots);
+    place(layout.hopBuckets, hop_slots * kBuckets);
+    constexpr size_t kLineWords = kLineBytes / sizeof(uint64_t);
+    layout.words = (words + kLineWords - 1) / kLineWords * kLineWords;
+    const size_t total = size_t(nodes) * layout.words;
+    blocks.reset(static_cast<uint64_t *>(
+        std::aligned_alloc(kLineBytes, total * sizeof(uint64_t))));
+    if (!blocks && total)
+        throw std::bad_alloc();
+    std::fill_n(blocks.get(), total, 0);
+    for (uint32_t n = 0; n < nodes; ++n) {
+        uint64_t *b = block(n);
+        std::fill_n(b + layout.latMin, n_classes, kNoMin);
+        std::fill_n(b + layout.latMax, n_classes, kNoMax);
+        std::fill_n(b + layout.hopLatMin, hop_slots, kNoMin);
+        std::fill_n(b + layout.hopLatMax, hop_slots, kNoMax);
     }
-    for (DstSlot &d : dstSlots) {
-        d.count.resize(classes, 0);
-        d.flits.resize(classes, 0);
-        d.latSum.resize(classes, 0);
-        d.latMin.resize(classes, std::numeric_limits<int64_t>::max());
-        d.latMax.resize(classes, std::numeric_limits<int64_t>::min());
-        d.buckets.resize(classes * stats::Histogram::kDefaultBuckets,
-                         0);
-        if (pairMatrix) {
-            d.pairCount.resize(size_t(nodes) * classes, 0);
-            d.pairFlits.resize(size_t(nodes) * classes, 0);
-        }
-        d.hopCount.resize(hop_slots, 0);
-        d.hopLatSum.resize(hop_slots, 0);
-        d.hopLatMin.resize(hop_slots,
-                           std::numeric_limits<int64_t>::max());
-        d.hopLatMax.resize(hop_slots,
-                           std::numeric_limits<int64_t>::min());
-        d.hopBuckets.resize(hop_slots *
-                                stats::Histogram::kDefaultBuckets,
-                            0);
+
+    statClassSent.reserve(n_classes);
+    statClassDelivered.reserve(n_classes);
+    statClassFlits.reserve(n_classes);
+    statLatency.reserve(n_classes);
+    for (const ClassText &c : classes) {
+        statClassSent.emplace_back(this, c.sent.nameText(),
+                                   c.sent.descText());
+        statClassDelivered.emplace_back(this, c.delivered.nameText(),
+                                        c.delivered.descText());
+        statClassFlits.emplace_back(this, c.flits.nameText(),
+                                    c.flits.descText());
+        statLatency.emplace_back(this, c.latency.nameText(),
+                                 c.latency.descText());
     }
-    statClassSent.reserve(classes);
-    statClassDelivered.reserve(classes);
-    statClassFlits.reserve(classes);
-    statLatency.reserve(classes);
-    for (const std::string &name : classNames) {
-        statClassSent.push_back(std::make_unique<stats::Scalar>(
-            this, "sent" + name, name + " messages sent"));
-        statClassDelivered.push_back(std::make_unique<stats::Scalar>(
-            this, "delivered" + name, name + " messages delivered"));
-        statClassFlits.push_back(std::make_unique<stats::Scalar>(
-            this, "flits" + name, name + " flits delivered"));
-        statLatency.push_back(std::make_unique<stats::Histogram>(
-            this, "latency" + name,
-            name + " send-to-delivery cycles"));
+    if (hop_slots > kNamedHops) {
+        wideHopText.reserve(hop_slots - kNamedHops);
+        for (size_t h = kNamedHops; h < hop_slots; ++h)
+            wideHopText.push_back(hopText(h));
     }
     statHopLatency.reserve(hop_slots);
     for (size_t h = 0; h < hop_slots; ++h) {
-        statHopLatency.push_back(std::make_unique<stats::Histogram>(
-            this, "latencyHops" + std::to_string(h),
-            "send-to-delivery cycles at hop distance " +
-                std::to_string(h)));
+        const stats::FamilyText &t = h < kNamedHops
+                                         ? namedHopText()[h]
+                                         : wideHopText[h - kNamedHops];
+        statHopLatency.emplace_back(this, t.nameText(), t.descText());
     }
 }
 
@@ -79,92 +140,79 @@ Telemetry::recordDeliver(uint32_t src, uint32_t dst, uint8_t cls,
                          uint32_t flits, uint64_t latency,
                          uint32_t hops)
 {
-    DstSlot &d = dstSlots[dst];
-    ++d.count[cls];
-    d.flits[cls] += flits;
-    d.latSum[cls] += latency;
+    uint64_t *b = block(dst);
+    ++b[layout.count + cls];
+    b[layout.flits + cls] += flits;
+    b[layout.latSum + cls] += latency;
     auto lat = int64_t(latency);
-    d.latMin[cls] = std::min(d.latMin[cls], lat);
-    d.latMax[cls] = std::max(d.latMax[cls], lat);
-    ++d.buckets[size_t(cls) * stats::Histogram::kDefaultBuckets +
-                stats::Histogram::logBucket(
-                    lat, stats::Histogram::kDefaultBuckets)];
+    uint64_t &lat_min = b[layout.latMin + cls];
+    uint64_t &lat_max = b[layout.latMax + cls];
+    lat_min = uint64_t(std::min(int64_t(lat_min), lat));
+    lat_max = uint64_t(std::max(int64_t(lat_max), lat));
+    const size_t bucket = stats::Histogram::logBucket(lat, kBuckets);
+    ++b[layout.buckets + size_t(cls) * kBuckets + bucket];
     if (pairMatrix) {
-        ++d.pairCount[size_t(src) * numClasses() + cls];
-        d.pairFlits[size_t(src) * numClasses() + cls] += flits;
+        ++b[layout.pairCount + size_t(src) * numClasses() + cls];
+        b[layout.pairFlits + size_t(src) * numClasses() + cls] += flits;
     }
     uint32_t h = std::min(hops, maxHops_);
-    ++d.hopCount[h];
-    d.hopLatSum[h] += latency;
-    d.hopLatMin[h] = std::min(d.hopLatMin[h], lat);
-    d.hopLatMax[h] = std::max(d.hopLatMax[h], lat);
-    ++d.hopBuckets[size_t(h) * stats::Histogram::kDefaultBuckets +
-                   stats::Histogram::logBucket(
-                       lat, stats::Histogram::kDefaultBuckets)];
+    ++b[layout.hopCount + h];
+    b[layout.hopLatSum + h] += latency;
+    uint64_t &hop_min = b[layout.hopLatMin + h];
+    uint64_t &hop_max = b[layout.hopLatMax + h];
+    hop_min = uint64_t(std::min(int64_t(hop_min), lat));
+    hop_max = uint64_t(std::max(int64_t(hop_max), lat));
+    ++b[layout.hopBuckets + size_t(h) * kBuckets + bucket];
 }
 
 uint64_t
-Telemetry::srcTotal(size_t cls) const
+Telemetry::sumOver(size_t at) const
 {
     uint64_t total = 0;
-    for (const SrcSlot &s : srcSlots)
-        total += s.count[cls];
-    return total;
-}
-
-uint64_t
-Telemetry::classDelivered(size_t cls) const
-{
-    uint64_t total = 0;
-    for (const DstSlot &d : dstSlots)
-        total += d.count[cls];
-    return total;
-}
-
-uint64_t
-Telemetry::classFlits(size_t cls) const
-{
-    uint64_t total = 0;
-    for (const DstSlot &d : dstSlots)
-        total += d.flits[cls];
+    for (uint32_t n = 0; n < nodes; ++n)
+        total += block(n)[at];
     return total;
 }
 
 void
 Telemetry::foldStats()
 {
-    constexpr size_t kBuckets = stats::Histogram::kDefaultBuckets;
     uint64_t sent_total = 0;
     uint64_t delivered_total = 0;
     std::vector<uint64_t> buckets(kBuckets);
-    for (size_t c = 0; c < numClasses(); ++c) {
-        uint64_t sent = 0;
-        uint64_t sent_flits = 0;
-        for (const SrcSlot &s : srcSlots) {
-            sent += s.count[c];
-            sent_flits += s.flits[c];
-        }
-        (void)sent_flits;
-        uint64_t delivered = 0;
-        uint64_t flits = 0;
+
+    // Folds one [key] slice of every node's block: count, latency sum,
+    // extremes and latency buckets, into @p hist. Returns the count.
+    auto foldLatency = [&](stats::Histogram &hist, size_t count_at,
+                           size_t sum_at, size_t min_at, size_t max_at,
+                           size_t buckets_at) {
+        uint64_t count = 0;
         uint64_t lat_sum = 0;
         int64_t lat_min = std::numeric_limits<int64_t>::max();
         int64_t lat_max = std::numeric_limits<int64_t>::min();
         std::fill(buckets.begin(), buckets.end(), 0);
-        for (const DstSlot &d : dstSlots) {
-            delivered += d.count[c];
-            flits += d.flits[c];
-            lat_sum += d.latSum[c];
-            lat_min = std::min(lat_min, d.latMin[c]);
-            lat_max = std::max(lat_max, d.latMax[c]);
-            for (size_t b = 0; b < kBuckets; ++b)
-                buckets[b] += d.buckets[c * kBuckets + b];
+        for (uint32_t n = 0; n < nodes; ++n) {
+            const uint64_t *b = block(n);
+            count += b[count_at];
+            lat_sum += b[sum_at];
+            lat_min = std::min(lat_min, int64_t(b[min_at]));
+            lat_max = std::max(lat_max, int64_t(b[max_at]));
+            for (size_t i = 0; i < kBuckets; ++i)
+                buckets[i] += b[buckets_at + i];
         }
-        *statClassSent[c] = double(sent);
-        *statClassDelivered[c] = double(delivered);
-        *statClassFlits[c] = double(flits);
-        statLatency[c]->set(buckets, delivered, double(lat_sum),
-                            lat_min, lat_max);
+        hist.set(buckets, count, double(lat_sum), lat_min, lat_max);
+        return count;
+    };
+
+    for (size_t c = 0; c < numClasses(); ++c) {
+        const uint64_t sent = classSent(c);
+        const uint64_t delivered = foldLatency(
+            statLatency[c], layout.count + c, layout.latSum + c,
+            layout.latMin + c, layout.latMax + c,
+            layout.buckets + c * kBuckets);
+        statClassSent[c] = double(sent);
+        statClassDelivered[c] = double(delivered);
+        statClassFlits[c] = double(classFlits(c));
         sent_total += sent;
         delivered_total += delivered;
     }
@@ -180,21 +228,10 @@ Telemetry::foldStats()
     int64_t hop_min = std::numeric_limits<int64_t>::max();
     int64_t hop_max = std::numeric_limits<int64_t>::min();
     for (uint32_t h = 0; h <= maxHops_; ++h) {
-        uint64_t count = 0;
-        uint64_t lat_sum = 0;
-        int64_t lat_min = std::numeric_limits<int64_t>::max();
-        int64_t lat_max = std::numeric_limits<int64_t>::min();
-        std::fill(buckets.begin(), buckets.end(), 0);
-        for (const DstSlot &d : dstSlots) {
-            count += d.hopCount[h];
-            lat_sum += d.hopLatSum[h];
-            lat_min = std::min(lat_min, d.hopLatMin[h]);
-            lat_max = std::max(lat_max, d.hopLatMax[h]);
-            for (size_t b = 0; b < kBuckets; ++b)
-                buckets[b] += d.hopBuckets[size_t(h) * kBuckets + b];
-        }
-        statHopLatency[h]->set(buckets, count, double(lat_sum),
-                               lat_min, lat_max);
+        const uint64_t count = foldLatency(
+            statHopLatency[h], layout.hopCount + h, layout.hopLatSum + h,
+            layout.hopLatMin + h, layout.hopLatMax + h,
+            layout.hopBuckets + size_t(h) * kBuckets);
         if (count) {
             hop_dist_buckets[stats::Histogram::logBucket(
                 int64_t(h), kBuckets)] += count;

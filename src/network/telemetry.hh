@@ -6,14 +6,15 @@
  * hop-based-routing work.
  *
  * The class vocabulary is injected by the enclosing machine as a
- * plain name table (like trace::RecorderConfig::trapNames), so this
- * library stays independent of the coherence protocol.
+ * table of class text (like trace::RecorderConfig::trapNames), so
+ * this library stays independent of the coherence protocol.
  *
  * Determinism follows the Network::foldStats pattern: sends
- * accumulate into per-source slots (owned by the sending shard),
- * deliveries into per-destination slots (owned by the delivering
- * shard), and foldStats() recomputes the stats::Group members in
- * canonical node order at deterministic synchronization points —
+ * accumulate into the source node's block of counters (owned by the
+ * sending shard), deliveries into the destination node's block
+ * (owned by the delivering shard), and foldStats() recomputes the
+ * stats::Group members in canonical node order at deterministic
+ * synchronization points —
  * identical for every host-thread count and with cycle-skipping on
  * or off.
  */
@@ -22,7 +23,9 @@
 #define APRIL_NETWORK_TELEMETRY_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,6 +33,22 @@
 
 namespace april::net
 {
+
+/**
+ * The statistic text of one message class: its name and the text of
+ * its sent<Class>, delivered<Class>, flits<Class> and latency<Class>
+ * statistics. Whoever injects the class vocabulary builds the table
+ * once per process with Telemetry::classText() and keeps it for the
+ * process (messageClasses() in machine/trace_config.hh).
+ */
+struct ClassText
+{
+    std::string name;
+    stats::FamilyText sent;
+    stats::FamilyText delivered;
+    stats::FamilyText flits;
+    stats::FamilyText latency;
+};
 
 /** Per-class, per-node-pair accounting of machine messages. */
 class Telemetry : public stats::Group
@@ -40,23 +59,25 @@ class Telemetry : public stats::Group
     /// per-class and per-hop-distance aggregates stay on at any scale.
     static constexpr uint32_t kPairMatrixMaxNodes = 256;
 
+    /** The statistic text of the class vocabulary @p names. */
+    static std::vector<ClassText>
+    classText(const std::vector<std::string> &names);
+
     /**
+     * @param classes the message classes' text; must outlive the
+     *        telemetry (a table built once per process)
      * @param max_hops largest hop distance the topology can produce
      *        (mesh: dim * (radix - 1)); sizes the per-distance
      *        latency histograms. 0 keeps only the aggregate ones.
      */
-    Telemetry(uint32_t num_nodes, std::vector<std::string> class_names,
+    Telemetry(uint32_t num_nodes, std::span<const ClassText> classes,
               stats::Group *parent = nullptr, uint32_t max_hops = 0);
 
-    /** Account one message injected into the network at @p src.
-     *  Only @p src's shard may call this for @p src. */
-    void
-    recordSend(uint32_t src, uint32_t dst, uint8_t cls, uint32_t flits)
+    /** Account one message of class @p cls injected into the network
+     *  at @p src. Only @p src's shard may call this for @p src. */
+    void recordSend(uint32_t src, uint8_t cls)
     {
-        (void)dst;
-        SrcSlot &s = srcSlots[src];
-        ++s.count[cls];
-        s.flits[cls] += flits;
+        ++block(src)[layout.sent + cls];
     }
 
     /** Account one message delivered at @p dst after @p latency
@@ -67,17 +88,17 @@ class Telemetry : public stats::Group
                        uint32_t hops = 0);
 
     /**
-     * Recompute the stats::Group members from the per-node slots in
+     * Recompute the stats::Group members from the per-node blocks in
      * canonical node order. Idempotent; called by the machine at the
      * same synchronization points as Network::foldStats.
      */
     void foldStats();
 
     uint32_t numNodes() const { return nodes; }
-    size_t numClasses() const { return classNames.size(); }
+    size_t numClasses() const { return classes.size(); }
     const std::string &className(size_t c) const
     {
-        return classNames[c];
+        return classes[c].name;
     }
 
     /** @return true when the per-pair matrices are tracked (nodes <=
@@ -85,13 +106,13 @@ class Telemetry : public stats::Group
     bool hasPairMatrix() const { return pairMatrix; }
 
     /** Messages delivered src -> dst of class @p cls (post-fold not
-     *  required: reads the raw slot). */
+     *  required: reads the raw block). */
     uint64_t
     pairCount(uint32_t src, uint32_t dst, uint8_t cls) const
     {
         if (!pairMatrix)
             return 0;
-        return dstSlots[dst].pairCount[src * numClasses() + cls];
+        return block(dst)[layout.pairCount + src * numClasses() + cls];
     }
 
     uint64_t
@@ -99,7 +120,7 @@ class Telemetry : public stats::Group
     {
         if (!pairMatrix)
             return 0;
-        return dstSlots[dst].pairFlits[src * numClasses() + cls];
+        return block(dst)[layout.pairFlits + src * numClasses() + cls];
     }
 
     /** Largest hop distance the per-distance histograms cover. */
@@ -109,15 +130,21 @@ class Telemetry : public stats::Group
      *  @p hops mesh hops (post-fold). Requires hops <= maxHops(). */
     const stats::Histogram &hopLatency(uint32_t hops) const
     {
-        return *statHopLatency[hops];
+        return statHopLatency[hops];
     }
 
-    uint64_t classSent(size_t c) const { return srcTotal(c); }
-    uint64_t classDelivered(size_t c) const;
-    uint64_t classFlits(size_t c) const;
+    uint64_t classSent(size_t c) const { return sumOver(layout.sent + c); }
+    uint64_t classDelivered(size_t c) const
+    {
+        return sumOver(layout.count + c);
+    }
+    uint64_t classFlits(size_t c) const
+    {
+        return sumOver(layout.flits + c);
+    }
     const stats::Histogram &classLatency(size_t c) const
     {
-        return *statLatency[c];
+        return statLatency[c];
     }
 
     /// Total messages handed to the network / delivered (post-fold).
@@ -130,47 +157,74 @@ class Telemetry : public stats::Group
     stats::Histogram statHops;
 
   private:
-    uint64_t srcTotal(size_t cls) const;
+    /// Bytes in a cache line. A node's block is whole lines, so the
+    /// shards that own different nodes never share a line.
+    static constexpr size_t kLineBytes = 64;
 
-    struct alignas(64) SrcSlot
+    /** Frees the counter blocks (std::aligned_alloc storage). */
+    struct FreeBlocks
     {
-        std::vector<uint64_t> count;    ///< [class]
-        std::vector<uint64_t> flits;    ///< [class]
+        void operator()(uint64_t *p) const { std::free(p); }
     };
 
-    struct alignas(64) DstSlot
+    /**
+     * Where each counter array sits in a node's block, in words.
+     * Sends count in the sender's block, deliveries in the receiver's.
+     * The latency minima and maxima hold int64_t values.
+     */
+    struct Layout
     {
-        std::vector<uint64_t> count;     ///< [class]
-        std::vector<uint64_t> flits;     ///< [class]
-        std::vector<uint64_t> latSum;    ///< [class]
-        std::vector<int64_t> latMin;     ///< [class]
-        std::vector<int64_t> latMax;     ///< [class]
-        std::vector<uint64_t> buckets;   ///< [class][latency bucket]
-        std::vector<uint64_t> pairCount; ///< [src][class]
-        std::vector<uint64_t> pairFlits; ///< [src][class]
-        std::vector<uint64_t> hopCount;  ///< [hop distance]
-        std::vector<uint64_t> hopLatSum; ///< [hop distance]
-        std::vector<int64_t> hopLatMin;  ///< [hop distance]
-        std::vector<int64_t> hopLatMax;  ///< [hop distance]
-        /// [hop distance][latency bucket]
-        std::vector<uint64_t> hopBuckets;
+        size_t sent = 0;        ///< [class] messages sent
+        size_t count = 0;       ///< [class] messages delivered
+        size_t flits = 0;       ///< [class]
+        size_t latSum = 0;      ///< [class]
+        size_t latMin = 0;      ///< [class]
+        size_t latMax = 0;      ///< [class]
+        size_t buckets = 0;     ///< [class][latency bucket]
+        size_t pairCount = 0;   ///< [src][class]
+        size_t pairFlits = 0;   ///< [src][class]
+        size_t hopCount = 0;    ///< [hop distance]
+        size_t hopLatSum = 0;   ///< [hop distance]
+        size_t hopLatMin = 0;   ///< [hop distance]
+        size_t hopLatMax = 0;   ///< [hop distance]
+        size_t hopBuckets = 0;  ///< [hop distance][latency bucket]
+        size_t words = 0;       ///< block size, whole lines
     };
+
+    uint64_t *block(uint32_t node)
+    {
+        return blocks.get() + size_t(node) * layout.words;
+    }
+    const uint64_t *block(uint32_t node) const
+    {
+        return blocks.get() + size_t(node) * layout.words;
+    }
+
+    /** Word @p at summed over every node's block. */
+    uint64_t sumOver(size_t at) const;
 
     uint32_t nodes;
     uint32_t maxHops_ = 0;
     bool pairMatrix = true;
-    std::vector<std::string> classNames;
-    std::vector<SrcSlot> srcSlots;
-    std::vector<DstSlot> dstSlots;
+    std::span<const ClassText> classes;
+    Layout layout;
+    /// Every node's block, one line-aligned allocation.
+    std::unique_ptr<uint64_t[], FreeBlocks> blocks;
 
-    // Per-class folded statistics (pointers: stats register their
-    // address with the Group, so they must never move).
-    std::vector<std::unique_ptr<stats::Scalar>> statClassSent;
-    std::vector<std::unique_ptr<stats::Scalar>> statClassDelivered;
-    std::vector<std::unique_ptr<stats::Scalar>> statClassFlits;
-    std::vector<std::unique_ptr<stats::Histogram>> statLatency;
+    /// Text of the hop distances past the process-wide table
+    /// (topologies wider than any in the repository). Reserved once,
+    /// so the strings the stats view never move; declared before the
+    /// stats.
+    std::vector<stats::FamilyText> wideHopText;
+
+    // Per-class folded statistics, reserved up front: stats register
+    // their address with the Group, so they must never move.
+    std::vector<stats::Scalar> statClassSent;
+    std::vector<stats::Scalar> statClassDelivered;
+    std::vector<stats::Scalar> statClassFlits;
+    std::vector<stats::Histogram> statLatency;
     /// [hop distance] send-to-delivery latency histograms.
-    std::vector<std::unique_ptr<stats::Histogram>> statHopLatency;
+    std::vector<stats::Histogram> statHopLatency;
 };
 
 } // namespace april::net

@@ -10,6 +10,44 @@
 namespace april
 {
 
+namespace
+{
+
+/** traps<Kind> statistic text, built once per process. */
+const std::vector<stats::FamilyText> &
+trapText()
+{
+    static const std::vector<stats::FamilyText> table = [] {
+        std::vector<stats::FamilyText> t;
+        for (size_t k = 0; k < size_t(TrapKind::NumKinds); ++k) {
+            const std::string kind = trapKindName(TrapKind(k));
+            t.push_back({"traps" + kind, kind + " traps"});
+        }
+        return t;
+    }();
+    return table;
+}
+
+/** cycles<Bucket> statistic text, built once per process. */
+const std::vector<stats::FamilyText> &
+bucketText()
+{
+    static const std::vector<stats::FamilyText> table = [] {
+        std::vector<stats::FamilyText> t;
+        for (size_t b = 0; b < profile::kNumBuckets; ++b) {
+            const std::string bucket =
+                profile::bucketName(profile::Bucket(b));
+            t.push_back({"cycles" + bucket,
+                         "cycles attributed to the " + bucket +
+                             " bucket"});
+        }
+        return t;
+    }();
+    return table;
+}
+
+} // namespace
+
 Processor::Processor(const ProcParams &p, const Program *program,
                      MemPort *mem_port, IoPort *io_port,
                      stats::Group *parent)
@@ -38,19 +76,12 @@ Processor::Processor(const ProcParams &p, const Program *program,
 {
     if (p.numFrames == 0)
         fatal("Processor: at least one task frame required");
-    statTraps.reserve(size_t(TrapKind::NumKinds));
-    for (size_t k = 0; k < size_t(TrapKind::NumKinds); ++k) {
-        const char *kind = trapKindName(TrapKind(k));
-        statTraps.emplace_back(this, std::string("traps") + kind,
-                               std::string(kind) + " traps");
-    }
-    statBuckets.reserve(profile::kNumBuckets);
-    for (size_t b = 0; b < profile::kNumBuckets; ++b) {
-        const char *bucket = profile::bucketName(profile::Bucket(b));
-        statBuckets.emplace_back(this, std::string("cycles") + bucket,
-                                 std::string("cycles attributed to the ")
-                                     + bucket + " bucket");
-    }
+    statTraps.reserve(trapText().size());
+    for (const stats::FamilyText &t : trapText())
+        statTraps.emplace_back(this, t.nameText(), t.descText());
+    statBuckets.reserve(bucketText().size());
+    for (const stats::FamilyText &t : bucketText())
+        statBuckets.emplace_back(this, t.nameText(), t.descText());
     frameCycles_.resize(p.numFrames);
     spinArmed_.assign(p.numFrames, 0);
     spinPc_.assign(p.numFrames, 0);

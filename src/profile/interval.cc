@@ -17,12 +17,38 @@ IntervalSampler::collect(const stats::Group &g, const std::string &prefix)
 {
     std::string here =
         prefix.empty() ? g.groupName() : prefix + "." + g.groupName();
-    for (const stats::Info *info : g.statsList()) {
-        columns_.push_back(here + "." + info->name());
-        infos_.push_back(info);
+    if (!g.statsList().empty()) {
+        for (const stats::Info *info : g.statsList())
+            columns_.push_back({groupPaths_.size(), info});
+        groupPaths_.push_back(here);
     }
     for (const stats::Group *child : g.childGroups())
         collect(*child, here);
+}
+
+std::vector<std::string>
+IntervalSampler::columns() const
+{
+    std::vector<std::string> out;
+    out.reserve(columns_.size());
+    for (const Column &c : columns_)
+        out.push_back(groupPaths_[c.group] + "." +
+                      std::string(c.info->name()));
+    return out;
+}
+
+size_t
+IntervalSampler::findColumn(std::string_view suffix) const
+{
+    std::string path;
+    for (size_t i = 0; i < columns_.size(); ++i) {
+        path = groupPaths_[columns_[i].group];
+        path += '.';
+        path += columns_[i].info->name();
+        if (path.ends_with(suffix))
+            return i;
+    }
+    return size_t(-1);
 }
 
 void
@@ -41,9 +67,9 @@ IntervalSampler::sampleFinal(uint64_t cycle)
     lastSampled_ = cycle;
     Row row;
     row.cycle = cycle;
-    row.values.reserve(infos_.size());
-    for (const stats::Info *info : infos_)
-        row.values.push_back(info->summaryValue());
+    row.values.reserve(columns_.size());
+    for (const Column &c : columns_)
+        row.values.push_back(c.info->summaryValue());
     rows_.push_back(std::move(row));
 }
 
@@ -51,8 +77,8 @@ void
 IntervalSampler::writeCsv(std::ostream &os) const
 {
     os << "cycle";
-    for (const std::string &c : columns_)
-        os << "," << c;
+    for (const Column &c : columns_)
+        os << "," << groupPaths_[c.group] << '.' << c.info->name();
     os << "\n";
     for (const Row &row : rows_) {
         os << row.cycle;
@@ -69,8 +95,12 @@ IntervalSampler::writeJson(std::ostream &os) const
 {
     os << "{\"columns\":[";
     for (size_t i = 0; i < columns_.size(); ++i) {
-        os << (i ? "," : "");
-        json::writeString(os, columns_[i]);
+        const Column &c = columns_[i];
+        os << (i ? ",\"" : "\"");
+        json::writeEscaped(os, groupPaths_[c.group]);
+        os << '.';
+        json::writeEscaped(os, c.info->name());
+        os << '"';
     }
     os << "],\"rows\":[";
     for (size_t i = 0; i < rows_.size(); ++i) {

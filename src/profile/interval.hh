@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hh"
@@ -57,7 +58,14 @@ class IntervalSampler
     /** Record a final row at @p cycle regardless of the grid. */
     void sampleFinal(uint64_t cycle);
 
-    const std::vector<std::string> &columns() const { return columns_; }
+    /** The dotted path of every column ("machine.proc0.insts"), built
+     *  on demand: the sampler itself keeps only the group paths. */
+    std::vector<std::string> columns() const;
+
+    /** Index of the first column whose dotted path ends with
+     *  @p suffix; size_t(-1) when there is none. */
+    size_t findColumn(std::string_view suffix) const;
+
     const std::vector<Row> &rows() const { return rows_; }
 
     /** "cycle,col1,col2,..." header + one line per row. */
@@ -67,12 +75,19 @@ class IntervalSampler
     void writeJson(std::ostream &os) const;
 
   private:
+    /** One column: a statistic and the dotted path of its group. */
+    struct Column
+    {
+        size_t group;               ///< index into groupPaths_
+        const stats::Info *info;
+    };
+
     void collect(const stats::Group &g, const std::string &prefix);
 
     uint64_t period_;
     uint64_t lastSampled_ = ~uint64_t(0);
-    std::vector<std::string> columns_;
-    std::vector<const stats::Info *> infos_;
+    std::vector<std::string> groupPaths_;
+    std::vector<Column> columns_;
     std::vector<Row> rows_;
 };
 

@@ -48,20 +48,6 @@ writeFrames(std::ostream &os, const Processor &p)
     os << "]";
 }
 
-/** Index of the column ending in @p suffix, or npos. */
-size_t
-findColumn(const std::vector<std::string> &cols,
-           const std::string &suffix)
-{
-    for (size_t i = 0; i < cols.size(); ++i) {
-        if (cols[i].size() >= suffix.size() &&
-            cols[i].compare(cols[i].size() - suffix.size(),
-                            suffix.size(), suffix) == 0)
-            return i;
-    }
-    return size_t(-1);
-}
-
 } // namespace
 
 std::vector<Hotspot>
@@ -233,10 +219,8 @@ writeCounterTrace(std::ostream &os, const ProfileSource &src)
         for (size_t n = 0; n < src.procs.size(); ++n) {
             uint32_t node = src.procs[n]->nodeId();
             std::string proc = "proc" + std::to_string(node);
-            size_t cu = findColumn(iv->columns(),
-                                   proc + ".cyclesUseful");
-            size_t ch = findColumn(iv->columns(),
-                                   proc + ".cyclesHazard");
+            size_t cu = iv->findColumn(proc + ".cyclesUseful");
+            size_t ch = iv->findColumn(proc + ".cyclesHazard");
             if (cu == size_t(-1) || ch == size_t(-1))
                 continue;
             emitted_rows = true;

@@ -780,38 +780,47 @@ Runtime::initNode(SharedMemory &mem, uint32_t node)
           base + mem.wordsPerNode(), ")");
 }
 
+BootEntries
+BootEntries::of(const Program &prog)
+{
+    return {.boot = prog.entry(sym::boot),
+            .idle = prog.entry(sym::idle),
+            .sched = prog.entry(sym::sched),
+            .cswitch = prog.entry(sym::cswitch),
+            .futureTouch = prog.entry(sym::futureTouch),
+            .ipi = prog.entry(sym::ipi)};
+}
+
 void
-Runtime::bootProcessor(Processor &proc, const Program &prog,
+Runtime::bootProcessor(Processor &proc, const BootEntries &entry,
                        SharedMemory &mem, uint32_t node,
                        uint32_t num_nodes)
 {
-    proc.reset(node == 0 ? prog.entry(sym::boot) : prog.entry(sym::idle));
+    const uint32_t start = node == 0 ? entry.boot : entry.idle;
+    proc.reset(start);
 
     Addr blk = mem.nodeBase(node) + nodeBlockOff;
     proc.writeGlobal(0, tagged::ptr(blk, Tag::Other));
-    proc.writeGlobal(1, prog.entry(sym::sched));
+    proc.writeGlobal(1, entry.sched);
     proc.writeGlobal(2, node);
     proc.writeGlobal(3, log2i(mem.wordsPerNode()));
     proc.writeGlobal(4, num_nodes);
 
-    proc.setTrapVector(TrapKind::RemoteMiss, prog.entry(sym::cswitch));
-    proc.setTrapVector(TrapKind::FeEmpty, prog.entry(sym::cswitch));
-    proc.setTrapVector(TrapKind::FeFull, prog.entry(sym::cswitch));
-    proc.setTrapVector(TrapKind::FutureCompute,
-                       prog.entry(sym::futureTouch));
-    proc.setTrapVector(TrapKind::FutureMemory,
-                       prog.entry(sym::futureTouch));
-    proc.setTrapVector(TrapKind::Ipi, prog.entry(sym::ipi));
+    proc.setTrapVector(TrapKind::RemoteMiss, entry.cswitch);
+    proc.setTrapVector(TrapKind::FeEmpty, entry.cswitch);
+    proc.setTrapVector(TrapKind::FeFull, entry.cswitch);
+    proc.setTrapVector(TrapKind::FutureCompute, entry.futureTouch);
+    proc.setTrapVector(TrapKind::FutureMemory, entry.futureTouch);
+    proc.setTrapVector(TrapKind::Ipi, entry.ipi);
 
     TRACE(Runtime, "bootProcessor n", node, "/", num_nodes, " entry=",
-          node == 0 ? prog.entry(sym::boot) : prog.entry(sym::idle),
-          " frames=", proc.numFrames());
+          start, " frames=", proc.numFrames());
 
     // Park the remaining task frames in the scheduler so that
     // switch-spinning rotation always lands on runnable code.
     for (uint32_t f = 1; f < proc.numFrames(); ++f) {
-        proc.frame(f).trapPC = prog.entry(sym::idle);
-        proc.frame(f).trapNPC = prog.entry(sym::idle) + 1;
+        proc.frame(f).trapPC = entry.idle;
+        proc.frame(f).trapNPC = entry.idle + 1;
         proc.frame(f).trapRegs[0] = psr::ET;
         proc.frame(f).savedPsr = psr::ET;
     }

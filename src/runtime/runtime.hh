@@ -84,6 +84,24 @@ inline const std::string fault = "rt$fault";        ///< runtime abort
 inline const std::string userMain = "mt$main";      ///< compiled main
 } // namespace sym
 
+/**
+ * The run-time system's entry points in one program, resolved once per
+ * machine: every node boots from the same addresses, so the symbol
+ * lookups happen once rather than once per node.
+ */
+struct BootEntries
+{
+    uint32_t boot = 0;          ///< node 0's first instruction
+    uint32_t idle = 0;          ///< every other frame's
+    uint32_t sched = 0;
+    uint32_t cswitch = 0;
+    uint32_t futureTouch = 0;
+    uint32_t ipi = 0;
+
+    /** Look the entries up in @p prog (a missing one panics). */
+    static BootEntries of(const Program &prog);
+};
+
 /** Emits the run-time routines and boots machines around them. */
 class Runtime
 {
@@ -107,7 +125,7 @@ class Runtime
      * vectors, set the global registers, park frames 1..N-1 in the
      * scheduler, and start frame 0 at boot (node 0) or idle.
      */
-    static void bootProcessor(Processor &proc, const Program &prog,
+    static void bootProcessor(Processor &proc, const BootEntries &entry,
                               SharedMemory &mem, uint32_t node,
                               uint32_t num_nodes);
 

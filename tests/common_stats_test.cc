@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -11,6 +15,30 @@ namespace april::stats
 {
 namespace
 {
+
+// Stat text is a view, so a std::string name or description (often a
+// temporary) must not compile: it would dangle once the string dies.
+static_assert(!std::is_constructible_v<Text, std::string>);
+static_assert(!std::is_constructible_v<Text, const std::string &>);
+template <typename Stat, typename... Rest>
+constexpr bool kTakesStringText =
+    std::is_constructible_v<Stat, Group *, std::string, const char *,
+                            Rest...> ||
+    std::is_constructible_v<Stat, Group *, const char *, std::string,
+                            Rest...> ||
+    std::is_constructible_v<Stat, Group *, const std::string &,
+                            const std::string &, Rest...>;
+static_assert(!kTakesStringText<Scalar>);
+static_assert(!kTakesStringText<Average>);
+static_assert(!kTakesStringText<Distribution, int64_t, int64_t, int64_t>);
+static_assert(!kTakesStringText<Formula, std::function<double()>>);
+static_assert(!kTakesStringText<Histogram>);
+static_assert(!kTakesStringText<Histogram, size_t>);
+// ... while literals and views of longer-lived text still do.
+static_assert(std::is_constructible_v<Scalar, Group *, const char *,
+                                      const char *>);
+static_assert(std::is_constructible_v<Scalar, Group *, std::string_view,
+                                      std::string_view>);
 
 TEST(Stats, ScalarAccumulates)
 {
@@ -215,6 +243,76 @@ TEST(Stats, HistogramDumpJson)
     EXPECT_NE(out.find("\"count\":3"), std::string::npos);
     EXPECT_NE(out.find("\"buckets\":[0,1,1,1]"), std::string::npos)
         << out;
+}
+
+/** A family's text, built once per process like the machines' tables
+ *  (traps<Kind>, dir<From>To<To>, latency<Class>). */
+const std::vector<FamilyText> &
+testFamilyText()
+{
+    static const std::vector<FamilyText> table = [] {
+        std::vector<FamilyText> t;
+        for (const std::string kind : {"Alpha", "BetaWithALongName"})
+            t.push_back({"events" + kind, kind + " events, counted"});
+        return t;
+    }();
+    return table;
+}
+
+TEST(Stats, FamilyTextRoundTrips)
+{
+    Group root("root");
+    Group g("node12", &root);
+    std::vector<Scalar> family;
+    family.reserve(testFamilyText().size());
+    for (const FamilyText &t : testFamilyText())
+        family.emplace_back(&g, t.nameText(), t.descText());
+    family[1] += 7;
+
+    // The stat views the table's text: no copy of its own.
+    EXPECT_EQ(family[1].name().data(), testFamilyText()[1].name.data());
+
+    std::ostringstream text;
+    root.dump(text);
+    EXPECT_NE(text.str().find("root.node12.eventsBetaWithALongName"),
+              std::string::npos)
+        << text.str();
+    EXPECT_NE(text.str().find("# BetaWithALongName events, counted"),
+              std::string::npos)
+        << text.str();
+
+    std::ostringstream json;
+    root.dumpJson(json);
+    EXPECT_NE(json.str().find("\"eventsBetaWithALongName\":{\"type\":"
+                              "\"scalar\",\"desc\":\"BetaWithALongName "
+                              "events, counted\",\"value\":7}"),
+              std::string::npos)
+        << json.str();
+
+    const Info *found = root.resolve("node12.eventsBetaWithALongName");
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found, &family[1]);
+    EXPECT_EQ(found->summaryValue(), 7.0);
+    EXPECT_EQ(root.resolve(std::string("node12.") + "eventsAlpha"),
+              &family[0]);
+}
+
+TEST(Stats, DumpPadsTheLabelColumn)
+{
+    Group g("top");
+    Scalar s(&g, "n", "short");
+    s = 3;
+    Distribution d(&g, "d", "dist", 0, 20, 10);
+    d.sample(12);
+    std::ostringstream os;
+    g.dump(os);
+    EXPECT_EQ(os.str(),
+              "top.n" + std::string(39, ' ') + std::string(13, ' ') +
+                  "3  # short\n" + "top.d" + std::string(39, ' ') +
+                  std::string(12, ' ') +
+                  "12  # dist (mean; samples=1 min=12 max=12)\n" +
+                  "top.d[10,20)" + std::string(32, ' ') +
+                  std::string(13, ' ') + "1\n");
 }
 
 TEST(Stats, SummaryValueCoversEveryKind)

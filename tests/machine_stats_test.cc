@@ -208,6 +208,49 @@ TEST(MachineStats, OutputDigestsArePinned)
 }
 
 /**
+ * The text outputs of the stats tree: the Group::dump() report the
+ * differential fuzzer compares, for the same fib(8) runs as
+ * OutputDigestsArePinned, and the `april run fib:10 --series` CSV.
+ * Values recorded while every stat still owned copies of its text, so
+ * printing from static text cannot change a byte.
+ */
+TEST(MachineStats, TextOutputsArePinned)
+{
+    auto dumpText = [](bool alewife, uint32_t threads) {
+        DriverOptions o;
+        o.nodes = 4;
+        o.alewife = alewife;
+        o.hostThreads = threads;
+        o.traceEvents = o.taskTrace = o.profile = true;
+        Program prog =
+            mult::compileProgram(workloads::fibSource(8), o.compile);
+        std::unique_ptr<Machine> m = makeMachine(prog, o);
+        m->run(o.maxCycles);
+        EXPECT_TRUE(m->halted());
+        std::ostringstream os;
+        m->dump(os);
+        return digestOf(os.str());
+    };
+    const uint64_t alewifeText = 0xec411e9b36ace5b4ull;
+    EXPECT_EQ(dumpText(false, 1), 0x911c5f0b205ad08full) << "perfect";
+    EXPECT_EQ(dumpText(true, 1), alewifeText) << "2x2 ALEWIFE 1 thread";
+    EXPECT_EQ(dumpText(true, 4), alewifeText) << "2x2 ALEWIFE 4 threads";
+
+    // What `april run fib:10 --series=F` writes, less its final "\n".
+    workloads::Workload w = workloads::fromSpec("fib:10");
+    w.options.profile = true;
+    w.options.statsInterval = 4096;
+    std::unique_ptr<Machine> m = makeMachine(w.prog, w.options, w.boot);
+    m->run(w.options.maxCycles);
+    ASSERT_TRUE(m->halted());
+    ASSERT_NE(m->intervalSampler(), nullptr);
+    std::ostringstream series;
+    m->intervalSampler()->writeCsv(series);
+    EXPECT_EQ(digestOf(series.str()), 0xa09f81c00ca1cfd7ull)
+        << "fib:10 series CSV";
+}
+
+/**
  * A 4x4 run of fib on the Table 4 cache. Its stats JSON and coherent
  * memory image are pinned (values recorded while every cache was
  * still built whole), so materialising cache storage on first fill

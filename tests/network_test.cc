@@ -5,6 +5,7 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "network/network.hh"
+#include "network/telemetry.hh"
 
 namespace april::net
 {
@@ -123,6 +124,49 @@ TEST(Network, BadGeometryIsFatal)
 {
     EXPECT_THROW(Network({.dim = 0, .radix = 4}), FatalError);
     EXPECT_THROW(Network({.dim = 2, .radix = 1}), FatalError);
+}
+
+// Sends count at the source node, deliveries at the destination; the
+// fold sums every node's counters per class and per hop distance. A
+// topology wider than the process-wide hop-name table names its far
+// distances all the same.
+TEST(Telemetry, FoldsPerClassAndHopDistance)
+{
+    static const std::vector<ClassText> classes =
+        Telemetry::classText({"Req", "Data"});
+    stats::Group root("m");
+    Telemetry t(3, classes, &root, 70);
+    t.recordSend(0, 1);
+    t.recordSend(2, 1);
+    t.recordSend(2, 0);
+    t.recordDeliver(0, 1, 1, 6, 12, 2);
+    t.recordDeliver(2, 1, 1, 6, 3, 70);
+    t.foldStats();
+
+    EXPECT_EQ(t.classSent(0), 1u);
+    EXPECT_EQ(t.classSent(1), 2u);
+    EXPECT_EQ(t.classDelivered(1), 2u);
+    EXPECT_EQ(t.classFlits(1), 12u);
+    EXPECT_EQ(t.pairCount(2, 1, 1), 1u);
+    EXPECT_EQ(t.pairFlits(0, 1, 1), 6u);
+    EXPECT_DOUBLE_EQ(t.statSent.value(), 3.0);
+    EXPECT_DOUBLE_EQ(t.statInFlight.value(), 1.0);
+    const stats::Histogram &data = t.classLatency(1);
+    EXPECT_EQ(data.count(), 2u);
+    EXPECT_EQ(data.min(), 3);
+    EXPECT_EQ(data.max(), 12);
+    EXPECT_EQ(t.classLatency(0).count(), 0u);
+    EXPECT_EQ(t.hopLatency(2).count(), 1u);
+    EXPECT_EQ(t.hopLatency(70).max(), 3);
+    EXPECT_DOUBLE_EQ(t.statHops.mean(), 36.0);
+
+    EXPECT_EQ(t.hopLatency(70).name(), "latencyHops70");
+    EXPECT_EQ(t.hopLatency(70).desc(),
+              "send-to-delivery cycles at hop distance 70");
+    EXPECT_EQ(root.resolve("telemetry.latencyHops2"), &t.hopLatency(2));
+    EXPECT_EQ(root.resolve("telemetry.sentData")->summaryValue(), 2.0);
+    EXPECT_EQ(root.resolve("telemetry.latencyReq"), &t.classLatency(0));
+    EXPECT_EQ(t.className(1), "Data");
 }
 
 } // namespace

@@ -42,7 +42,8 @@ struct RuntimeRig
         io = std::make_unique<SimpleIoPort>();
         proc = std::make_unique<Processor>(ProcParams{}, &prog,
                                            port.get(), io.get());
-        rt::Runtime::bootProcessor(*proc, prog, *mem, 0, 1);
+        rt::Runtime::bootProcessor(*proc, rt::BootEntries::of(prog), *mem,
+                                   0, 1);
         // Redirect only the PC chain: boot state (globals, parked
         // frames, vectors) must stay intact.
         proc->setPcChain(prog.entry("test$main"),

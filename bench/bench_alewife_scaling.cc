@@ -28,14 +28,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness.hh"
 #include "machine/alewife_machine.hh"
 #include "mult/compiler.hh"
 #include "workloads/handwritten.hh"
@@ -66,12 +64,9 @@ run(const std::string &src, FM mode, int dim, int radix)
     p.network = {.dim = dim, .radix = radix};
     p.controller.cache = {.lineWords = 4, .numLines = 4096, .assoc = 4};
     AlewifeMachine m(p, &prog);
-    m.run(2'000'000'000);
-    if (!m.halted())
-        fatal("alewife scaling run did not finish");
-
     Result r;
-    r.cycles = m.cycle();
+    r.cycles = bench::runToHalt(m, 2'000'000'000, "alewife scaling run")
+                   .cycles;
     for (uint32_t n = 0; n < m.numNodes(); ++n) {
         r.remoteMisses += m.controller(n).statRemoteMisses.value();
         r.switches +=
@@ -83,8 +78,8 @@ run(const std::string &src, FM mode, int dim, int radix)
 
 // --- Section 2: machine scaling ------------------------------------
 
-/** One wide-sharing run at scale. */
-struct ScalePoint
+/** One wide-sharing run at scale, as the JSON reports it. */
+struct ScaleRow
 {
     uint32_t nodes = 0;
     const char *scheme = "";
@@ -95,6 +90,11 @@ struct ScalePoint
     double spillWalks = 0;
     double meanHops = 0;
     double packets = 0;
+};
+
+/** The row plus what the identity checks compare. */
+struct ScalePoint : ScaleRow
+{
     std::vector<Word> console;
     std::string statsDump;      ///< bit-identity digest
 };
@@ -115,9 +115,7 @@ runScale(const workloads::WideSharing &w, int radix,
     auto m = std::make_unique<AlewifeMachine>(p, &w.prog);
     for (uint32_t n = 0; n < m->numNodes(); ++n)
         workloads::bootCoherentNode(m->proc(n), w.prog);
-    m->run(2'000'000'000);
-    if (!m->halted())
-        fatal("wide-sharing run at ", w.nodes, " nodes did not finish");
+    bench::runToHalt(*m, 2'000'000'000, "wide-sharing run");
     if (!m->quiesce(10'000'000))
         fatal("wide-sharing run at ", w.nodes, " nodes did not drain");
 
@@ -148,15 +146,9 @@ runScale(const workloads::WideSharing &w, int radix,
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    int fib_n = 16;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else
-            fib_n = std::atoi(argv[i]);
-    }
-    QuietScope quiet_scope;
+    const bench::Session session(argc, argv, {.number = "fibN"});
+    const bool quick = session.quick;
+    const int fib_n = int(session.number.value_or(16));
     bool ok = true;
 
     if (!quick) {
@@ -212,11 +204,7 @@ main(int argc, char **argv)
                 "scheme", "cycles", "sharers", "ovflTrp", "spilled",
                 "walks", "hops", "packets");
 
-    std::string json = "{\"bench\":\"alewife_scaling\",\"quick\":";
-    json += quick ? "true" : "false";
-    json += ",\"points\":[";
-    bool first_point = true;
-
+    std::vector<ScaleRow> points;
     workloads::WideSharing w1024;   // kept for the identity sweep
     for (const ScaleGeo &g : scale_geos) {
         workloads::WideSharing w =
@@ -235,19 +223,7 @@ main(int argc, char **argv)
                         (unsigned long long)pt.cycles, pt.maxSharers,
                         pt.overflowTraps, pt.spilledPtrs,
                         pt.spillWalks, pt.meanHops, pt.packets);
-            char buf[384];
-            std::snprintf(
-                buf, sizeof buf,
-                "%s{\"nodes\":%u,\"scheme\":\"%s\",\"cycles\":%llu,"
-                "\"max_sharers\":%u,\"overflow_traps\":%.0f,"
-                "\"spilled_ptrs\":%.0f,\"spill_walks\":%.0f,"
-                "\"mean_hops\":%.3f,\"packets\":%.0f}",
-                first_point ? "" : ",", pt.nodes, pt.scheme,
-                (unsigned long long)pt.cycles, pt.maxSharers,
-                pt.overflowTraps, pt.spilledPtrs, pt.spillWalks,
-                pt.meanHops, pt.packets);
-            json += buf;
-            first_point = false;
+            points.push_back(pt);
         }
 
         // The two schemes are timing overlays over one protocol:
@@ -299,12 +275,21 @@ main(int argc, char **argv)
             }
         }
     }
-    json += "],\"bit_identity\":";
-    json += identical ? "true" : "false";
-    json += "}";
-
-    std::printf("\n%s\n", json.c_str());
-    std::ofstream f("BENCH_alewife_scaling.json");
-    f << json << "\n";
+    session.emit("alewife_scaling", [&](json::Writer &w) {
+        w.key("points").beginArray();
+        for (const ScaleRow &pt : points)
+            w.beginObject()
+                .field("nodes", pt.nodes)
+                .field("scheme", pt.scheme)
+                .field("cycles", pt.cycles)
+                .field("max_sharers", pt.maxSharers)
+                .field("overflow_traps", pt.overflowTraps)
+                .field("spilled_ptrs", pt.spilledPtrs)
+                .field("spill_walks", pt.spillWalks)
+                .field("mean_hops", pt.meanHops)
+                .field("packets", pt.packets)
+                .endObject();
+        w.endArray().field("bit_identity", identical);
+    });
     return ok ? 0 : 1;
 }

@@ -16,15 +16,12 @@
  * Usage: bench_fuzz_throughput [--quick] [seed]
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 
-#include "common/logging.hh"
 #include "common/random.hh"
 #include "fuzz/differential.hh"
+#include "harness.hh"
 #include "machine/alewife_machine.hh"
 
 namespace
@@ -68,12 +65,11 @@ sampleTrapMix(uint64_t base_seed, uint64_t cases)
         for (uint32_t n = 0; n < m.numNodes(); ++n)
             bootFuzzProcessor(m.proc(n), prog);
         m.run(4'000'000);
-        for (uint32_t n = 0; n < m.numNodes(); ++n) {
+        for (uint32_t n = 0; n < m.numNodes(); ++n)
             for (size_t k = 0; k < size_t(TrapKind::NumKinds); ++k)
                 mix.counts[k] +=
                     uint64_t(m.proc(n).statTraps[k].value());
-            mix.insts += uint64_t(m.proc(n).statInsts.value());
-        }
+        mix.insts += m.instructions();
     }
     return mix;
 }
@@ -83,19 +79,13 @@ sampleTrapMix(uint64_t base_seed, uint64_t cases)
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    uint64_t seed = 0xB15D1FFULL;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else
-            seed = std::stoull(argv[i], nullptr, 0);
-    }
+    const bench::Session session(argc, argv, {.number = "seed"});
+    const bool quick = session.quick;
+    const uint64_t seed = session.number.value_or(0xB15D1FFULL);
     uint64_t cases = quick ? 40 : 300;
-    QuietScope quiet_scope;
 
     Totals t;
-    auto t0 = std::chrono::steady_clock::now();
+    bench::Lap lap;
     for (uint64_t i = 0; i < cases; ++i) {
         FuzzCase c = sampleCase(deriveSeed(seed, i));
         DiffResult r = runDifferential(c);
@@ -109,8 +99,7 @@ main(int argc, char **argv)
                          reproText(c, r).c_str());
         }
     }
-    auto t1 = std::chrono::steady_clock::now();
-    t.seconds = std::chrono::duration<double>(t1 - t0).count();
+    t.seconds = lap.seconds();
 
     TrapMix mix = sampleTrapMix(seed, quick ? 10 : 50);
 
@@ -129,34 +118,21 @@ main(int argc, char **argv)
                         (unsigned long long)mix.counts[k]);
     }
 
-    std::string json = "{\"bench\":\"fuzz_throughput\",\"quick\":";
-    json += quick ? "true" : "false";
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  ",\"cases\":%llu,\"divergences\":%llu,"
-                  "\"seconds\":%.6f,\"programs_per_sec\":%.1f,"
-                  "\"alewife_cycles\":%llu,\"perfect_cycles\":%llu,"
-                  "\"sampled_insts\":%llu,\"traps\":{",
-                  (unsigned long long)t.cases,
-                  (unsigned long long)t.divergences, t.seconds,
-                  per_sec, (unsigned long long)t.alewifeCycles,
-                  (unsigned long long)t.perfectCycles,
-                  (unsigned long long)mix.insts);
-    json += buf;
-    bool first = true;
-    for (size_t k = 1; k < size_t(TrapKind::NumKinds); ++k) {
-        if (!mix.counts[k])
-            continue;
-        std::snprintf(buf, sizeof buf, "%s\"%s\":%llu",
-                      first ? "" : ",", trapKindName(TrapKind(k)),
-                      (unsigned long long)mix.counts[k]);
-        json += buf;
-        first = false;
-    }
-    json += "}}";
-    std::printf("\n%s\n", json.c_str());
-    std::ofstream f("BENCH_fuzz_throughput.json");
-    f << json << "\n";
+    session.emit("fuzz_throughput", [&](json::Writer &w) {
+        w.field("cases", t.cases)
+            .field("divergences", t.divergences)
+            .field("seconds", t.seconds)
+            .field("programs_per_sec", per_sec)
+            .field("alewife_cycles", t.alewifeCycles)
+            .field("perfect_cycles", t.perfectCycles)
+            .field("sampled_insts", mix.insts)
+            .key("traps")
+            .beginObject();
+        for (size_t k = 1; k < size_t(TrapKind::NumKinds); ++k)
+            if (mix.counts[k])
+                w.field(trapKindName(TrapKind(k)), mix.counts[k]);
+        w.endObject();
+    });
 
     if (t.divergences) {
         std::fprintf(stderr, "FAIL: %llu divergence(s)\n",

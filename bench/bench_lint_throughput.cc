@@ -13,15 +13,12 @@
  * Usage: bench_lint_throughput [--quick] [seed]
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "harness.hh"
 #include "analysis/checks.hh"
-#include "common/logging.hh"
 #include "common/random.hh"
 #include "fuzz/generator.hh"
 #include "mult/compiler.hh"
@@ -32,7 +29,7 @@ namespace
 
 using namespace april;
 
-struct Lap
+struct Totals
 {
     uint64_t programs = 0;
     uint64_t insts = 0;
@@ -41,25 +38,24 @@ struct Lap
 };
 
 /** Time analyzeProgram over a pre-built (program, options) set. */
-Lap
+Totals
 timeAnalysis(const std::vector<std::pair<Program,
                                          analysis::AnalysisOptions>> &set,
              uint64_t rounds)
 {
-    Lap lap;
-    auto t0 = std::chrono::steady_clock::now();
+    Totals t;
+    bench::Lap lap;
     for (uint64_t r = 0; r < rounds; ++r) {
         for (const auto &[prog, opts] : set) {
             analysis::AnalysisResult res =
                 analysis::analyzeProgram(prog, opts);
-            ++lap.programs;
-            lap.insts += res.reachableInsts;
-            lap.findings += res.findings.size();
+            ++t.programs;
+            t.insts += res.reachableInsts;
+            t.findings += res.findings.size();
         }
     }
-    auto t1 = std::chrono::steady_clock::now();
-    lap.seconds = std::chrono::duration<double>(t1 - t0).count();
-    return lap;
+    t.seconds = lap.seconds();
+    return t;
 }
 
 } // namespace
@@ -67,15 +63,9 @@ timeAnalysis(const std::vector<std::pair<Program,
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    uint64_t seed = 0x11A71990ULL;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else
-            seed = std::stoull(argv[i], nullptr, 0);
-    }
-    QuietScope quiet_scope;
+    const bench::Session session(argc, argv, {.number = "seed"});
+    const bool quick = session.quick;
+    const uint64_t seed = session.number.value_or(0x11A71990ULL);
 
     // Small programs: generated fuzz cases under the fuzz profile.
     std::vector<std::pair<Program, analysis::AnalysisOptions>> small;
@@ -86,7 +76,7 @@ main(int argc, char **argv)
         analysis::AnalysisOptions opts = fuzz::lintOptions(prog);
         small.emplace_back(std::move(prog), std::move(opts));
     }
-    Lap fuzzLap = timeAnalysis(small, quick ? 4 : 16);
+    Totals fuzzTotals = timeAnalysis(small, quick ? 4 : 16);
 
     // Big images: runtime + compiled Mul-T benchmark, every symbol a
     // root (the april-lint --workloads profile).
@@ -98,34 +88,27 @@ main(int argc, char **argv)
         analysis::AnalysisOptions opts = analysis::allSymbolRoots(prog);
         big.emplace_back(std::move(prog), std::move(opts));
     }
-    Lap bigLap = timeAnalysis(big, quick ? 8 : 32);
+    Totals bigTotals = timeAnalysis(big, quick ? 8 : 32);
 
-    double fuzz_per_sec = double(fuzzLap.programs) / fuzzLap.seconds;
-    double big_per_sec = double(bigLap.programs) / bigLap.seconds;
+    double fuzz_per_sec = double(fuzzTotals.programs) / fuzzTotals.seconds;
+    double big_per_sec = double(bigTotals.programs) / bigTotals.seconds;
     double insts_per_sec =
-        double(fuzzLap.insts + bigLap.insts) /
-        (fuzzLap.seconds + bigLap.seconds);
+        double(fuzzTotals.insts + bigTotals.insts) /
+        (fuzzTotals.seconds + bigTotals.seconds);
     std::printf("lint throughput: %.1f fuzz programs/sec "
                 "(%llu analyzed), %.1f workload images/sec "
                 "(%llu analyzed), %.0f reachable insts/sec overall\n",
-                fuzz_per_sec, (unsigned long long)fuzzLap.programs,
-                big_per_sec, (unsigned long long)bigLap.programs,
+                fuzz_per_sec, (unsigned long long)fuzzTotals.programs,
+                big_per_sec, (unsigned long long)bigTotals.programs,
                 insts_per_sec);
 
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "{\"bench\":\"lint_throughput\",\"quick\":%s,"
-                  "\"fuzz_programs\":%llu,\"fuzz_per_sec\":%.1f,"
-                  "\"workload_images\":%llu,\"workload_per_sec\":%.1f,"
-                  "\"insts_per_sec\":%.0f,\"findings\":%llu}",
-                  quick ? "true" : "false",
-                  (unsigned long long)fuzzLap.programs, fuzz_per_sec,
-                  (unsigned long long)bigLap.programs, big_per_sec,
-                  insts_per_sec,
-                  (unsigned long long)(fuzzLap.findings +
-                                       bigLap.findings));
-    std::printf("\n%s\n", buf);
-    std::ofstream f("BENCH_lint_throughput.json");
-    f << buf << "\n";
+    session.emit("lint_throughput", [&](json::Writer &w) {
+        w.field("fuzz_programs", fuzzTotals.programs)
+            .field("fuzz_per_sec", fuzz_per_sec)
+            .field("workload_images", bigTotals.programs)
+            .field("workload_per_sec", big_per_sec)
+            .field("insts_per_sec", insts_per_sec)
+            .field("findings", fuzzTotals.findings + bigTotals.findings);
+    });
     return 0;
 }

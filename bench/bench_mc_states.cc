@@ -13,14 +13,11 @@
  * Usage: bench_mc_states [--quick]   (--quick: 2-node configs only)
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "common/logging.hh"
+#include "harness.hh"
 #include "mc/explore.hh"
 
 namespace
@@ -33,6 +30,12 @@ struct ConfigResult
     std::string name;
     mc::ExploreResult res;
     double seconds = 0;
+
+    double
+    statesPerSec() const
+    {
+        return seconds > 0 ? double(res.states) / seconds : 0.0;
+    }
 };
 
 ConfigResult
@@ -43,12 +46,11 @@ runConfig(const std::string &name, coh::DirScheme scheme,
     p.spec.scheme = scheme;
     p.spec.dirPointers = pointers;
     p.nodes = nodes;
-    auto t0 = std::chrono::steady_clock::now();
+    bench::Lap lap;
     ConfigResult r;
     r.res = mc::explore(p);
-    auto t1 = std::chrono::steady_clock::now();
+    r.seconds = lap.seconds();
     r.name = name;
-    r.seconds = std::chrono::duration<double>(t1 - t0).count();
     if (!r.res.ok())
         fatal("bench_mc_states: ", name,
               " found a violation or hit the state cap — run "
@@ -56,37 +58,13 @@ runConfig(const std::string &name, coh::DirScheme scheme,
     return r;
 }
 
-std::string
-toJson(const std::vector<ConfigResult> &results, bool quick)
-{
-    std::string out = "{\"bench\":\"mc_states\",\"quick\":";
-    out += quick ? "true" : "false";
-    out += ",\"configs\":[";
-    for (size_t i = 0; i < results.size(); ++i) {
-        const ConfigResult &r = results[i];
-        char buf[320];
-        std::snprintf(
-            buf, sizeof buf,
-            "%s{\"name\":\"%s\",\"states\":%llu,"
-            "\"transitions\":%llu,\"diameter\":%u,"
-            "\"seconds\":%.3f,\"states_per_sec\":%.0f}",
-            i ? "," : "", r.name.c_str(),
-            (unsigned long long)r.res.states,
-            (unsigned long long)r.res.transitions, r.res.diameter,
-            r.seconds,
-            r.seconds > 0 ? double(r.res.states) / r.seconds : 0.0);
-        out += buf;
-    }
-    out += "]}";
-    return out;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+    const bench::Session session(argc, argv);
+    const bool quick = session.quick;
 
     std::vector<ConfigResult> results;
     results.push_back(
@@ -107,12 +85,20 @@ main(int argc, char **argv)
                     "diameter %2u  %6.2fs  %.0f states/s\n",
                     r.name.c_str(), (unsigned long long)r.res.states,
                     (unsigned long long)r.res.transitions,
-                    r.res.diameter, r.seconds,
-                    r.seconds > 0 ? double(r.res.states) / r.seconds
-                                  : 0.0);
+                    r.res.diameter, r.seconds, r.statesPerSec());
     }
-    std::string json = toJson(results, quick);
-    std::printf("%s\n", json.c_str());
-    std::ofstream("BENCH_mc_states.json") << json << "\n";
+    session.emit("mc_states", [&](json::Writer &w) {
+        w.key("configs").beginArray();
+        for (const ConfigResult &r : results)
+            w.beginObject()
+                .field("name", r.name)
+                .field("states", r.res.states)
+                .field("transitions", r.res.transitions)
+                .field("diameter", r.res.diameter)
+                .field("seconds", r.seconds)
+                .field("states_per_sec", r.statesPerSec())
+                .endObject();
+        w.endArray();
+    });
     return 0;
 }

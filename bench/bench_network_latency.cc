@@ -25,13 +25,12 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/random.hh"
+#include "harness.hh"
 #include "machine/alewife_machine.hh"
 #include "machine/workload.hh"
 #include "network/network.hh"
@@ -74,43 +73,13 @@ loadedLatency(double inject_per_node, uint64_t cycles, uint64_t seed)
     return n.statLatency.mean();
 }
 
-/**
- * Upper bound of the bucket holding the @p q quantile of a log2
- * histogram — conservative ceiling, not an interpolation; the last
- * bucket reports the observed maximum (same rule as `april run --coh`).
- */
-uint64_t
-histPercentile(const stats::Histogram &h, double q)
-{
-    if (!h.count())
-        return 0;
-    uint64_t rank = uint64_t(q * double(h.count()));
-    if (rank < 1)
-        rank = 1;
-    uint64_t cum = 0;
-    for (size_t b = 0; b < h.numBuckets(); ++b) {
-        cum += h.bucketCount(b);
-        if (cum >= rank) {
-            if (b == 0)
-                return 0;
-            if (b + 1 == h.numBuckets())
-                return uint64_t(h.max());
-            return (uint64_t(1) << b) - 1;
-        }
-    }
-    return uint64_t(h.max());
-}
-
 /** Run the 16-node coherent counter loop of @p w, which must
  *  outlive the machine, and drain its in-flight traffic. */
 std::unique_ptr<Machine>
 runCoherent16(const workloads::Workload &w)
 {
     std::unique_ptr<Machine> m = makeMachine(w.prog, w.options, w.boot);
-    m->run(200'000'000);
-    if (!m->halted())
-        std::fprintf(stderr, "bench_network_latency: coherent16 did "
-                             "not finish\n");
+    bench::runToHalt(*m, 200'000'000, "coherent16");
     m->quiesce(1'000'000);
     return m;
 }
@@ -120,10 +89,9 @@ runCoherent16(const workloads::Workload &w)
 int
 main(int argc, char **argv)
 {
-    bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+    const bench::Session session(argc, argv);
+    const bool quick = session.quick;
     Rng rng(7);
-    std::string json = "{\"bench\":\"network_latency\",\"quick\":";
-    json += quick ? "true" : "false";
 
     std::printf("Unloaded latency of the Table 4 network "
                 "(n=3, k=20, 8000 nodes)\n\n");
@@ -137,28 +105,17 @@ main(int argc, char **argv)
                         controller;
     std::printf("  derived round trip:        %6.2f  (2*hops + "
                 "(B-1) + mem + ctrl; paper: 55)\n\n", round_trip);
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  ",\"analytic\":{\"hops\":%.3f,\"round_trip\":%.3f}",
-                  hops, round_trip);
-    json += buf;
 
     std::printf("Loaded latency on a 2-D radix-8 mesh (4-flit "
                 "packets):\n");
     std::printf("  %-22s %12s\n", "injection/node/cycle", "latency");
-    json += ",\"loaded\":[";
     uint64_t load_cycles = quick ? 1000 : 4000;
-    bool first = true;
+    std::vector<std::pair<double, double>> loaded;
     for (double rate : {0.001, 0.01, 0.03, 0.05, 0.08}) {
         double lat = loadedLatency(rate, load_cycles, 99);
         std::printf("  %-22.3f %12.1f\n", rate, lat);
-        std::snprintf(buf, sizeof buf,
-                      "%s{\"rate\":%.3f,\"latency\":%.3f}",
-                      first ? "" : ",", rate, lat);
-        json += buf;
-        first = false;
+        loaded.emplace_back(rate, lat);
     }
-    json += "]";
     std::printf("\nLatency rises steeply as channel utilization "
                 "saturates — the bandwidth ceiling that caps\n"
                 "multithreaded utilization near 0.80 in Figure 5.\n\n");
@@ -173,43 +130,54 @@ main(int argc, char **argv)
                 (unsigned long long)m->cycle());
     std::printf("  %-12s %9s %9s %7s %7s %7s %7s\n", "class", "sent",
                 "delivered", "mean", "p50", "p90", "p99");
-    json += ",\"classes\":[";
-    first = true;
+    std::vector<size_t> classes;    // those that saw traffic
     for (size_t c = 0; c < tel.numClasses(); ++c) {
         const stats::Histogram &h = tel.classLatency(c);
         if (!tel.classSent(c) && !h.count())
             continue;
+        classes.push_back(c);
         std::printf("  %-12s %9llu %9llu %7.1f %7llu %7llu %7llu\n",
                     tel.className(c).c_str(),
                     (unsigned long long)tel.classSent(c),
                     (unsigned long long)tel.classDelivered(c),
-                    h.mean(),
-                    (unsigned long long)histPercentile(h, 0.50),
-                    (unsigned long long)histPercentile(h, 0.90),
-                    (unsigned long long)histPercentile(h, 0.99));
-        std::snprintf(
-            buf, sizeof buf,
-            "%s{\"name\":\"%s\",\"sent\":%llu,\"delivered\":%llu,"
-            "\"flits\":%llu,\"latency\":{\"count\":%llu,"
-            "\"mean\":%.3f,\"min\":%lld,\"max\":%lld,\"p50\":%llu,"
-            "\"p90\":%llu,\"p99\":%llu}}",
-            first ? "" : ",", tel.className(c).c_str(),
-            (unsigned long long)tel.classSent(c),
-            (unsigned long long)tel.classDelivered(c),
-            (unsigned long long)tel.classFlits(c),
-            (unsigned long long)h.count(), h.mean(),
-            (long long)(h.count() ? h.min() : 0),
-            (long long)(h.count() ? h.max() : 0),
-            (unsigned long long)histPercentile(h, 0.50),
-            (unsigned long long)histPercentile(h, 0.90),
-            (unsigned long long)histPercentile(h, 0.99));
-        json += buf;
-        first = false;
+                    h.mean(), (unsigned long long)h.percentile(0.50),
+                    (unsigned long long)h.percentile(0.90),
+                    (unsigned long long)h.percentile(0.99));
     }
-    json += "]}";
 
-    std::ofstream f("BENCH_network_latency.json");
-    f << json << "\n";
-    std::printf("\nwrote BENCH_network_latency.json\n");
+    session.emit("network_latency", [&](json::Writer &w) {
+        w.key("analytic")
+            .beginObject()
+            .field("hops", hops)
+            .field("round_trip", round_trip)
+            .endObject();
+        w.key("loaded").beginArray();
+        for (const auto &[rate, lat] : loaded)
+            w.beginObject()
+                .field("rate", rate)
+                .field("latency", lat)
+                .endObject();
+        w.endArray().key("classes").beginArray();
+        for (size_t c : classes) {
+            const stats::Histogram &h = tel.classLatency(c);
+            w.beginObject()
+                .field("name", tel.className(c))
+                .field("sent", tel.classSent(c))
+                .field("delivered", tel.classDelivered(c))
+                .field("flits", tel.classFlits(c))
+                .key("latency")
+                .beginObject()
+                .field("count", h.count())
+                .field("mean", h.mean())
+                .field("min", h.count() ? h.min() : 0)
+                .field("max", h.count() ? h.max() : 0)
+                .field("p50", h.percentile(0.50))
+                .field("p90", h.percentile(0.90))
+                .field("p99", h.percentile(0.99))
+                .endObject()
+                .endObject();
+        }
+        w.endArray();
+    });
     return 0;
 }

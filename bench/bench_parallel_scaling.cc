@@ -27,57 +27,28 @@
  * Usage: bench_parallel_scaling [--quick]
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/logging.hh"
+#include "harness.hh"
 #include "machine/alewife_machine.hh"
 #include "machine/workload.hh"
+#include "workloads/handwritten.hh"
 
 namespace
 {
 
 using namespace april;
-using namespace tagged;
 
-/** Lockstep DIV loop on every node; node 0 stops the machine. */
-Program
-buildStallLoop(uint32_t iters)
-{
-    Assembler as;
-    as.bind("worker");
-    as.movi(1, Word(iters));
-    as.movi(2, fixnum(84));
-    as.movi(3, fixnum(4));
-    as.bind("loop");
-    as.div(4, 2, 3);
-    as.subiR(1, 1, 1);
-    as.jRaw(Cond::NE, "loop");
-    as.nop();
-    as.ldio(5, int(IoReg::NodeId));
-    as.cmpiR(5, 0);
-    as.jRaw(Cond::NE, "done");
-    as.nop();
-    as.stio(int(IoReg::MachineHalt), reg::r0);
-    as.bind("done");
-    as.halt();
-    return as.finish();
-}
-
-struct Point
+struct Point : bench::Timing
 {
     uint32_t threads = 0;
-    uint64_t simCycles = 0;
-    uint64_t insts = 0;
-    double seconds = 0;
-
-    double cyclesPerSec() const { return double(simCycles) / seconds; }
+    bool skip = false;
+    double scaling = 0;         ///< sequential seconds over these
+    bool identical = false;     ///< matches the sequential digest
 };
 
 /** The 16-node machine of the coherent counter loop, running the
@@ -87,7 +58,7 @@ stallWorkload(const workloads::Workload &coherent, uint32_t iters)
 {
     workloads::Workload w;
     w.name = "alewife_stall16";
-    w.prog = buildStallLoop(iters);
+    w.prog = workloads::buildStallLoop(iters);
     w.options = coherent.options;
     w.options.controller = {};
     w.boot = [](Machine &m, const Program &prog) {
@@ -107,17 +78,8 @@ timeRun(const workloads::Workload &w, uint32_t threads, bool skip,
     o.cycleSkip = skip;
     std::unique_ptr<Machine> machine = makeMachine(w.prog, o, w.boot);
     auto *m = dynamic_cast<AlewifeMachine *>(machine.get());
-    auto t0 = std::chrono::steady_clock::now();
-    m->run(2'000'000'000);
-    auto t1 = std::chrono::steady_clock::now();
-    if (!m->halted())
-        fatal("bench_parallel_scaling: ", w.name, " did not finish");
-    Point pt;
+    Point pt{bench::runToHalt(*m, 2'000'000'000, w.name)};
     pt.threads = m->hostThreads();
-    pt.simCycles = m->cycle();
-    for (uint32_t n = 0; n < m->numNodes(); ++n)
-        pt.insts += uint64_t(m->proc(n).statInsts.value());
-    pt.seconds = std::chrono::duration<double>(t1 - t0).count();
     std::ostringstream os;
     m->dump(os);
     *digest = os.str();
@@ -129,8 +91,8 @@ timeRun(const workloads::Workload &w, uint32_t threads, bool skip,
 int
 main(int argc, char **argv)
 {
-    bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-    QuietScope quiet_scope;
+    const bench::Session session(argc, argv);
+    const bool quick = session.quick;
 
     uint32_t cores = std::thread::hardware_concurrency();
     std::vector<workloads::Workload> workloads;
@@ -141,10 +103,7 @@ main(int argc, char **argv)
         stallWorkload(workloads[0], quick ? 3'000 : 50'000));
 
     bool ok = true;
-    std::string json = "{\"bench\":\"parallel_scaling\",\"quick\":";
-    json += quick ? "true" : "false";
-    json += ",\"host_cores\":" + std::to_string(cores);
-    json += ",\"workloads\":[";
+    std::vector<std::vector<Point>> series(workloads.size());
 
     for (size_t wi = 0; wi < workloads.size(); ++wi) {
         const workloads::Workload &w = workloads[wi];
@@ -152,9 +111,6 @@ main(int argc, char **argv)
         std::printf("%s\n%8s %6s %14s %14s %9s\n", w.name.c_str(),
                     "threads", "skip", "sim cycles", "cyc/s",
                     "scaling");
-        json += std::string(wi ? "," : "") + "{\"name\":\"" + w.name +
-                "\",\"points\":[";
-        bool first_point = true;
         double gate_scaling = 0;
         for (bool skip : {false, true}) {
             std::string ref_digest;
@@ -166,41 +122,27 @@ main(int argc, char **argv)
                     base = pt;
                     ref_digest = digest;
                 }
-                bool same = pt.simCycles == base.simCycles &&
-                            pt.insts == base.insts &&
-                            digest == ref_digest;
-                if (!same) {
+                pt.skip = skip;
+                pt.identical = pt.cycles == base.cycles &&
+                               pt.insts == base.insts &&
+                               digest == ref_digest;
+                if (!pt.identical) {
                     std::fprintf(stderr,
                                  "FAIL: %s threads=%u skip=%d diverged "
                                  "from the sequential run\n",
                                  w.name.c_str(), threads, int(skip));
                     ok = false;
                 }
-                double scaling = base.seconds / pt.seconds;
+                pt.scaling = base.seconds / pt.seconds;
                 if (coherent && !skip && threads == 4)
-                    gate_scaling = scaling;
+                    gate_scaling = pt.scaling;
                 std::printf("%8u %6s %14llu %14.0f %8.2fx\n",
                             pt.threads, skip ? "on" : "off",
-                            (unsigned long long)pt.simCycles,
-                            pt.cyclesPerSec(), scaling);
-                char buf[256];
-                std::snprintf(
-                    buf, sizeof buf,
-                    "%s{\"threads\":%u,\"skip\":%s,"
-                    "\"sim_cycles\":%llu,\"insts\":%llu,"
-                    "\"seconds\":%.6f,\"cycles_per_sec\":%.0f,"
-                    "\"scaling\":%.3f,\"identical\":%s}",
-                    first_point ? "" : ",", pt.threads,
-                    skip ? "true" : "false",
-                    (unsigned long long)pt.simCycles,
-                    (unsigned long long)pt.insts, pt.seconds,
-                    pt.cyclesPerSec(), scaling,
-                    same ? "true" : "false");
-                json += buf;
-                first_point = false;
+                            (unsigned long long)pt.cycles,
+                            pt.cyclesPerSec(), pt.scaling);
+                series[wi].push_back(pt);
             }
         }
-        json += "]}";
         std::printf("\n");
 
         // The throughput gate: 4 threads must be >= 3x sequential on
@@ -220,10 +162,28 @@ main(int argc, char **argv)
             }
         }
     }
-    json += "]}";
 
-    std::printf("%s\n", json.c_str());
-    std::ofstream f("BENCH_parallel_scaling.json");
-    f << json << "\n";
+    session.emit("parallel_scaling", [&](json::Writer &w) {
+        w.field("host_cores", cores).key("workloads").beginArray();
+        for (size_t wi = 0; wi < workloads.size(); ++wi) {
+            w.beginObject()
+                .field("name", workloads[wi].name)
+                .key("points")
+                .beginArray();
+            for (const Point &pt : series[wi])
+                w.beginObject()
+                    .field("threads", pt.threads)
+                    .field("skip", pt.skip)
+                    .field("sim_cycles", pt.cycles)
+                    .field("insts", pt.insts)
+                    .field("seconds", pt.seconds)
+                    .field("cycles_per_sec", pt.cyclesPerSec())
+                    .field("scaling", pt.scaling)
+                    .field("identical", pt.identical)
+                    .endObject();
+            w.endArray().endObject();
+        }
+        w.endArray();
+    });
     return ok ? 0 : 1;
 }

@@ -20,16 +20,13 @@
  * Usage: bench_prof_overhead [--quick]
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/logging.hh"
+#include "harness.hh"
 #include "machine/alewife_machine.hh"
 #include "machine/driver.hh"
 #include "profile/report.hh"
@@ -42,14 +39,36 @@ namespace
 using namespace april;
 using namespace tagged;
 
-struct Measurement
+struct Measurement : bench::Timing
 {
-    uint64_t simCycles = 0;
-    uint64_t insts = 0;
     std::string stats;
     std::string profile;        ///< writeProfileJson when sampling
-    double seconds = 0;
 };
+
+/**
+ * Whether @p b simulated exactly what @p a did: cycles, instructions,
+ * statistics and, when both sampled, the profile. Otherwise print
+ * FAIL, @p what and the differences on stderr.
+ */
+bool
+sameSimulation(const Measurement &a, const Measurement &b,
+               const std::string &what)
+{
+    bool stats = a.stats == b.stats;
+    bool prof = a.profile.empty() || b.profile.empty() ||
+                a.profile == b.profile;
+    if (a.cycles == b.cycles && a.insts == b.insts && stats && prof)
+        return true;
+    std::fprintf(stderr,
+                 "FAIL: %s (cycles %llu vs %llu, insts %llu vs %llu, "
+                 "stats %s, profile %s)\n",
+                 what.c_str(), (unsigned long long)a.cycles,
+                 (unsigned long long)b.cycles,
+                 (unsigned long long)a.insts,
+                 (unsigned long long)b.insts,
+                 stats ? "equal" : "DIFFER", prof ? "equal" : "DIFFER");
+    return false;
+}
 
 struct WorkloadResult
 {
@@ -83,16 +102,8 @@ runAlewifeOnce(const workloads::CoherentLoop &coh, uint32_t nodes,
         workloads::bootCoherentNode(m.proc(n), prog);
     m.memory().write(coh.count, fixnum(0));
 
-    auto t0 = std::chrono::steady_clock::now();
-    m.run(2'000'000'000);
-    auto t1 = std::chrono::steady_clock::now();
-    if (!m.halted())
-        fatal("bench_prof_overhead: alewife workload did not finish");
-
-    Measurement out;
-    out.simCycles = m.cycle();
-    for (uint32_t n = 0; n < nodes; ++n)
-        out.insts += uint64_t(m.proc(n).statInsts.value());
+    Measurement out{
+        bench::runToHalt(m, 2'000'000'000, "alewife workload"), {}, {}};
     std::ostringstream os;
     m.dump(os);
     out.stats = os.str();
@@ -101,7 +112,6 @@ runAlewifeOnce(const workloads::CoherentLoop &coh, uint32_t nodes,
         profile::writeProfileJson(prof, m.profileSource());
         out.profile = prof.str();
     }
-    out.seconds = std::chrono::duration<double>(t1 - t0).count();
     return out;
 }
 
@@ -112,54 +122,12 @@ runDriverOnce(int fib_n, bool profile)
         mult::CompileOptions::FutureMode::Eager, 8);
     opts.profile = profile;
     opts.statsInterval = profile ? 4096 : 0;
-    auto t0 = std::chrono::steady_clock::now();
+    bench::Lap lap;
     DriverResult d = runMultProgram(workloads::fibSource(fib_n), opts);
-    auto t1 = std::chrono::steady_clock::now();
+    double seconds = lap.seconds();
     if (d.result != Word(fixnum(int32_t(workloads::fibExpected(fib_n)))))
         fatal("bench_prof_overhead: wrong fib result");
-    Measurement out;
-    out.simCycles = d.cycles;
-    out.insts = d.instructions;
-    out.stats = d.statsJson;
-    out.seconds = std::chrono::duration<double>(t1 - t0).count();
-    return out;
-}
-
-/** Min-of-@p reps wall clock, single sim result (they must agree). */
-template <typename RunOnce>
-Measurement
-best(RunOnce once, int reps)
-{
-    Measurement m = once();
-    for (int i = 1; i < reps; ++i) {
-        Measurement again = once();
-        if (again.seconds < m.seconds)
-            m.seconds = again.seconds;
-    }
-    return m;
-}
-
-std::string
-toJson(const std::vector<WorkloadResult> &results, bool quick)
-{
-    std::string out = "{\"bench\":\"prof_overhead\",\"quick\":";
-    out += quick ? "true" : "false";
-    out += ",\"workloads\":[";
-    for (size_t i = 0; i < results.size(); ++i) {
-        const WorkloadResult &r = results[i];
-        char buf[256];
-        std::snprintf(buf, sizeof buf,
-                      "%s{\"name\":\"%s\",\"identical\":%s,"
-                      "\"overhead\":%.4f,\"off_seconds\":%.6f,"
-                      "\"on_seconds\":%.6f,\"sim_cycles\":%llu}",
-                      i ? "," : "", r.name.c_str(),
-                      r.identical ? "true" : "false", r.overhead(),
-                      r.off.seconds, r.on.seconds,
-                      (unsigned long long)r.on.simCycles);
-        out += buf;
-    }
-    out += "]}";
-    return out;
+    return {{d.cycles, d.instructions, seconds}, d.statsJson, {}};
 }
 
 } // namespace
@@ -167,53 +135,32 @@ toJson(const std::vector<WorkloadResult> &results, bool quick)
 int
 main(int argc, char **argv)
 {
-    bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-    QuietScope quiet_scope;
-    int reps = 2;
+    const bench::Session session(argc, argv);
+    const bool quick = session.quick;
+    const int reps = 2;
 
     uint32_t iters = quick ? 100 : 2'000;
     int fib_n = quick ? 10 : 13;
     workloads::CoherentLoop coh = workloads::buildCoherentLoop(4, iters);
 
     std::vector<WorkloadResult> results;
-    {
-        WorkloadResult r;
-        r.name = "alewife_coherent4";
-        r.off = best([&] { return runAlewifeOnce(coh, 4, false); },
-                     reps);
-        r.on = best([&] { return runAlewifeOnce(coh, 4, true); },
-                    reps);
-        results.push_back(std::move(r));
-    }
-    {
-        WorkloadResult r;
-        r.name = "perfect8_fib";
-        r.off = best([&] { return runDriverOnce(fib_n, false); }, reps);
-        r.on = best([&] { return runDriverOnce(fib_n, true); }, reps);
-        results.push_back(std::move(r));
-    }
+    // Braced initialisers run in order: off before on.
+    results.push_back(
+        {"alewife_coherent4",
+         bench::bestOf(reps, [&] { return runAlewifeOnce(coh, 4, false); }),
+         bench::bestOf(reps, [&] { return runAlewifeOnce(coh, 4, true); })});
+    results.push_back(
+        {"perfect8_fib",
+         bench::bestOf(reps, [&] { return runDriverOnce(fib_n, false); }),
+         bench::bestOf(reps, [&] { return runDriverOnce(fib_n, true); })});
 
     bool ok = true;
     std::printf("%-20s %12s %12s %9s %10s\n", "workload", "off (s)",
                 "on (s)", "overhead", "identical");
     for (WorkloadResult &r : results) {
-        r.identical = r.on.simCycles == r.off.simCycles &&
-                      r.on.insts == r.off.insts &&
-                      r.on.stats == r.off.stats;
-        if (!r.identical) {
-            std::fprintf(stderr,
-                         "%s: profiling changed the simulation! "
-                         "cycles %llu vs %llu, insts %llu vs %llu, "
-                         "stats %s\n",
-                         r.name.c_str(),
-                         (unsigned long long)r.off.simCycles,
-                         (unsigned long long)r.on.simCycles,
-                         (unsigned long long)r.off.insts,
-                         (unsigned long long)r.on.insts,
-                         r.on.stats == r.off.stats ? "equal"
-                                                   : "DIFFER");
-            ok = false;
-        }
+        r.identical = sameSimulation(
+            r.off, r.on, r.name + ": profiling changed the simulation");
+        ok = ok && r.identical;
         std::printf("%-20s %12.4f %12.4f %8.1f%% %10s\n",
                     r.name.c_str(), r.off.seconds, r.on.seconds,
                     100.0 * r.overhead(),
@@ -225,51 +172,26 @@ main(int argc, char **argv)
     // profile JSON and stats to the profiled sequential run.
     {
         Measurement seq = runAlewifeOnce(coh, 4, true, 1);
-        Measurement par = runAlewifeOnce(coh, 4, true, 4);
-        bool same = par.simCycles == seq.simCycles &&
-                    par.stats == seq.stats &&
-                    par.profile == seq.profile;
+        bool same = sameSimulation(
+            seq, runAlewifeOnce(coh, 4, true, 4),
+            "profiled run at 4 host threads diverged from sequential");
+        ok = ok && same;
         std::printf("%-20s %12s %12s %9s %10s\n",
                     "profiled threads=4", "-", "-", "-",
                     same ? "yes" : "NO");
-        if (!same) {
-            std::fprintf(stderr,
-                         "FAIL: profiled run at 4 host threads "
-                         "diverged from sequential (cycles %llu vs "
-                         "%llu, stats %s, profile %s)\n",
-                         (unsigned long long)seq.simCycles,
-                         (unsigned long long)par.simCycles,
-                         par.stats == seq.stats ? "equal" : "DIFFER",
-                         par.profile == seq.profile ? "equal"
-                                                    : "DIFFER");
-            ok = false;
-        }
     }
 
     // Coherence-transaction tracing must observe, not perturb: the
     // same workload with cohTrace on must reproduce the untraced
     // simulation digest exactly.
+    const Measurement &off = results[0].off;
     {
-        Measurement traced = runAlewifeOnce(coh, 4, false, 1, true);
-        const Measurement &off = results[0].off;
-        bool same = traced.simCycles == off.simCycles &&
-                    traced.insts == off.insts &&
-                    traced.stats == off.stats;
+        bool same = sameSimulation(
+            off, runAlewifeOnce(coh, 4, false, 1, true),
+            "coherence tracing changed the simulation");
+        ok = ok && same;
         std::printf("%-20s %12s %12s %9s %10s\n", "cohTrace on", "-",
                     "-", "-", same ? "yes" : "NO");
-        if (!same) {
-            std::fprintf(stderr,
-                         "FAIL: coherence tracing changed the "
-                         "simulation (cycles %llu vs %llu, insts "
-                         "%llu vs %llu, stats %s)\n",
-                         (unsigned long long)off.simCycles,
-                         (unsigned long long)traced.simCycles,
-                         (unsigned long long)off.insts,
-                         (unsigned long long)traced.insts,
-                         traced.stats == off.stats ? "equal"
-                                                   : "DIFFER");
-            ok = false;
-        }
     }
 
     // Task tracing must also observe, not perturb: the same workload
@@ -277,30 +199,16 @@ main(int argc, char **argv)
     // exactly, and the event-recording overhead must stay under the
     // same 10% budget the profiler is held to.
     {
-        Measurement traced = best(
-            [&] { return runAlewifeOnce(coh, 4, false, 1, false, true); },
-            reps);
-        const Measurement &off = results[0].off;
-        bool same = traced.simCycles == off.simCycles &&
-                    traced.insts == off.insts &&
-                    traced.stats == off.stats;
+        Measurement traced = bench::bestOf(reps, [&] {
+            return runAlewifeOnce(coh, 4, false, 1, false, true);
+        });
+        bool same = sameSimulation(off, traced,
+                                   "task tracing changed the simulation");
+        ok = ok && same;
         double ovh = traced.seconds / off.seconds - 1.0;
         std::printf("%-20s %12.4f %12.4f %8.1f%% %10s\n",
                     "taskTrace on", off.seconds, traced.seconds,
                     100.0 * ovh, same ? "yes" : "NO");
-        if (!same) {
-            std::fprintf(stderr,
-                         "FAIL: task tracing changed the simulation "
-                         "(cycles %llu vs %llu, insts %llu vs %llu, "
-                         "stats %s)\n",
-                         (unsigned long long)off.simCycles,
-                         (unsigned long long)traced.simCycles,
-                         (unsigned long long)off.insts,
-                         (unsigned long long)traced.insts,
-                         traced.stats == off.stats ? "equal"
-                                                   : "DIFFER");
-            ok = false;
-        }
         if (ovh >= 0.10) {
             std::fprintf(stderr,
                          "FAIL: task tracing overhead %.1f%% >= 10%%\n",
@@ -309,10 +217,19 @@ main(int argc, char **argv)
         }
     }
 
-    std::string json = toJson(results, quick);
-    std::printf("\n%s\n", json.c_str());
-    std::ofstream f("BENCH_prof_overhead.json");
-    f << json << "\n";
+    session.emit("prof_overhead", [&](json::Writer &w) {
+        w.key("workloads").beginArray();
+        for (const WorkloadResult &r : results)
+            w.beginObject()
+                .field("name", r.name)
+                .field("identical", r.identical)
+                .field("overhead", r.overhead())
+                .field("off_seconds", r.off.seconds)
+                .field("on_seconds", r.on.seconds)
+                .field("sim_cycles", r.on.cycles)
+                .endObject();
+        w.endArray();
+    });
 
     // Acceptance gate: sampling overhead < 10% on the machine that
     // matters (the ALEWIFE run; the driver run is reported only).

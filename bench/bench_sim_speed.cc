@@ -23,19 +23,17 @@
  * Usage: bench_sim_speed [--quick]
  */
 
-#include <chrono>
-#include <cstdio>
 #include <algorithm>
-#include <cstring>
+#include <cstdio>
 #include <functional>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "common/logging.hh"
+#include "harness.hh"
 #include "machine/alewife_machine.hh"
 #include "machine/driver.hh"
 #include "machine/workload.hh"
+#include "workloads/handwritten.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -43,81 +41,34 @@ namespace
 
 using namespace april;
 using namespace tagged;
-
-// ---------------------------------------------------------------------
-// Workload programs
-// ---------------------------------------------------------------------
-
-/** Lockstep DIV loop on every node; node 0 stops the machine. */
-Program
-buildStallLoop(uint32_t iters)
-{
-    Assembler as;
-    as.bind("worker");
-    as.movi(1, Word(iters));            // raw loop counter
-    as.movi(2, fixnum(84));             // DIV operands (future-free)
-    as.movi(3, fixnum(4));
-    as.bind("loop");
-    as.div(4, 2, 3);                    // multi-cycle stall
-    as.subiR(1, 1, 1);
-    as.jRaw(Cond::NE, "loop");
-    as.nop();
-    as.ldio(5, int(IoReg::NodeId));
-    as.cmpiR(5, 0);
-    as.jRaw(Cond::NE, "done");
-    as.nop();
-    as.stio(int(IoReg::MachineHalt), reg::r0);
-    as.bind("done");
-    as.halt();
-    return as.finish();
-}
-
-
-// ---------------------------------------------------------------------
-// Measurement
-// ---------------------------------------------------------------------
-
-struct Measurement
-{
-    uint64_t simCycles = 0;
-    uint64_t insts = 0;
-    double seconds = 0;
-
-    double cyclesPerSec() const { return double(simCycles) / seconds; }
-    double instsPerSec() const { return double(insts) / seconds; }
-};
+using bench::Timing;
 
 struct WorkloadResult
 {
     std::string name;
-    Measurement on;
-    Measurement off;
+    Timing on;
+    Timing off;
     bool identical = false;     ///< cycle counts and insts match
 };
 
-template <typename MakeMachine>
-Measurement
-timeAlewife(MakeMachine make, bool skip, uint64_t budget)
+/** Time one machine from @p make(skip) with skipping on, then one
+ *  with it off; each is destroyed before the next is built. */
+template <typename Make>
+WorkloadResult
+skipOnOff(const char *name, Make make)
 {
-    auto machine = make(skip);
-    auto t0 = std::chrono::steady_clock::now();
-    machine->run(budget);
-    auto t1 = std::chrono::steady_clock::now();
-    if (!machine->halted())
-        fatal("bench_sim_speed: workload did not finish in ", budget,
-              " cycles");
-    Measurement m;
-    m.simCycles = machine->cycle();
-    for (uint32_t n = 0; n < machine->numNodes(); ++n)
-        m.insts += uint64_t(machine->proc(n).statInsts.value());
-    m.seconds = std::chrono::duration<double>(t1 - t0).count();
-    return m;
+    const uint64_t budget = 2'000'000'000;
+    WorkloadResult r;
+    r.name = name;
+    r.on = bench::runToHalt(*make(true), budget, name);
+    r.off = bench::runToHalt(*make(false), budget, name);
+    return r;
 }
 
 WorkloadResult
 runStall16(uint32_t iters)
 {
-    Program prog = buildStallLoop(iters);
+    Program prog = workloads::buildStallLoop(iters);
     auto make = [&](bool skip) {
         AlewifeParams p;
         p.network = {.dim = 2, .radix = 4};         // 16 nodes
@@ -129,11 +80,7 @@ runStall16(uint32_t iters)
             m->proc(n).reset(prog.entry("worker"));
         return m;
     };
-    WorkloadResult r;
-    r.name = "alewife_stall16";
-    r.on = timeAlewife(make, true, 2'000'000'000);
-    r.off = timeAlewife(make, false, 2'000'000'000);
-    return r;
+    return skipOnOff("alewife_stall16", make);
 }
 
 WorkloadResult
@@ -147,11 +94,7 @@ runCoherent16(uint32_t iters)
         o.cycleSkip = skip;
         return makeMachine(w.prog, o, w.boot);
     };
-    WorkloadResult r;
-    r.name = "alewife_coherent16";
-    r.on = timeAlewife(make, true, 2'000'000'000);
-    r.off = timeAlewife(make, false, 2'000'000'000);
-    return r;
+    return skipOnOff("alewife_coherent16", make);
 }
 
 WorkloadResult
@@ -161,65 +104,29 @@ runPerfect16(int fib_n)
         DriverOptions opts = DriverOptions::april(
             mult::CompileOptions::FutureMode::Eager, 16);
         opts.cycleSkip = skip;
-        auto t0 = std::chrono::steady_clock::now();
+        bench::Lap lap;
         DriverResult d =
             runMultProgram(workloads::fibSource(fib_n), opts);
-        auto t1 = std::chrono::steady_clock::now();
+        double seconds = lap.seconds();
         if (d.result != Word(fixnum(
                 int32_t(workloads::fibExpected(fib_n)))))
             fatal("bench_sim_speed: wrong fib result");
-        Measurement m;
-        m.simCycles = d.cycles;
-        m.insts = d.instructions;
-        m.seconds = std::chrono::duration<double>(t1 - t0).count();
-        return m;
+        return Timing{d.cycles, d.instructions, seconds};
     };
-    WorkloadResult r;
-    r.name = "perfect16";
-    r.on = once(true);
-    r.off = once(false);
-    return r;
+    return {"perfect16", once(true), once(false)};
 }
 
-// ---------------------------------------------------------------------
-// Reporting
-// ---------------------------------------------------------------------
-
-std::string
-jsonMode(const Measurement &m)
+void
+writeMode(json::Writer &w, std::string_view key, const Timing &t)
 {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "{\"sim_cycles\":%llu,\"insts\":%llu,"
-                  "\"seconds\":%.6f,\"cycles_per_sec\":%.0f,"
-                  "\"insts_per_sec\":%.0f}",
-                  (unsigned long long)m.simCycles,
-                  (unsigned long long)m.insts, m.seconds,
-                  m.cyclesPerSec(), m.instsPerSec());
-    return buf;
-}
-
-std::string
-toJson(const std::vector<WorkloadResult> &results, bool quick)
-{
-    std::string out = "{\"bench\":\"sim_speed\",\"quick\":";
-    out += quick ? "true" : "false";
-    out += ",\"workloads\":[";
-    for (size_t i = 0; i < results.size(); ++i) {
-        const WorkloadResult &r = results[i];
-        char head[128];
-        std::snprintf(head, sizeof head,
-                      "%s{\"name\":\"%s\",\"identical\":%s,"
-                      "\"cycles_speedup\":%.2f,",
-                      i ? "," : "", r.name.c_str(),
-                      r.identical ? "true" : "false",
-                      r.off.seconds / r.on.seconds);
-        out += head;
-        out += "\"skip_on\":" + jsonMode(r.on);
-        out += ",\"skip_off\":" + jsonMode(r.off) + "}";
-    }
-    out += "]}";
-    return out;
+    w.key(key)
+        .beginObject()
+        .field("sim_cycles", t.cycles)
+        .field("insts", t.insts)
+        .field("seconds", t.seconds)
+        .field("cycles_per_sec", t.cyclesPerSec())
+        .field("insts_per_sec", t.instsPerSec())
+        .endObject();
 }
 
 } // namespace
@@ -227,20 +134,17 @@ toJson(const std::vector<WorkloadResult> &results, bool quick)
 int
 main(int argc, char **argv)
 {
-    bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-    QuietScope quiet_scope;
+    const bench::Session session(argc, argv);
+    const bool quick = session.quick;
 
     // Min-of-reps wall clock per mode: quick runs are fractions of a
     // second, where scheduler noise alone swings ratios by +-10%.
-    int reps = 3;
-    auto bestOf = [&](const std::function<WorkloadResult()> &make) {
-        WorkloadResult r = make();
-        for (int i = 1; i < reps; ++i) {
-            WorkloadResult again = make();
+    auto bestOf = [](const std::function<WorkloadResult()> &make) {
+        return bench::bestOf(3, make, [](WorkloadResult &r,
+                                         const WorkloadResult &again) {
             r.on.seconds = std::min(r.on.seconds, again.on.seconds);
             r.off.seconds = std::min(r.off.seconds, again.off.seconds);
-        }
-        return r;
+        });
     };
     std::vector<std::function<WorkloadResult()>> makers;
     makers.push_back([&] { return runStall16(quick ? 2'000 : 50'000); });
@@ -255,16 +159,16 @@ main(int argc, char **argv)
                 "cyc/s (skip)", "cyc/s (tick)", "insts/s (skip)",
                 "speedup");
     for (WorkloadResult &r : results) {
-        r.identical = r.on.simCycles == r.off.simCycles &&
+        r.identical = r.on.cycles == r.off.cycles &&
                       r.on.insts == r.off.insts;
         if (!r.identical) {
             std::fprintf(stderr,
                          "%s: cycle-skipping diverged! on=%llu/%llu "
                          "off=%llu/%llu\n",
                          r.name.c_str(),
-                         (unsigned long long)r.on.simCycles,
+                         (unsigned long long)r.on.cycles,
                          (unsigned long long)r.on.insts,
-                         (unsigned long long)r.off.simCycles,
+                         (unsigned long long)r.off.cycles,
                          (unsigned long long)r.off.insts);
             ok = false;
         }
@@ -274,10 +178,19 @@ main(int argc, char **argv)
                     r.off.seconds / r.on.seconds);
     }
 
-    std::string json = toJson(results, quick);
-    std::printf("\n%s\n", json.c_str());
-    std::ofstream f("BENCH_sim_speed.json");
-    f << json << "\n";
+    session.emit("sim_speed", [&](json::Writer &w) {
+        w.key("workloads").beginArray();
+        for (const WorkloadResult &r : results) {
+            w.beginObject()
+                .field("name", r.name)
+                .field("identical", r.identical)
+                .field("cycles_speedup", r.off.seconds / r.on.seconds);
+            writeMode(w, "skip_on", r.on);
+            writeMode(w, "skip_off", r.off);
+            w.endObject();
+        }
+        w.endArray();
+    });
 
     // The stall-heavy workload is the acceptance gate: fast-forwarding
     // must at least double simulated-cycles/sec there.

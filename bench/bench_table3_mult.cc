@@ -23,11 +23,10 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/logging.hh"
+#include "harness.hh"
 #include "machine/driver.hh"
 #include "workloads/workloads.hh"
 
@@ -108,11 +107,10 @@ printRow(const char *system, double mult_seq,
 int
 main(int argc, char **argv)
 {
-    bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-    QuietScope quiet_scope;
+    const bench::Session session(argc, argv);
 
     workloads::SuiteSizes sizes;
-    if (quick) {
+    if (session.quick) {
         sizes.fibN = 11;
         sizes.factorLo = 500;
         sizes.factorHi = 540;

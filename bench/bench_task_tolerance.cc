@@ -57,13 +57,11 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/logging.hh"
+#include "harness.hh"
 #include "machine/alewife_machine.hh"
 #include "mult/compiler.hh"
 #include "task/task_trace.hh"
@@ -111,9 +109,7 @@ runOnce(const std::string &source, uint32_t frames, bool lazy = true,
     p.proc.numFrames = frames;
     p.taskTrace = true;
     AlewifeMachine m(p, &prog);
-    m.run(400'000'000);
-    if (!m.halted())
-        fatal("bench_task_tolerance: workload did not halt");
+    bench::runToHalt(m, 400'000'000, "bench_task_tolerance workload");
 
     task::AnalyzeParams ap;
     ap.numNodes = m.numNodes();
@@ -130,56 +126,15 @@ runOnce(const std::string &source, uint32_t frames, bool lazy = true,
     return pt;
 }
 
-std::string
-toJson(const std::vector<Sweep> &sweeps,
-       const std::vector<std::pair<uint32_t, double>> &suite, bool quick)
-{
-    std::string out = "{\"bench\":\"task_tolerance\",\"quick\":";
-    out += quick ? "true" : "false";
-    out += ",\"workloads\":[";
-    for (size_t i = 0; i < sweeps.size(); ++i) {
-        out += i ? "," : "";
-        char head[96];
-        std::snprintf(head, sizeof head,
-                      "{\"name\":\"%s\",\"commonBound\":%.1f,"
-                      "\"points\":[",
-                      sweeps[i].name.c_str(), sweeps[i].commonBound);
-        out += head;
-        for (size_t j = 0; j < sweeps[i].points.size(); ++j) {
-            const Point &pt = sweeps[i].points[j];
-            char buf[224];
-            std::snprintf(buf, sizeof buf,
-                          "%s{\"frames\":%u,\"cycles\":%llu,"
-                          "\"score\":%.4f,\"rawScore\":%.4f,"
-                          "\"exposed\":%llu,\"switches\":%llu}",
-                          j ? "," : "", pt.frames,
-                          (unsigned long long)pt.cycles, pt.normScore,
-                          pt.rawScore, (unsigned long long)pt.exposed,
-                          (unsigned long long)pt.switches);
-            out += buf;
-        }
-        out += "]}";
-    }
-    out += "],\"suite\":[";
-    for (size_t i = 0; i < suite.size(); ++i) {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%s{\"frames\":%u,\"score\":%.4f}",
-                      i ? "," : "", suite[i].first, suite[i].second);
-        out += buf;
-    }
-    out += "]}";
-    return out;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-    QuietScope quiet_scope;
+    const bench::Session session(argc, argv, {.scan = true});
+    const bool quick = session.quick;
 
-    if (argc > 1 && std::strcmp(argv[1], "--scan") == 0) {
+    if (session.scan) {
         struct Cfg { const char *tag; bool lazy; int radix;
                      uint32_t lines, assoc, hop, mem; };
         const Cfg cfgs[] = {
@@ -293,9 +248,32 @@ main(int argc, char **argv)
         }
     }
 
-    std::string json = toJson(sweeps, suite, quick);
-    std::printf("\n%s\n", json.c_str());
-    std::ofstream f("BENCH_task_tolerance.json");
-    f << json << "\n";
+    session.emit("task_tolerance", [&](json::Writer &w) {
+        w.key("workloads").beginArray();
+        for (const Sweep &sw : sweeps) {
+            w.beginObject()
+                .field("name", sw.name)
+                .field("commonBound", sw.commonBound)
+                .key("points")
+                .beginArray();
+            for (const Point &pt : sw.points)
+                w.beginObject()
+                    .field("frames", pt.frames)
+                    .field("cycles", pt.cycles)
+                    .field("score", pt.normScore)
+                    .field("rawScore", pt.rawScore)
+                    .field("exposed", pt.exposed)
+                    .field("switches", pt.switches)
+                    .endObject();
+            w.endArray().endObject();
+        }
+        w.endArray().key("suite").beginArray();
+        for (const auto &[frames, score] : suite)
+            w.beginObject()
+                .field("frames", frames)
+                .field("score", score)
+                .endObject();
+        w.endArray();
+    });
     return ok ? 0 : 1;
 }

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tiny helpers for emitting valid JSON, shared by the statistics
- * exporter (stats::Group::dumpJson) and the Chrome-trace-event writer
- * (trace::Recorder). Not a JSON library — just the two things a
- * hand-rolled emitter gets wrong: string escaping and non-finite
- * numbers.
+ * exporter (stats::Group::dumpJson), the Chrome-trace-event writer
+ * (trace::Recorder) and the benches' BENCH_*.json files. Not a JSON
+ * library — just the things a hand-rolled emitter gets wrong: string
+ * escaping, non-finite numbers and comma placement.
  */
 
 #ifndef APRIL_COMMON_JSON_HH
@@ -16,6 +16,8 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 namespace april::json
 {
@@ -72,6 +74,102 @@ writeNumber(std::ostream &os, double v)
     std::snprintf(buf, sizeof buf, "%.17g", v);
     os << buf;
 }
+
+/**
+ * Streaming writer: values go straight to the stream, and the writer
+ * places the commas between the members of each open object or array.
+ * Strings and doubles print as writeString()/writeNumber() do;
+ * integers print exactly, so a 64-bit counter keeps every digit.
+ *
+ *     Writer w(os);
+ *     w.beginObject().field("cycles", c).key("points").beginArray();
+ *     ...
+ *     w.endArray().endObject();
+ */
+class Writer
+{
+  public:
+    explicit Writer(std::ostream &os) : _os(os) {}
+
+    Writer &beginObject() { return open('{'); }
+    Writer &endObject() { return close('}'); }
+    Writer &beginArray() { return open('['); }
+    Writer &endArray() { return close(']'); }
+
+    /** Name the next value, inside an object. */
+    Writer &
+    key(std::string_view k)
+    {
+        separate();
+        writeString(_os, k);
+        _os << ':';
+        _afterKey = true;
+        return *this;
+    }
+
+    /** A string (anything a std::string_view is built from), a bool,
+     *  an integer or a floating-point number. */
+    template <typename T>
+    Writer &
+    value(const T &v)
+    {
+        separate();
+        if constexpr (std::is_same_v<T, bool>)
+            _os << (v ? "true" : "false");
+        else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>)
+            _os << int64_t(v);
+        else if constexpr (std::is_integral_v<T>)
+            _os << uint64_t(v);
+        else if constexpr (std::is_floating_point_v<T>)
+            writeNumber(_os, double(v));
+        else
+            writeString(_os, v);
+        return *this;
+    }
+
+    /** key(@p k) followed by value(@p v). */
+    template <typename T>
+    Writer &
+    field(std::string_view k, const T &v)
+    {
+        return key(k).value(v);
+    }
+
+  private:
+    /** A comma before every member but the first of its container;
+     *  none between a key and its value. */
+    void
+    separate()
+    {
+        if (!_hasMember.empty()) {
+            if (_hasMember.back() && !_afterKey)
+                _os << ',';
+            _hasMember.back() = true;
+        }
+        _afterKey = false;
+    }
+
+    Writer &
+    open(char c)
+    {
+        separate();
+        _os << c;
+        _hasMember.push_back(false);
+        return *this;
+    }
+
+    Writer &
+    close(char c)
+    {
+        _hasMember.pop_back();
+        _os << c;
+        return *this;
+    }
+
+    std::ostream &_os;
+    std::vector<bool> _hasMember;  ///< per open container
+    bool _afterKey = false;
+};
 
 } // namespace april::json
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Strict decimal parses for command-line values and workload specs:
+ * Strict number parses for command-line values and workload specs:
  * digits only, no sign, no whitespace, no trailing junk, no overflow.
  * atoi-style parsing turns "abc" into 0; these refuse it instead.
  */
@@ -8,26 +8,25 @@
 #ifndef APRIL_COMMON_PARSE_INT_HH
 #define APRIL_COMMON_PARSE_INT_HH
 
-#include <cerrno>
+#include <charconv>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
+#include <string_view>
 
 namespace april::cli
 {
 
-/** Parse @p s as an unsigned decimal; false on any malformed text. */
+/** Parse @p s as an unsigned number in @p base; false on any
+ *  malformed text. */
 inline bool
-parseU64(const char *s, uint64_t &out)
+parseU64(std::string_view s, uint64_t &out, int base = 10)
 {
-    if (*s < '0' || *s > '9')
+    uint64_t v = 0;
+    const char *end = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data(), end, v, base);
+    if (ec != std::errc() || ptr != end)
         return false;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    if (*end || errno == ERANGE)
-        return false;
-    out = uint64_t(v);
+    out = v;
     return true;
 }
 

@@ -276,6 +276,35 @@ Histogram::reset()
     _max = std::numeric_limits<int64_t>::min();
 }
 
+uint64_t
+Histogram::percentile(double q) const
+{
+    return logPercentile(_buckets, _count, _max, q);
+}
+
+uint64_t
+logPercentile(std::span<const uint64_t> buckets, uint64_t count,
+              int64_t max, double q)
+{
+    if (!count)
+        return 0;
+    uint64_t rank = uint64_t(q * double(count));
+    if (rank < 1)
+        rank = 1;
+    uint64_t cum = 0;
+    for (size_t b = 0; b < buckets.size(); ++b) {
+        cum += buckets[b];
+        if (cum >= rank) {
+            if (b == 0)
+                return 0;
+            if (b + 1 == buckets.size())
+                return uint64_t(max);
+            return (uint64_t(1) << b) - 1;
+        }
+    }
+    return uint64_t(max);
+}
+
 void
 Formula::print(std::ostream &os, std::string_view prefix) const
 {

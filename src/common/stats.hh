@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -261,6 +262,9 @@ class Histogram : public Info
     uint64_t bucketCount(size_t i) const { return _buckets.at(i); }
     size_t numBuckets() const { return _buckets.size(); }
 
+    /** logPercentile() of this histogram. */
+    uint64_t percentile(double q) const;
+
     void print(std::ostream &os, std::string_view prefix) const override;
     void printJson(std::ostream &os) const override;
     void reset() override;
@@ -273,6 +277,16 @@ class Histogram : public Info
     int64_t _min = 0;
     int64_t _max = 0;
 };
+
+/**
+ * Upper bound of the bucket holding the @p q quantile of a log2
+ * histogram (Histogram's bucketing) with @p count samples in all and
+ * largest sample @p max: a conservative ceiling, not an
+ * interpolation. Bucket 0 reports 0, the last bucket reports @p max,
+ * and an empty histogram reports 0.
+ */
+uint64_t logPercentile(std::span<const uint64_t> buckets, uint64_t count,
+                       int64_t max, double q);
 
 /** A named, nestable container of statistics. */
 class Group

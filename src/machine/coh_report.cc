@@ -39,31 +39,11 @@ struct HistAgg
 
     double mean() const { return count ? sum / double(count) : 0.0; }
 
-    /**
-     * Upper bound of the bucket holding the @p q quantile. Log2
-     * buckets give a conservative ceiling, not an interpolation; the
-     * last bucket reports the observed maximum.
-     */
+    /** The shared rule: stats::logPercentile. */
     uint64_t
     percentile(double q) const
     {
-        if (!count)
-            return 0;
-        uint64_t rank = uint64_t(q * double(count));
-        if (rank < 1)
-            rank = 1;
-        uint64_t cum = 0;
-        for (size_t b = 0; b < buckets.size(); ++b) {
-            cum += buckets[b];
-            if (cum >= rank) {
-                if (b == 0)
-                    return 0;
-                if (b + 1 == buckets.size())
-                    return uint64_t(max);
-                return (uint64_t(1) << b) - 1;
-            }
-        }
-        return uint64_t(max);
+        return stats::logPercentile(buckets, count, max, q);
     }
 };
 

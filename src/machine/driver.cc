@@ -115,8 +115,7 @@ runMultProgram(const std::string &source, const DriverOptions &options)
     r.spawns = machine.runtimeCounter(rt::nb::statSpawns);
     r.blocks = machine.runtimeCounter(rt::nb::statBlocks);
     r.resumes = machine.runtimeCounter(rt::nb::statResumes);
-    for (uint32_t n = 0; n < options.nodes; ++n)
-        r.instructions += uint64_t(machine.proc(n).statInsts.value());
+    r.instructions = machine.instructions();
     {
         std::ostringstream os;
         machine.dumpJson(os);

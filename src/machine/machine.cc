@@ -160,6 +160,15 @@ Machine::runtimeCounter(int slot) const
     return total;
 }
 
+uint64_t
+Machine::instructions() const
+{
+    uint64_t total = 0;
+    for (const auto &p : procs_)
+        total += uint64_t(p->statInsts.value());
+    return total;
+}
+
 void
 Machine::writeTrace(std::ostream &os)
 {

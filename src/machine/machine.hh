@@ -127,6 +127,9 @@ class Machine : public stats::Group
      *  coherently. */
     uint64_t runtimeCounter(int slot) const;
 
+    /** Instructions executed, summed over the nodes' statInsts. */
+    uint64_t instructions() const;
+
     /** Event log with all lanes merged (nullptr unless traceEvents). */
     trace::Recorder *traceRecorder() { return trace_.merged(); }
 

@@ -329,4 +329,29 @@ bootCoherentNode(Processor &proc, const Program &prog)
     }
 }
 
+Program
+buildStallLoop(uint32_t iters)
+{
+    using namespace april::tagged;
+
+    Assembler as;
+    as.bind("worker");
+    as.movi(1, Word(iters));            // raw loop counter
+    as.movi(2, fixnum(84));             // DIV operands (future-free)
+    as.movi(3, fixnum(4));
+    as.bind("loop");
+    as.div(4, 2, 3);                    // multi-cycle stall
+    as.subiR(1, 1, 1);
+    as.jRaw(Cond::NE, "loop");
+    as.nop();
+    as.ldio(5, int(IoReg::NodeId));
+    as.cmpiR(5, 0);
+    as.jRaw(Cond::NE, "done");
+    as.nop();
+    as.stio(int(IoReg::MachineHalt), reg::r0);
+    as.bind("done");
+    as.halt();
+    return as.finish();
+}
+
 } // namespace april::workloads

@@ -58,6 +58,14 @@ CoherentLoop buildCoherentLoop(uint32_t nodes, uint32_t iters);
 void bootCoherentNode(Processor &proc, const Program &prog);
 
 /**
+ * The stall-heavy loop of bench_sim_speed and bench_parallel_scaling:
+ * every node, reset to "worker", runs `iters` DIVs in lockstep, and
+ * node 0 then halts the machine. Long windows where every core is
+ * stalled: the best case for cycle skipping.
+ */
+Program buildStallLoop(uint32_t iters);
+
+/**
  * The machine-scaling stress workload (DESIGN.md §7.8): every node
  * reads one word homed on node 0 — driving the directory's sharer set
  * as wide as the machine, past any limited-directory pointer budget —

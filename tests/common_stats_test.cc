@@ -245,6 +245,30 @@ TEST(Stats, HistogramDumpJson)
         << out;
 }
 
+TEST(Stats, LogPercentileReportsBucketCeilings)
+{
+    // Six buckets: <=0, 1, 2-3, 4-7, 8-15 and 16+; ten samples, the
+    // largest 40.
+    const std::vector<uint64_t> b = {1, 1, 2, 4, 1, 1};
+    EXPECT_EQ(logPercentile(b, 10, 40, 0.0), 0u);   // rank clamps to 1
+    EXPECT_EQ(logPercentile(b, 10, 40, 0.2), 1u);
+    EXPECT_EQ(logPercentile(b, 10, 40, 0.5), 7u);   // a middle bucket
+    EXPECT_EQ(logPercentile(b, 10, 40, 0.9), 15u);
+    EXPECT_EQ(logPercentile(b, 10, 40, 1.0), 40u);  // last: the max
+    // Every sample in bucket 0, and no samples at all.
+    const std::vector<uint64_t> zeros = {5, 0, 0, 0, 0, 0};
+    EXPECT_EQ(logPercentile(zeros, 5, 0, 0.99), 0u);
+    EXPECT_EQ(logPercentile(zeros, 0, 0, 0.5), 0u);
+
+    // Histogram::percentile applies the same rule to its own buckets.
+    Group g("top");
+    Histogram h(&g, "lat", "latency", 6);
+    for (int64_t v : {0, 1, 2, 3, 4, 5, 6, 7, 8, 40})
+        h.sample(v);
+    for (double q : {0.0, 0.2, 0.5, 0.9, 1.0})
+        EXPECT_EQ(h.percentile(q), logPercentile(b, 10, 40, q)) << q;
+}
+
 /** A family's text, built once per process like the machines' tables
  *  (traps<Kind>, dir<From>To<To>, latency<Class>). */
 const std::vector<FamilyText> &

@@ -12,8 +12,11 @@
  *    the full statistics dump must match exactly between the two
  *    modes — sampling clamps cycle-skip windows at snapshot
  *    boundaries, which is required to be cycle-exact (§7.5);
- *  - wall-clock overhead of profiling < 10% on the ALEWIFE workload
- *    (min of two reps per mode to damp scheduler noise).
+ *  - wall-clock overhead of profiling < 10% on the ALEWIFE workload.
+ *    Each mode is timed in alternation with its untraced baseline,
+ *    run by run, over at least 100 ms per mode (bench::alternating),
+ *    so host-speed swings hit both alike even on --quick's short
+ *    runs.
  *
  * Writes BENCH_prof_overhead.json next to BENCH_sim_speed.json.
  *
@@ -137,22 +140,23 @@ main(int argc, char **argv)
 {
     const bench::Session session(argc, argv);
     const bool quick = session.quick;
-    const int reps = 2;
+    // Host seconds each mode of a timed pair runs for at least.
+    const double min_seconds = 0.1;
 
     uint32_t iters = quick ? 100 : 2'000;
     int fib_n = quick ? 10 : 13;
     workloads::CoherentLoop coh = workloads::buildCoherentLoop(4, iters);
 
+    auto untraced = [&] { return runAlewifeOnce(coh, 4, false); };
     std::vector<WorkloadResult> results;
-    // Braced initialisers run in order: off before on.
-    results.push_back(
-        {"alewife_coherent4",
-         bench::bestOf(reps, [&] { return runAlewifeOnce(coh, 4, false); }),
-         bench::bestOf(reps, [&] { return runAlewifeOnce(coh, 4, true); })});
-    results.push_back(
-        {"perfect8_fib",
-         bench::bestOf(reps, [&] { return runDriverOnce(fib_n, false); }),
-         bench::bestOf(reps, [&] { return runDriverOnce(fib_n, true); })});
+    auto paired = [&](const char *name, auto off, auto on) {
+        auto [a, b] = bench::alternating(min_seconds, off, on);
+        results.push_back({name, std::move(a), std::move(b)});
+    };
+    paired("alewife_coherent4", untraced,
+           [&] { return runAlewifeOnce(coh, 4, true); });
+    paired("perfect8_fib", [&] { return runDriverOnce(fib_n, false); },
+           [&] { return runDriverOnce(fib_n, true); });
 
     bool ok = true;
     std::printf("%-20s %12s %12s %9s %10s\n", "workload", "off (s)",
@@ -199,15 +203,15 @@ main(int argc, char **argv)
     // exactly, and the event-recording overhead must stay under the
     // same 10% budget the profiler is held to.
     {
-        Measurement traced = bench::bestOf(reps, [&] {
+        auto [base, traced] = bench::alternating(min_seconds, untraced, [&] {
             return runAlewifeOnce(coh, 4, false, 1, false, true);
         });
         bool same = sameSimulation(off, traced,
                                    "task tracing changed the simulation");
         ok = ok && same;
-        double ovh = traced.seconds / off.seconds - 1.0;
+        double ovh = traced.seconds / base.seconds - 1.0;
         std::printf("%-20s %12.4f %12.4f %8.1f%% %10s\n",
-                    "taskTrace on", off.seconds, traced.seconds,
+                    "taskTrace on", base.seconds, traced.seconds,
                     100.0 * ovh, same ? "yes" : "NO");
         if (ovh >= 0.10) {
             std::fprintf(stderr,

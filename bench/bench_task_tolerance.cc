@@ -114,7 +114,7 @@ runOnce(const std::string &source, uint32_t frames, bool lazy = true,
     task::AnalyzeParams ap;
     ap.numNodes = m.numNodes();
     ap.totalCycles = m.cycle();
-    task::Report r = task::analyze(m.taskTracer()->events(), ap);
+    task::Report r = task::analyze(*m.taskTracer(), ap);
 
     Point pt;
     pt.frames = frames;

@@ -1,10 +1,10 @@
 /**
  * @file
  * The measuring harness the plain-executable benches share: their
- * command line, the host clock, min-of-N repetition, the timed
- * machine run and the BENCH_<name>.json writer. Every host time a
- * bench reports is a Lap, so a change of clock (DESIGN.md §6) is a
- * change here alone.
+ * command line, the host clock, min-of-N repetition, alternating
+ * two-mode timing, the timed machine run and the BENCH_<name>.json
+ * writer. Every host time a bench reports is a Lap, so a change of
+ * clock (DESIGN.md §6) is a change here alone.
  */
 
 #ifndef APRIL_BENCH_HARNESS_HH
@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -126,14 +127,35 @@ bestOf(int reps, Run run, Keep keep)
     return best;
 }
 
-/** Min-of-@p reps of a result's `seconds`. */
-template <typename Run>
+/**
+ * Two modes timed in alternation, run by run and in ABBA order, until
+ * each has run for at least @p minSeconds, so that a swing in host
+ * speed hits both alike and no short run is timed on one scheduler
+ * slice. Returns each mode's first result, its `seconds` replaced by
+ * the mean per run.
+ */
+template <typename RunA, typename RunB>
 auto
-bestOf(int reps, Run run)
+alternating(double minSeconds, RunA runA, RunB runB)
 {
-    return bestOf(reps, run, [](auto &best, const auto &again) {
-        best.seconds = std::min(best.seconds, again.seconds);
-    });
+    auto a = runA();
+    auto b = runB();
+    double totalA = a.seconds;
+    double totalB = b.seconds;
+    int runs = 1;
+    while (totalA < minSeconds || totalB < minSeconds) {
+        if (runs % 2) {
+            totalB += runB().seconds;
+            totalA += runA().seconds;
+        } else {
+            totalA += runA().seconds;
+            totalB += runB().seconds;
+        }
+        ++runs;
+    }
+    a.seconds = totalA / runs;
+    b.seconds = totalB / runs;
+    return std::pair{a, b};
 }
 
 /** One timed run: simulated cycles and instructions, host seconds. */

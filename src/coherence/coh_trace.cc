@@ -1,8 +1,11 @@
 #include "coherence/coh_trace.hh"
 
 #include <algorithm>
-#include <string>
-#include <unordered_map>
+#include <deque>
+#include <utility>
+
+#include "common/logging.hh"
+#include "common/trace.hh"
 
 namespace april::coh
 {
@@ -10,193 +13,244 @@ namespace april::coh
 namespace
 {
 
-/** One transaction's events, grouped for export. */
-struct TxnGroup
-{
-    uint64_t id = 0;
-    std::vector<size_t> events;     ///< indices into the flat log
-};
+constexpr uint32_t kEnd = UINT32_MAX;
 
 /**
- * Group the flat log by transaction id in first-appearance order
- * (deterministic: the log itself is canonical).
+ * The log's transactions as flat arrays: `heads` holds the index of
+ * each transaction's first leg, in first-appearance order, and
+ * `next[i]` the index of the leg after leg i in the same transaction
+ * (kEnd after its last). Built by sorting (txn, index) pairs, so no
+ * transaction gets a heap node of its own.
  */
-std::vector<TxnGroup>
-groupByTxn(const std::vector<TxnEvent> &events)
+struct TxnGroups
 {
-    std::vector<TxnGroup> groups;
-    std::unordered_map<uint64_t, size_t> index;
-    for (size_t i = 0; i < events.size(); ++i) {
-        uint64_t id = events[i].txn;
-        auto [it, inserted] = index.try_emplace(id, groups.size());
-        if (inserted)
-            groups.push_back({id, {}});
-        groups[it->second].events.push_back(i);
+    std::vector<uint32_t> heads;
+    std::vector<uint32_t> next;
+};
+
+TxnGroups
+groupByTxn(const TxnTracer &log)
+{
+    panicIfNot(log.size() < kEnd, "groupByTxn: more legs than indices");
+    std::vector<std::pair<uint64_t, uint32_t>> pairs;
+    pairs.reserve(log.size());
+    uint32_t i = 0;
+    for (const TxnEvent &e : log)
+        pairs.emplace_back(e.txn, i++);
+    std::sort(pairs.begin(), pairs.end());
+
+    TxnGroups g;
+    g.next.assign(pairs.size(), kEnd);
+    for (size_t k = 0; k < pairs.size(); ++k) {
+        if (k && pairs[k].first == pairs[k - 1].first)
+            g.next[pairs[k - 1].second] = pairs[k].second;
+        else
+            g.heads.push_back(pairs[k].second);
     }
-    return groups;
+    std::sort(g.heads.begin(), g.heads.end());
+    return g;
 }
 
-/** Derived per-transaction summary. */
-struct TxnSummary
+/**
+ * The legs a forward pass over the log has decoded and not yet
+ * released, indexed by log position. Transactions are visited in
+ * head order and every leg of one follows its head, so the window
+ * only spans the legs of the transactions in flight at a time.
+ */
+class LegWindow
 {
+  public:
+    explicit LegWindow(const TxnTracer &log) : next_(log.begin()) {}
+
+    /** Leg @p i (at or after the last release point). The reference
+     *  stays valid until that leg is released. */
+    const TxnEvent &
+    at(uint32_t i)
+    {
+        while (base_ + legs_.size() <= i) {
+            legs_.push_back(*next_);
+            ++next_;
+        }
+        return legs_[i - base_];
+    }
+
+    /** Forget the legs before index @p i. */
+    void
+    release(uint32_t i)
+    {
+        while (base_ < i && !legs_.empty()) {
+            legs_.pop_front();
+            ++base_;
+        }
+    }
+
+  private:
+    TxnTracer::Iterator next_;
+    std::deque<TxnEvent> legs_;
+    uint32_t base_ = 0;         ///< log index of legs_.front()
+};
+
+/** One transaction: its legs in log order and what they add up to. */
+struct Txn
+{
+    uint64_t id = 0;
+    std::vector<const TxnEvent *> legs;
     const TxnEvent *issue = nullptr;
     const TxnEvent *fill = nullptr;
     uint64_t firstCycle = 0;
     uint64_t lastCycle = 0;
     uint32_t invs = 0;
     uint32_t acks = 0;
+
+    const TxnEvent &head() const { return *legs.front(); }
 };
 
-TxnSummary
-summarize(const std::vector<TxnEvent> &events, const TxnGroup &g)
+void
+summarize(Txn &t)
 {
-    TxnSummary s;
-    s.firstCycle = events[g.events.front()].cycle;
-    s.lastCycle = events[g.events.back()].cycle;
-    for (size_t i : g.events) {
-        const TxnEvent &e = events[i];
-        switch (e.phase) {
+    t.id = t.head().txn;
+    t.issue = t.fill = nullptr;
+    t.invs = t.acks = 0;
+    t.firstCycle = t.head().cycle;
+    t.lastCycle = 0;
+    for (const TxnEvent *e : t.legs) {
+        switch (e->phase) {
           case TxnPhase::Issue:
-            if (!s.issue)
-                s.issue = &e;
+            if (!t.issue)
+                t.issue = e;
             break;
           case TxnPhase::Fill:
-            s.fill = &e;
+            t.fill = e;
             break;
           case TxnPhase::InvSend:
-            ++s.invs;
+            ++t.invs;
             break;
           case TxnPhase::InvAck:
-            ++s.acks;
+            ++t.acks;
             break;
           default:
             break;
         }
-        s.lastCycle = std::max(s.lastCycle, e.cycle);
+        t.lastCycle = std::max(t.lastCycle, e->cycle);
     }
-    return s;
+}
+
+/**
+ * Call @p fn with each transaction of @p log in first-appearance
+ * order (deterministic: the log itself is canonical).
+ */
+template <typename Fn>
+void
+forEachTxn(const TxnTracer &log, Fn &&fn)
+{
+    const TxnGroups g = groupByTxn(log);
+    LegWindow window(log);
+    Txn t;
+    for (uint32_t h : g.heads) {
+        window.release(h);
+        t.legs.clear();
+        for (uint32_t i = h; i != kEnd; i = g.next[i])
+            t.legs.push_back(&window.at(i));
+        summarize(t);
+        fn(t);
+    }
 }
 
 } // namespace
 
 std::vector<TxnRecord>
-summarizeTransactions(const std::vector<TxnEvent> &events)
+summarizeTransactions(const TxnTracer &log)
 {
     std::vector<TxnRecord> records;
-    for (const TxnGroup &g : groupByTxn(events)) {
-        TxnSummary s = summarize(events, g);
-        const TxnEvent &head = events[g.events.front()];
+    forEachTxn(log, [&](const Txn &t) {
         TxnRecord r;
-        r.id = g.id;
-        r.line = head.line;
-        r.requester = uint32_t(g.id >> 32);
-        r.write = head.write;
-        r.invs = s.invs;
-        r.acks = s.acks;
-        if (s.issue) {
-            r.issued = s.issue->cycle;
-            r.home = s.issue->peer;
-            r.frame = s.issue->frame;
+        r.id = t.id;
+        r.line = t.head().line;
+        r.requester = uint32_t(t.id >> 32);
+        r.write = t.head().write;
+        r.invs = t.invs;
+        r.acks = t.acks;
+        if (t.issue) {
+            r.issued = t.issue->cycle;
+            r.home = t.issue->peer;
+            r.frame = t.issue->frame;
         }
-        if (s.fill)
-            r.filled = s.fill->cycle;
-        r.complete = s.issue && s.fill;
+        if (t.fill)
+            r.filled = t.fill->cycle;
+        r.complete = t.issue && t.fill;
         records.push_back(r);
-    }
+    });
     return records;
 }
 
 void
 writeJson(std::ostream &os, const TxnTracer &log)
 {
-    const std::vector<TxnEvent> &events = log.events();
     os << "{\"schemaVersion\":1,\"dropped\":" << log.dropped()
        << ",\"transactions\":[";
     bool first_txn = true;
-    for (const TxnGroup &g : groupByTxn(events)) {
-        TxnSummary s = summarize(events, g);
+    forEachTxn(log, [&](const Txn &t) {
         os << (first_txn ? "\n" : ",\n");
         first_txn = false;
-        os << "{\"id\":" << g.id
-           << ",\"node\":" << uint32_t(g.id >> 32)
-           << ",\"line\":" << events[g.events.front()].line
-           << ",\"write\":" << (events[g.events.front()].write ? 1 : 0);
-        if (s.issue) {
-            os << ",\"issued\":" << s.issue->cycle
-               << ",\"home\":" << s.issue->peer
-               << ",\"frame\":" << uint32_t(s.issue->frame);
+        os << "{\"id\":" << t.id << ",\"node\":" << uint32_t(t.id >> 32)
+           << ",\"line\":" << t.head().line
+           << ",\"write\":" << (t.head().write ? 1 : 0);
+        if (t.issue) {
+            os << ",\"issued\":" << t.issue->cycle
+               << ",\"home\":" << t.issue->peer
+               << ",\"frame\":" << uint32_t(t.issue->frame);
         }
-        if (s.fill) {
-            os << ",\"filled\":" << s.fill->cycle;
-            if (s.issue)
-                os << ",\"latency\":" << (s.fill->cycle - s.issue->cycle);
+        if (t.fill) {
+            os << ",\"filled\":" << t.fill->cycle;
+            if (t.issue)
+                os << ",\"latency\":" << (t.fill->cycle - t.issue->cycle);
         }
-        os << ",\"complete\":" << (s.issue && s.fill ? 1 : 0)
-           << ",\"invs\":" << s.invs << ",\"acks\":" << s.acks
+        os << ",\"complete\":" << (t.issue && t.fill ? 1 : 0)
+           << ",\"invs\":" << t.invs << ",\"acks\":" << t.acks
            << ",\"events\":[";
         bool first_ev = true;
-        for (size_t i : g.events) {
-            const TxnEvent &e = events[i];
+        for (const TxnEvent *e : t.legs) {
             os << (first_ev ? "" : ",");
             first_ev = false;
-            os << "{\"c\":" << e.cycle << ",\"n\":" << e.node
-               << ",\"ph\":\"" << txnPhaseName(e.phase)
-               << "\",\"peer\":" << e.peer << "}";
+            os << "{\"c\":" << e->cycle << ",\"n\":" << e->node
+               << ",\"ph\":\"" << txnPhaseName(e->phase)
+               << "\",\"peer\":" << e->peer << "}";
         }
         os << "]}";
-    }
+    });
     os << "\n]}\n";
 }
-
-namespace
-{
-
-/** One Chrome trace-event object on an open event array. */
-void
-writeChromeEvent(std::ostream &os, bool &first, const std::string &name,
-                 const char *ph, uint64_t ts, uint32_t pid, uint64_t id,
-                 const std::string &args)
-{
-    os << (first ? "\n" : ",\n") << "{\"name\":\"" << name
-       << "\",\"ph\":\"" << ph << "\",\"cat\":\"txn\",\"ts\":" << ts
-       << ",\"pid\":" << pid << ",\"tid\":0,\"id\":" << id;
-    if (!args.empty())
-        os << ",\"args\":{" << args << "}";
-    os << "}";
-}
-
-} // namespace
 
 void
 writeChromeEvents(std::ostream &os, bool &first, const TxnTracer &log)
 {
-    const std::vector<TxnEvent> &events = log.events();
-    for (const TxnGroup &g : groupByTxn(events)) {
-        TxnSummary s = summarize(events, g);
-        const TxnEvent &head = events[g.events.front()];
-        uint32_t requester = uint32_t(g.id >> 32);
-        std::string name = std::string(head.write ? "write" : "read") +
-                           " line " + std::to_string(head.line);
+    forEachTxn(log, [&](const Txn &t) {
+        const TxnEvent &head = t.head();
+        const uint32_t requester = uint32_t(t.id >> 32);
+        auto name = [&](std::ostream &o) {
+            o << (head.write ? "write" : "read") << " line " << head.line;
+        };
         // Async span covering the transaction's lifetime on the
         // requester's process.
-        writeChromeEvent(os, first, name, "b", s.firstCycle, requester,
-                         g.id,
-                         "\"line\":" + std::to_string(head.line) +
-                             ",\"invs\":" + std::to_string(s.invs) +
-                             ",\"acks\":" + std::to_string(s.acks));
+        trace::writeSpanEvent(os, first, name, "b", "txn", t.firstCycle,
+                              requester, t.id, [&](std::ostream &o) {
+                                  o << "\"line\":" << head.line
+                                    << ",\"invs\":" << t.invs
+                                    << ",\"acks\":" << t.acks;
+                              });
         // Flow arrows stitching each leg to the node that acted.
-        for (size_t k = 0; k < g.events.size(); ++k) {
-            const TxnEvent &e = events[g.events[k]];
-            const char *ph = k == 0                      ? "s"
-                             : k + 1 == g.events.size() ? "f"
-                                                        : "t";
-            writeChromeEvent(os, first, txnPhaseName(e.phase), ph,
-                             e.cycle, e.node, g.id,
-                             "\"peer\":" + std::to_string(e.peer));
+        for (size_t k = 0; k < t.legs.size(); ++k) {
+            const TxnEvent &e = *t.legs[k];
+            const char *ph = k == 0                    ? "s"
+                             : k + 1 == t.legs.size() ? "f"
+                                                      : "t";
+            trace::writeSpanEvent(
+                os, first, txnPhaseName(e.phase), ph, "txn", e.cycle, e.node,
+                t.id, [&](std::ostream &o) { o << "\"peer\":" << e.peer; });
         }
-        writeChromeEvent(os, first, name, "e", s.lastCycle, requester,
-                         g.id, "");
-    }
+        trace::writeSpanEvent(os, first, name, "e", "txn", t.lastCycle,
+                              requester, t.id);
+    });
 }
 
 } // namespace april::coh

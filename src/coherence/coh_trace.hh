@@ -76,6 +76,16 @@ struct TxnEvent
     bool write = false;
 
     bool operator==(const TxnEvent &) const = default;
+
+    /** Fields of a log record after the cycle (obs::codec). */
+    static constexpr auto
+    fields()
+    {
+        return std::tuple{&TxnEvent::txn,  &TxnEvent::line,
+                          &TxnEvent::node, &TxnEvent::peer,
+                          &TxnEvent::phase, &TxnEvent::frame,
+                          &TxnEvent::write};
+    }
 };
 
 /** Flattened per-transaction summary (reports, invariant checks). */
@@ -97,13 +107,12 @@ struct TxnRecord
     uint64_t latency() const { return complete ? filled - issued : 0; }
 };
 
-/** Summaries of @p events grouped by transaction id, in
- *  first-appearance order (deterministic for a given log). */
-std::vector<TxnRecord>
-summarizeTransactions(const std::vector<TxnEvent> &events);
-
 /** The per-machine (or per-shard lane) transaction log. */
 using TxnTracer = obs::Log<TxnEvent>;
+
+/** Summaries of @p log's legs grouped by transaction id, in
+ *  first-appearance order (deterministic for a given log). */
+std::vector<TxnRecord> summarizeTransactions(const TxnTracer &log);
 
 /**
  * Serialize @p log as structured JSON: events grouped into

@@ -26,23 +26,28 @@ namespace april::json
 inline void
 writeEscaped(std::ostream &os, std::string_view s)
 {
-    for (char c : s) {
+    // Runs that need no escape go out in one write.
+    size_t plain = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20)
+            continue;
+        os.write(s.data() + plain, std::streamsize(i - plain));
+        plain = i + 1;
         switch (c) {
           case '"': os << "\\\""; break;
           case '\\': os << "\\\\"; break;
           case '\n': os << "\\n"; break;
           case '\r': os << "\\r"; break;
           case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
+          default: {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x", c);
+            os << buf;
+          }
         }
     }
+    os.write(s.data() + plain, std::streamsize(s.size() - plain));
 }
 
 /** Write @p s as a quoted, escaped JSON string. */

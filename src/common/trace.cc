@@ -1,6 +1,8 @@
 #include "common/trace.hh"
 
+#include <cstddef>
 #include <string>
+#include <type_traits>
 
 #include "common/json.hh"
 
@@ -10,36 +12,25 @@ namespace april::trace
 namespace
 {
 
-/** Trap name for a Trap event's kind byte. */
-std::string
-trapName(const RecorderConfig &config, uint8_t kind)
-{
-    if (kind < config.trapNames.size())
-        return config.trapNames[kind];
-    return "trap" + std::to_string(int(kind));
-}
-
-/** Directory state name for a Coherence event's state byte. */
-std::string
-cohStateName(const RecorderConfig &config, uint8_t state)
-{
-    if (state < config.cohStateNames.size())
-        return config.cohStateNames[state];
-    return "state" + std::to_string(int(state));
-}
-
-/** One trace-event object. @p args is pre-rendered ("\"k\":1") or empty. */
+/**
+ * One trace-event object. @p name is written escaped when it is a
+ * string; a callable writes it itself. @p args writes the inside of
+ * the "args" object (nullptr: no args). Nothing builds a string.
+ */
+template <typename Name, typename Args = std::nullptr_t>
 void
-writeEvent(std::ostream &os, bool &first, const std::string &name,
-           const char *ph, const std::string &cat, uint64_t ts,
-           uint32_t pid, const std::string &args,
-           int64_t async_id = -1)
+writeEvent(std::ostream &os, bool &first, const Name &name,
+           const char *ph, const char *cat, uint64_t ts, uint32_t pid,
+           const Args &args = nullptr, int64_t async_id = -1)
 {
-    os << (first ? "\n" : ",\n") << "{\"name\":";
+    os << (first ? "\n" : ",\n") << "{\"name\":\"";
     first = false;
-    json::writeString(os, name);
-    os << ",\"ph\":\"" << ph << "\"";
-    if (!cat.empty())
+    if constexpr (std::is_invocable_v<const Name &, std::ostream &>)
+        name(os);
+    else
+        json::writeEscaped(os, name);
+    os << "\",\"ph\":\"" << ph << "\"";
+    if (*cat)
         os << ",\"cat\":\"" << cat << "\"";
     os << ",\"ts\":" << ts << ",\"pid\":" << pid;
     if (async_id >= 0)
@@ -48,10 +39,31 @@ writeEvent(std::ostream &os, bool &first, const std::string &name,
         os << ",\"tid\":0";
     if (ph[0] == 'i')
         os << ",\"s\":\"t\"";
-    if (!args.empty())
-        os << ",\"args\":{" << args << "}";
+    if constexpr (!std::is_null_pointer_v<Args>) {
+        os << ",\"args\":{";
+        args(os);
+        os << "}";
+    }
     os << "}";
 }
+
+/** Writes a name from a machine-supplied table, or @p fallback and
+ *  the index when the table has no entry. */
+struct TableName
+{
+    const std::vector<std::string> &table;
+    const char *fallback;
+    uint8_t index;
+
+    void
+    operator()(std::ostream &os) const
+    {
+        if (index < table.size())
+            json::writeEscaped(os, table[index]);
+        else
+            os << fallback << int(index);
+    }
+};
 
 } // namespace
 
@@ -66,18 +78,20 @@ writeChromeTrace(std::ostream &os, const Recorder &log,
     // Track metadata: one Perfetto process per node.
     for (uint32_t n = 0; n < config.numNodes; ++n) {
         writeEvent(os, first, "process_name", "M", "", 0, n,
-                   "\"name\":\"node" + std::to_string(n) + "\"");
+                   [n](std::ostream &o) {
+                       o << "\"name\":\"node" << n << "\"";
+                   });
         writeEvent(os, first, "process_sort_index", "M", "", 0, n,
-                   "\"sort_index\":" + std::to_string(n));
+                   [n](std::ostream &o) { o << "\"sort_index\":" << n; });
         writeEvent(os, first, "thread_name", "M", "", 0, n,
-                   "\"name\":\"events\"");
+                   [](std::ostream &o) { o << "\"name\":\"events\""; });
     }
 
     auto frame_id = [&](uint32_t node, uint32_t frame) {
         return int64_t(node) * config.framesPerNode + frame;
     };
     auto frame_name = [](uint32_t frame) {
-        return "frame" + std::to_string(frame);
+        return [frame](std::ostream &o) { o << "frame" << frame; };
     };
 
     // Which frame currently occupies each core's async frame track
@@ -86,7 +100,7 @@ writeChromeTrace(std::ostream &os, const Recorder &log,
     std::vector<int64_t> open(config.numNodes, -1);
     uint64_t last_ts = 0;
 
-    for (const Event &e : log.events()) {
+    for (const Event &e : log) {
         last_ts = e.cycle;
         switch (e.kind) {
           case EventKind::CtxSwitch: {
@@ -94,58 +108,69 @@ writeChromeTrace(std::ostream &os, const Recorder &log,
                 if (open[e.node] < 0) {
                     // The from-frame has occupied the core since boot.
                     writeEvent(os, first, frame_name(e.a), "b", "frame",
-                               0, e.node, "", frame_id(e.node, e.a));
+                               0, e.node, nullptr, frame_id(e.node, e.a));
                 }
                 writeEvent(os, first, frame_name(e.a), "e", "frame",
-                           e.cycle, e.node, "", frame_id(e.node, e.a));
+                           e.cycle, e.node, nullptr, frame_id(e.node, e.a));
                 writeEvent(os, first, frame_name(e.b), "b", "frame",
-                           e.cycle, e.node, "", frame_id(e.node, e.b));
+                           e.cycle, e.node, nullptr, frame_id(e.node, e.b));
                 open[e.node] = e.b;
             }
-            writeEvent(os, first,
-                       "switch f" + std::to_string(e.a) + "->f" +
-                           std::to_string(e.b),
-                       "i", "ctx", e.cycle, e.node,
-                       "\"from\":" + std::to_string(e.a) +
-                           ",\"to\":" + std::to_string(e.b));
+            writeEvent(
+                os, first,
+                [&](std::ostream &o) {
+                    o << "switch f" << int(e.a) << "->f" << int(e.b);
+                },
+                "i", "ctx", e.cycle, e.node, [&](std::ostream &o) {
+                    o << "\"from\":" << int(e.a) << ",\"to\":" << int(e.b);
+                });
             break;
           }
           case EventKind::Trap:
-            writeEvent(os, first, trapName(config, e.a), "i", "trap", e.cycle,
-                       e.node, "\"pc\":" + std::to_string(e.arg));
+            writeEvent(os, first, TableName{config.trapNames, "trap", e.a},
+                       "i", "trap", e.cycle, e.node,
+                       [&](std::ostream &o) { o << "\"pc\":" << e.arg; });
             break;
           case EventKind::Coherence:
-            writeEvent(os, first,
-                       cohStateName(config, e.a) + "->" +
-                           cohStateName(config, e.b),
-                       "i", "coh", e.cycle, e.node,
-                       "\"line\":" + std::to_string(e.arg) +
-                           ",\"requester\":" + std::to_string(e.arg2));
+            writeEvent(
+                os, first,
+                [&](std::ostream &o) {
+                    TableName{config.cohStateNames, "state", e.a}(o);
+                    o << "->";
+                    TableName{config.cohStateNames, "state", e.b}(o);
+                },
+                "i", "coh", e.cycle, e.node, [&](std::ostream &o) {
+                    o << "\"line\":" << e.arg << ",\"requester\":" << e.arg2;
+                });
             break;
           case EventKind::NetSend:
             writeEvent(os, first, "send", "i", "net", e.cycle, e.node,
-                       "\"dst\":" + std::to_string(e.arg) +
-                           ",\"flits\":" + std::to_string(e.arg2));
+                       [&](std::ostream &o) {
+                           o << "\"dst\":" << e.arg
+                             << ",\"flits\":" << e.arg2;
+                       });
             break;
           case EventKind::NetDeliver:
-            writeEvent(os, first, "deliver", "i", "net", e.cycle,
-                       e.node,
-                       "\"src\":" + std::to_string(e.arg) +
-                           ",\"latency\":" + std::to_string(e.arg2));
+            writeEvent(os, first, "deliver", "i", "net", e.cycle, e.node,
+                       [&](std::ostream &o) {
+                           o << "\"src\":" << e.arg
+                             << ",\"latency\":" << e.arg2;
+                       });
             break;
           case EventKind::FeRetry:
-            writeEvent(os, first, "fe-retry", "i", "fe", e.cycle,
-                       e.node,
-                       "\"addr\":" + std::to_string(e.arg) +
-                           ",\"store\":" + std::to_string(e.a));
+            writeEvent(os, first, "fe-retry", "i", "fe", e.cycle, e.node,
+                       [&](std::ostream &o) {
+                           o << "\"addr\":" << e.arg
+                             << ",\"store\":" << int(e.a);
+                       });
             break;
           case EventKind::Race:
-            writeEvent(os, first, "race", "i", "race", e.cycle,
-                       e.node,
-                       "\"addr\":" + std::to_string(e.arg) +
-                           ",\"pc\":" + std::to_string(e.arg2) +
-                           ",\"write\":" + std::to_string(e.a) +
-                           ",\"other\":" + std::to_string(e.b));
+            writeEvent(os, first, "race", "i", "race", e.cycle, e.node,
+                       [&](std::ostream &o) {
+                           o << "\"addr\":" << e.arg << ",\"pc\":" << e.arg2
+                             << ",\"write\":" << int(e.a)
+                             << ",\"other\":" << int(e.b);
+                       });
             break;
         }
     }
@@ -156,7 +181,7 @@ writeChromeTrace(std::ostream &os, const Recorder &log,
         if (open[n] >= 0) {
             uint32_t f = uint32_t(open[n]);
             writeEvent(os, first, frame_name(f), "e", "frame", last_ts,
-                       n, "", frame_id(n, f));
+                       n, nullptr, frame_id(n, f));
         }
     }
 

@@ -3,7 +3,7 @@
  * A cycle-stamped machine event recorder with Chrome-trace-event
  * export (loadable at ui.perfetto.dev).
  *
- * The recorder is a flat append-only log of small fixed-size events:
+ * The recorder is a compact append-only log of small events:
  * context switches (from/to hardware frame), traps (by TrapKind),
  * directory protocol transitions, network packet send/deliver, and
  * failed full/empty synchronization attempts. It is an obs::Log;
@@ -25,10 +25,12 @@
 #ifndef APRIL_COMMON_TRACE_HH
 #define APRIL_COMMON_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/obs_log.hh"
@@ -62,6 +64,14 @@ struct Event
     uint32_t arg2 = 0;
 
     bool operator==(const Event &) const = default;
+
+    /** Fields of a log record after the cycle (obs::codec). */
+    static constexpr auto
+    fields()
+    {
+        return std::tuple{&Event::node, &Event::kind, &Event::a, &Event::b,
+                          &Event::arg, &Event::arg2};
+    }
 };
 
 /** Static machine shape + name tables the exporter needs. */
@@ -88,6 +98,44 @@ using Recorder = obs::Log<Event>;
  * into the export without this library knowing about them.
  */
 using ExtraEventWriter = std::function<void(std::ostream &, bool &)>;
+
+/** Write @p part of an event: a callable writes itself, anything else
+ *  is streamed as is. */
+template <typename Part>
+void
+writePart(std::ostream &os, const Part &part)
+{
+    if constexpr (std::is_invocable_v<const Part &, std::ostream &>)
+        part(os);
+    else
+        os << part;
+}
+
+/**
+ * Write one async-span or flow event of an ExtraEventWriter:
+ * `{"name":N,"ph":..,"cat":..,"ts":..,"pid":..,"tid":0,"id":..}` plus
+ * `"args":{A}` unless @p args is nullptr. @p name (written unescaped)
+ * and @p args are writePart()s, so no event builds a string.
+ */
+template <typename Name, typename Args = std::nullptr_t>
+void
+writeSpanEvent(std::ostream &os, bool &first, const Name &name,
+               const char *ph, const char *cat, uint64_t ts, uint32_t pid,
+               uint64_t id, const Args &args = nullptr)
+{
+    os << (first ? "\n" : ",\n") << "{\"name\":\"";
+    first = false;
+    writePart(os, name);
+    os << "\",\"ph\":\"" << ph << "\",\"cat\":\"" << cat
+       << "\",\"ts\":" << ts << ",\"pid\":" << pid
+       << ",\"tid\":0,\"id\":" << id;
+    if constexpr (!std::is_null_pointer_v<Args>) {
+        os << ",\"args\":{";
+        writePart(os, args);
+        os << "}";
+    }
+    os << "}";
+}
 
 /**
  * Serialize @p log as Chrome trace-event JSON ({"traceEvents":[...]}).

@@ -181,7 +181,7 @@ gather(AlewifeMachine &m, const CohReportOptions &opts)
         d.traced = true;
         d.txnDropped = t->dropped();
         std::vector<coh::TxnRecord> txns =
-            coh::summarizeTransactions(t->events());
+            coh::summarizeTransactions(*t);
         d.txnTotal = txns.size();
         std::erase_if(txns,
                       [](const coh::TxnRecord &r) { return !r.complete; });
@@ -443,7 +443,7 @@ checkCohInvariants(const coh::TxnTracer &tracer)
     uint64_t invs_total = 0;
     uint64_t acks_total = 0;
     for (const coh::TxnRecord &r :
-         coh::summarizeTransactions(tracer.events())) {
+         coh::summarizeTransactions(tracer)) {
         invs_total += r.invs;
         acks_total += r.acks;
         if (r.complete && r.filled <= r.issued) {

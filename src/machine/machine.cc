@@ -202,7 +202,7 @@ Machine::taskReport()
     task::AnalyzeParams p;
     p.numNodes = numNodes();
     p.totalCycles = cycle();
-    task::Report r = task::analyze(t->events(), p);
+    task::Report r = task::analyze(*t, p);
     r.dropped = t->dropped();
     return r;
 }

@@ -168,20 +168,21 @@ struct Analyzer
     }
 
     void
-    run(const std::vector<TaskEvent> &events)
+    run(const Tracer &log)
     {
         size_t hist = stats::Histogram::kDefaultBuckets;
         r.numNodes = p.numNodes ? p.numNodes : 1;
-        r.eventCount = events.size();
-        r.totalCycles = p.totalCycles;
-        if (!r.totalCycles && !events.empty())
-            r.totalCycles = events.back().cycle;
+        r.eventCount = log.size();
         r.waitHist.assign(hist, 0);
         r.blockHist.assign(hist, 0);
         r.spinHist.assign(hist, 0);
 
-        for (const TaskEvent &e : events)
+        uint64_t last_cycle = 0;
+        for (const TaskEvent &e : log) {
             step(e);
+            last_cycle = e.cycle;
+        }
+        r.totalCycles = p.totalCycles ? p.totalCycles : last_cycle;
 
         finishUp();
     }
@@ -599,10 +600,10 @@ writeHist(std::ostream &os, const char *name,
 } // namespace
 
 Report
-analyze(const std::vector<TaskEvent> &events, const AnalyzeParams &params)
+analyze(const Tracer &log, const AnalyzeParams &params)
 {
     Analyzer a(params);
-    a.run(events);
+    a.run(log);
     return std::move(a.r);
 }
 

@@ -1,6 +1,9 @@
 #include "task/task_trace.hh"
 
+#include <algorithm>
 #include <cstring>
+
+#include "common/trace.hh"
 
 namespace april::task
 {
@@ -107,62 +110,47 @@ ProbeMap::ProbeMap(const Program &prog)
     }
 }
 
-namespace
-{
-
-/** One Chrome trace-event object on an open event array. */
-void
-writeChromeEvent(std::ostream &os, bool &first, const std::string &name,
-                 const char *ph, uint64_t ts, uint32_t pid, uint64_t id,
-                 const std::string &args)
-{
-    os << (first ? "\n" : ",\n") << "{\"name\":\"" << name
-       << "\",\"ph\":\"" << ph << "\",\"cat\":\"task\",\"ts\":" << ts
-       << ",\"pid\":" << pid << ",\"tid\":0,\"id\":" << id;
-    if (!args.empty())
-        os << ",\"args\":{" << args << "}";
-    os << "}";
-}
-
-} // namespace
-
 void
 writeChromeEvents(std::ostream &os, bool &first, const Tracer &log)
 {
-    const std::vector<TaskEvent> &events = log.events();
-    if (events.empty())
+    if (log.empty())
         return;
     AnalyzeParams p;
     uint32_t max_node = 0;
-    for (const TaskEvent &e : events)
+    uint64_t last_cycle = 0;
+    for (const TaskEvent &e : log) {
         max_node = std::max(max_node, e.node);
+        last_cycle = e.cycle;
+    }
     p.numNodes = max_node + 1;
-    Report r = analyze(events, p);
-    uint64_t last_cycle = events.back().cycle;
+    Report r = analyze(log, p);
     for (const TaskInfo &t : r.tasks) {
         if (!t.ran)
             continue;
         uint64_t end = t.resolveCycle ? t.resolveCycle
                                       : std::max(t.runCycle, last_cycle);
-        std::string name = "task " + std::to_string(t.id >> 32) + "#" +
-                           std::to_string(uint32_t(t.id));
-        if (t.lazy)
-            name += " (lazy)";
-        writeChromeEvent(os, first, name, "b", t.runCycle, t.runNode,
-                         t.id,
-                         "\"work\":" + std::to_string(t.work) +
-                             ",\"wait\":" + std::to_string(t.waitCycles) +
-                             ",\"critical\":" +
-                             (t.onCriticalPath ? "1" : "0"));
+        auto name = [&](std::ostream &o) {
+            o << "task " << (t.id >> 32) << "#" << uint32_t(t.id);
+            if (t.lazy)
+                o << " (lazy)";
+        };
+        trace::writeSpanEvent(os, first, name, "b", "task", t.runCycle,
+                              t.runNode, t.id, [&](std::ostream &o) {
+                                  o << "\"work\":" << t.work
+                                    << ",\"wait\":" << t.waitCycles
+                                    << ",\"critical\":"
+                                    << (t.onCriticalPath ? "1" : "0");
+                              });
         // A migrated task gets a flow arrow from its spawn site to the
         // node that ran it.
         if (t.stolen && t.spawnNode != t.runNode) {
-            writeChromeEvent(os, first, "steal", "s", t.spawnCycle,
-                             t.spawnNode, t.id, "");
-            writeChromeEvent(os, first, "steal", "f", t.runCycle,
-                             t.runNode, t.id, "");
+            trace::writeSpanEvent(os, first, "steal", "s", "task",
+                                  t.spawnCycle, t.spawnNode, t.id);
+            trace::writeSpanEvent(os, first, "steal", "f", "task",
+                                  t.runCycle, t.runNode, t.id);
         }
-        writeChromeEvent(os, first, name, "e", end, t.runNode, t.id, "");
+        trace::writeSpanEvent(os, first, name, "e", "task", end, t.runNode,
+                              t.id);
     }
 }
 

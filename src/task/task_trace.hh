@@ -91,6 +91,15 @@ struct TaskEvent
     uint8_t frame = 0;
 
     bool operator==(const TaskEvent &) const = default;
+
+    /** Fields of a log record after the cycle (obs::codec). */
+    static constexpr auto
+    fields()
+    {
+        return std::tuple{&TaskEvent::work, &TaskEvent::node,
+                          &TaskEvent::addr, &TaskEvent::aux,
+                          &TaskEvent::kind, &TaskEvent::frame};
+    }
 };
 
 /** No-register marker in Site::addrReg / Site::auxReg. */
@@ -239,8 +248,7 @@ struct Report
 };
 
 /** Run the sequential post-pass over a canonically merged log. */
-Report analyze(const std::vector<TaskEvent> &events,
-               const AnalyzeParams &params);
+Report analyze(const Tracer &log, const AnalyzeParams &params);
 
 /**
  * Serialize the report as structured JSON (schemaVersion 1, validated

@@ -177,12 +177,12 @@ TEST(CohTrace, SpanCausalityOnSharingWorkload)
     EXPECT_EQ(checkCohInvariants(*tracer), "");
 
     std::map<uint64_t, uint64_t> issue_cycle;
-    for (const coh::TxnEvent &e : tracer->events()) {
+    for (const coh::TxnEvent &e : *tracer) {
         if (e.phase == coh::TxnPhase::Issue)
             issue_cycle.emplace(e.txn, e.cycle);
     }
     size_t fills = 0;
-    for (const coh::TxnEvent &e : tracer->events()) {
+    for (const coh::TxnEvent &e : *tracer) {
         if (e.phase != coh::TxnPhase::Fill)
             continue;
         ++fills;
@@ -195,7 +195,7 @@ TEST(CohTrace, SpanCausalityOnSharingWorkload)
 
     bool found_write = false;
     for (const coh::TxnRecord &r :
-         coh::summarizeTransactions(tracer->events())) {
+         coh::summarizeTransactions(*tracer)) {
         EXPECT_EQ(r.requester, r.id >> 32);
         if (r.requester == 0 && r.line == line && r.write) {
             found_write = true;

@@ -35,6 +35,16 @@ ev(uint64_t cycle, uint64_t work, uint32_t node, task::Ev kind,
     return {cycle, work, node, addr, aux, kind, 0};
 }
 
+/** A task log holding exactly @p events. */
+task::Tracer
+logOf(const std::vector<task::TaskEvent> &events)
+{
+    task::Tracer log(events.size());
+    for (const task::TaskEvent &e : events)
+        log.record(e);
+    return log;
+}
+
 TEST(TaskAnalysis, EagerSpawnStealRunResolveMintsOneTask)
 {
     using task::Ev;
@@ -47,7 +57,7 @@ TEST(TaskAnalysis, EagerSpawnStealRunResolveMintsOneTask)
     task::AnalyzeParams p;
     p.numNodes = 2;
     p.totalCycles = 100;
-    task::Report r = task::analyze(log, p);
+    task::Report r = task::analyze(logOf(log), p);
 
     ASSERT_EQ(r.tasks.size(), 1u);
     const task::TaskInfo &t = r.tasks[0];
@@ -84,7 +94,7 @@ TEST(TaskAnalysis, BlockResumeChargesWaitToFutureAndTask)
     task::AnalyzeParams p;
     p.numNodes = 1;
     p.totalCycles = 500;
-    task::Report r = task::analyze(log, p);
+    task::Report r = task::analyze(logOf(log), p);
 
     ASSERT_EQ(r.tasks.size(), 1u);
     EXPECT_EQ(r.tasks[0].waitCycles, 260u);      // 300 - 40
@@ -103,7 +113,7 @@ TEST(TaskAnalysis, UnresumedBlockIsALostWakeup)
         ev(12, 0, 0, Ev::Run, 100),
         ev(40, 10, 0, Ev::Block, 200, 77),
     };
-    task::Report r = task::analyze(log, {.numNodes = 1,
+    task::Report r = task::analyze(logOf(log), {.numNodes = 1,
                                          .totalCycles = 100});
     EXPECT_EQ(r.health.lostWakeups, 1u);
 }
@@ -124,7 +134,7 @@ TEST(TaskAnalysis, CriticalPathFollowsDependencyChain)
         ev(210, 30, 0, Ev::Resume, 77),
         ev(260, 50, 0, Ev::Resolve, 60),         // parent total work 50
     };
-    task::Report r = task::analyze(log, {.numNodes = 2,
+    task::Report r = task::analyze(logOf(log), {.numNodes = 2,
                                          .totalCycles = 300});
     ASSERT_EQ(r.tasks.size(), 2u);
     // Chain: parent start 0 + spawn offset 10 + child work 100 +
@@ -147,7 +157,7 @@ TEST(TaskAnalysis, SpinEpisodesMergeAndStealConvoysDetected)
     // 16 fruitless steal rounds on node 1 = one convoy.
     for (uint64_t i = 0; i < 16; ++i)
         log.push_back(ev(200 + i * 5, 0, 1, Ev::StealAttempt));
-    task::Report r = task::analyze(log, {.numNodes = 2,
+    task::Report r = task::analyze(logOf(log), {.numNodes = 2,
                                          .totalCycles = 1000,
                                          .convoyLength = 16});
     ASSERT_EQ(r.syncWords.size(), 1u);
@@ -191,7 +201,8 @@ runLazyFib(bool skip, uint32_t threads)
     TaskedOut t;
     t.halted = m.halted();
     t.cycles = m.cycle();
-    t.events = m.taskTracer()->events();
+    const task::Tracer &log = *m.taskTracer();
+    t.events.assign(log.begin(), log.end());
     std::ostringstream os;
     m.writeTaskTrace(os);
     t.reportJson = os.str();
@@ -219,7 +230,7 @@ TEST(TaskTrace, LazyStealProducesSpawnStealResolveChain)
     EXPECT_TRUE(saw[size_t(task::Ev::RootBegin)]);
     EXPECT_TRUE(saw[size_t(task::Ev::RootEnd)]);
 
-    task::Report r = task::analyze(out.events, {.numNodes = 4,
+    task::Report r = task::analyze(logOf(out.events), {.numNodes = 4,
                                                 .totalCycles =
                                                     out.cycles});
 

@@ -67,7 +67,7 @@ TEST(TraceRecorder, CapacityDropsDeterministically)
     trace::Recorder rec(4);
     for (uint32_t i = 0; i < 6; ++i)
         rec.record({.cycle = i, .kind = trace::EventKind::NetSend});
-    EXPECT_EQ(rec.events().size(), 4u);
+    EXPECT_EQ(rec.size(), 4u);
     EXPECT_EQ(rec.dropped(), 2u);
 }
 
@@ -188,7 +188,8 @@ runTracedStallStress(bool skip)
 
     TracedOut t;
     t.out = testutil::finishMachine(m);
-    t.events = m.traceRecorder()->events();
+    const trace::Recorder &rec = *m.traceRecorder();
+    t.events.assign(rec.begin(), rec.end());
     std::ostringstream os;
     m.writeTrace(os);
     t.traceJson = os.str();
@@ -240,7 +241,8 @@ runTracedEagerFib(bool skip)
 
     TracedOut t;
     t.out = testutil::finishMachine(m);
-    t.events = m.traceRecorder()->events();
+    const trace::Recorder &rec = *m.traceRecorder();
+    t.events.assign(rec.begin(), rec.end());
     std::ostringstream os;
     m.writeTrace(os);
     t.traceJson = os.str();

@@ -110,8 +110,8 @@ runScale(const workloads::WideSharing &w, int radix,
     p.cycleSkip = skip;
     p.hostThreads = threads;
     p.controller.cache = {.lineWords = 4, .numLines = 64, .assoc = 2};
-    p.dirScheme = scheme;
-    p.dirPointers = 4;
+    p.controller.dirScheme = scheme;
+    p.controller.dirPointers = 4;
     auto m = std::make_unique<AlewifeMachine>(p, &w.prog);
     for (uint32_t n = 0; n < m->numNodes(); ++n)
         workloads::bootCoherentNode(m->proc(n), w.prog);

@@ -107,7 +107,7 @@ measureFrames(const Program &prog, uint32_t p, int radix,
     params.proc.numFrames = std::max(p, 1u);
     params.controller.cache = {.lineWords = 4, .numLines = 1024,
                                .assoc = 4};
-    params.dirScheme = scheme;
+    params.controller.dirScheme = scheme;
     AlewifeMachine m(params, &prog);
 
     for (uint32_t n = 0; n < m.numNodes(); ++n) {

@@ -2,8 +2,8 @@
  * @file
  * Host-side scaling of the parallel execution engine (DESIGN.md
  * §7.6): simulated-cycles/sec at 1..8 host worker threads on two
- * 16-node ALEWIFE workloads, with a correctness digest proving every
- * thread count simulated exactly the same machine.
+ * 16-node ALEWIFE workloads, with a twin check (compareRuns) proving
+ * every thread count simulated exactly the same machine.
  *
  *  - alewife_coherent16: the shared f/e-locked counter loop of
  *    bench_sim_speed — coherence traffic keeps every controller and
@@ -14,13 +14,13 @@
  *    so this bounds how much the engine can lose when there is
  *    little concurrent work per quantum.
  *
- * Every configuration must produce identical cycle counts,
- * instruction counts and stats dumps (the engine's bit-identical
- * contract); the run fails on any digest mismatch. The throughput
+ * Every configuration must record the same run as the sequential one
+ * (the engine's bit-identical contract); the run fails on any
+ * difference. The throughput
  * gate — >= 3x cycles/sec at 4 threads on alewife_coherent16 with
  * skipping off — only arms when the host actually has 4 or more
  * cores; on smaller hosts the numbers are still reported and the
- * digest check still gates.
+ * twin check still gates.
  *
  * Writes BENCH_parallel_scaling.json.
  *
@@ -28,13 +28,13 @@
  */
 
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "harness.hh"
 #include "machine/alewife_machine.hh"
+#include "machine/snapshot.hh"
 #include "machine/workload.hh"
 #include "workloads/handwritten.hh"
 
@@ -48,7 +48,7 @@ struct Point : bench::Timing
     uint32_t threads = 0;
     bool skip = false;
     double scaling = 0;         ///< sequential seconds over these
-    bool identical = false;     ///< matches the sequential digest
+    bool identical = false;     ///< a twin of the sequential run
 };
 
 /** The 16-node machine of the coherent counter loop, running the
@@ -68,10 +68,10 @@ stallWorkload(const workloads::Workload &coherent, uint32_t iters)
     return w;
 }
 
-/** One timed run; @p digest receives cycles/insts/stats identity. */
+/** One timed run; @p record receives what it simulated. */
 Point
 timeRun(const workloads::Workload &w, uint32_t threads, bool skip,
-        std::string *digest)
+        RunRecord *record)
 {
     DriverOptions o = w.options;
     o.hostThreads = threads;
@@ -80,9 +80,7 @@ timeRun(const workloads::Workload &w, uint32_t threads, bool skip,
     auto *m = dynamic_cast<AlewifeMachine *>(machine.get());
     Point pt{bench::runToHalt(*m, 2'000'000'000, w.name)};
     pt.threads = m->hostThreads();
-    std::ostringstream os;
-    m->dump(os);
-    *digest = os.str();
+    *record = recordRun(*m);
     return pt;
 }
 
@@ -113,24 +111,24 @@ main(int argc, char **argv)
                     "scaling");
         double gate_scaling = 0;
         for (bool skip : {false, true}) {
-            std::string ref_digest;
+            RunRecord ref;
             Point base;
             for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-                std::string digest;
-                Point pt = timeRun(w, threads, skip, &digest);
+                RunRecord record;
+                Point pt = timeRun(w, threads, skip, &record);
                 if (threads == 1) {
                     base = pt;
-                    ref_digest = digest;
+                    ref = record;
                 }
                 pt.skip = skip;
-                pt.identical = pt.cycles == base.cycles &&
-                               pt.insts == base.insts &&
-                               digest == ref_digest;
+                std::string diff = compareRuns(ref, record);
+                pt.identical = diff.empty();
                 if (!pt.identical) {
                     std::fprintf(stderr,
                                  "FAIL: %s threads=%u skip=%d diverged "
-                                 "from the sequential run\n",
-                                 w.name.c_str(), threads, int(skip));
+                                 "from the sequential run\n%s",
+                                 w.name.c_str(), threads, int(skip),
+                                 diff.c_str());
                     ok = false;
                 }
                 pt.scaling = base.seconds / pt.seconds;

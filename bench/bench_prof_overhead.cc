@@ -9,7 +9,7 @@
  * interval stats snapshots). The gate is twofold:
  *
  *  - bit-identical simulation: cycle counts, instruction counts and
- *    the full statistics dump must match exactly between the two
+ *    the full statistics JSON must match exactly between the two
  *    modes — sampling clamps cycle-skip windows at snapshot
  *    boundaries, which is required to be cycle-exact (§7.5);
  *  - wall-clock overhead of profiling < 10% on the ALEWIFE workload.
@@ -25,14 +25,13 @@
 
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness.hh"
 #include "machine/alewife_machine.hh"
 #include "machine/driver.hh"
-#include "profile/report.hh"
+#include "machine/snapshot.hh"
 #include "workloads/handwritten.hh"
 #include "workloads/workloads.hh"
 
@@ -44,8 +43,8 @@ using namespace tagged;
 
 struct Measurement : bench::Timing
 {
-    std::string stats;
-    std::string profile;        ///< writeProfileJson when sampling
+    std::string stats;          ///< stats JSON
+    std::string profile;        ///< profile JSON when sampling
 };
 
 /**
@@ -105,17 +104,10 @@ runAlewifeOnce(const workloads::CoherentLoop &coh, uint32_t nodes,
         workloads::bootCoherentNode(m.proc(n), prog);
     m.memory().write(coh.count, fixnum(0));
 
-    Measurement out{
-        bench::runToHalt(m, 2'000'000'000, "alewife workload"), {}, {}};
-    std::ostringstream os;
-    m.dump(os);
-    out.stats = os.str();
-    if (profile) {
-        std::ostringstream prof;
-        profile::writeProfileJson(prof, m.profileSource());
-        out.profile = prof.str();
-    }
-    return out;
+    bench::Timing timing =
+        bench::runToHalt(m, 2'000'000'000, "alewife workload");
+    RunRecord run = recordRun(m);
+    return {timing, run.stats, run.profile};
 }
 
 Measurement

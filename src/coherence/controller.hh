@@ -51,7 +51,9 @@ struct ControllerParams
     uint32_t reqFlits = 2;      ///< network size of a request
     uint32_t dataFlits = 6;     ///< network size of a data-carrying msg
     /// Directory organization; FullMap is the paper's (and the
-    /// differential oracle's) scheme.
+    /// differential oracle's) scheme, LimitedPtr the i-pointer
+    /// LimitLESS-style directory that makes >64-node machines
+    /// representable.
     DirScheme dirScheme = DirScheme::FullMap;
     /// LimitedPtr: hardware pointers per line before the overflow
     /// trap. 0 forces the spill handler on every sharer addition —

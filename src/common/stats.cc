@@ -299,7 +299,9 @@ logPercentile(std::span<const uint64_t> buckets, uint64_t count,
                 return 0;
             if (b + 1 == buckets.size())
                 return uint64_t(max);
-            return (uint64_t(1) << b) - 1;
+            // No sample is above the maximum, whatever the bucket's
+            // ceiling.
+            return std::min((uint64_t(1) << b) - 1, uint64_t(max));
         }
     }
     return uint64_t(max);

@@ -282,8 +282,8 @@ class Histogram : public Info
  * Upper bound of the bucket holding the @p q quantile of a log2
  * histogram (Histogram's bucketing) with @p count samples in all and
  * largest sample @p max: a conservative ceiling, not an
- * interpolation. Bucket 0 reports 0, the last bucket reports @p max,
- * and an empty histogram reports 0.
+ * interpolation, and never above @p max. Bucket 0 reports 0, the last
+ * bucket reports @p max, and an empty histogram reports 0.
  */
 uint64_t logPercentile(std::span<const uint64_t> buckets, uint64_t count,
                        int64_t max, double q);

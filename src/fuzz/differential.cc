@@ -6,7 +6,6 @@
 #include "machine/alewife_machine.hh"
 #include "machine/perfect_machine.hh"
 #include "machine/snapshot.hh"
-#include "profile/report.hh"
 
 namespace april::fuzz
 {
@@ -14,27 +13,53 @@ namespace april::fuzz
 namespace
 {
 
+/// Cycle budget of every machine; a case that has not halted by then
+/// has hung.
+constexpr uint64_t kMaxCycles = 4'000'000;
+/// Cycles a halted machine gets to drain its coherence traffic.
+constexpr uint64_t kQuiesceCycles = 250'000;
+
+/**
+ * One recorded ALEWIFE run. The machine lives as long as its record:
+ * freeing each machine as soon as it was recorded let malloc hand its
+ * memory back and fault it in again for the next one (127,000 page
+ * faults in a default 500-program run instead of 6,000).
+ */
 struct AlewifeRun
 {
     std::unique_ptr<AlewifeMachine> machine;
-    MachineSnapshot snap;
-    std::string stats;
-    std::string trace;
-    std::string cohTrace;       ///< transaction-span JSON (always on)
-    std::string taskTrace;      ///< task-plane report JSON (always on)
-    std::string breakdown;      ///< profile::cycleBreakdownJson
-    std::string error;          ///< hang / failed quiesce
+    RunRecord record;
 };
 
 /** One machine-shape variant of the dirScheme x mesh axis. */
 struct Variant
 {
-    const char *name = "FullMap";
+    std::string name = "FullMap";
     coh::DirScheme scheme = coh::DirScheme::FullMap;
     uint32_t ptrs = 4;
     int dim = 0;        ///< 0: the case's own mesh shape
     int radix = 0;
 };
+
+/** The shapes case @p c runs in: full map, then, on the scheme axis,
+ *  the limited directory (default and forced-spill pointer counts)
+ *  and, for a 2x2 mesh, the same four nodes reshaped as a 1-D line,
+ *  which changes every hop distance. */
+std::vector<Variant>
+variantsOf(const FuzzCase &c, const DiffOptions &opts)
+{
+    std::vector<Variant> variants(1);
+    if (!opts.schemeAxis)
+        return variants;
+    variants.push_back({"limited(i=4)", coh::DirScheme::LimitedPtr, 4});
+    variants.push_back(
+        {"limited(forced-spill)", coh::DirScheme::LimitedPtr, 0});
+    if (c.dim == 2 && c.radix == 2) {
+        variants.push_back({"line-mesh+limited(i=1)",
+                            coh::DirScheme::LimitedPtr, 1, 1, 4});
+    }
+    return variants;
+}
 
 /** The settings every machine of case @p c shares. */
 void
@@ -55,75 +80,76 @@ bootCase(Machine &m, const FuzzCase &c, const Program &prog)
         bootFuzzProcessor(m.proc(n), prog);
 }
 
+/** Run, halt and drain @p m; @return "" or what went wrong. */
+std::string
+runToQuiet(Machine &m, const Program &prog, const std::string &what)
+{
+    m.run(kMaxCycles);
+    if (!m.halted()) {
+        std::ostringstream os;
+        os << what << " did not halt within " << kMaxCycles
+           << " cycles; node0 pc=" << m.proc(0).pc() << " ["
+           << prog.symbolAt(m.proc(0).pc()) << "]";
+        return os.str();
+    }
+    if (!m.quiesce(kQuiesceCycles))
+        return what + " failed to quiesce after halt";
+    return "";
+}
+
+/**
+ * Run case @p c in shape @p v and record it. A hang or failed drain
+ * sets @p error instead; once @p error is set, nothing more runs.
+ */
 AlewifeRun
-runAlewife(const FuzzCase &c, const Program &prog, bool cycle_skip,
-           const DiffOptions &opts, uint32_t host_threads = 1,
-           const Variant &v = {})
+runAlewife(const FuzzCase &c, const Program &prog, const Variant &v,
+           bool cycle_skip, uint32_t host_threads, std::string &error)
 {
     AlewifeRun run;
+    if (!error.empty())
+        return run;
     AlewifeParams p;
     configure(p, c);
     p.network.dim = v.dim ? v.dim : c.dim;
     p.network.radix = v.radix ? v.radix : c.radix;
-    p.dirScheme = v.scheme;
-    p.dirPointers = v.ptrs;
+    p.controller.dirScheme = v.scheme;
+    p.controller.dirPointers = v.ptrs;
     p.cycleSkip = cycle_skip;
-    p.traceEvents = opts.compareTraces;
-    // Transaction tracing is always on in the differential: the span
-    // log is a deterministic artifact and must be bit-identical
-    // across cycle-skip modes and host-thread counts.
-    p.cohTrace = true;
-    // The task plane rides along too: fuzz programs have no runtime
-    // probes, but the processor hook points (future touches, f/e
-    // stalls, TAS retries, frame switches) still emit events, and the
-    // analyzed report must be bit-identical across the same axes.
-    p.taskTrace = true;
-    // Likewise the spec-conformance listener: every fuzz program also
-    // checks each directory transition against the model checker's
-    // rule tables (mc::Conformance).
-    p.conformance = true;
     p.hostThreads = host_threads;
+    // Every deterministic artifact is on, so every pair compares all
+    // of them: the machine trace, the transaction spans, the task
+    // plane (fuzz programs have no runtime probes, but the processor
+    // hook points still emit events) and the spec-conformance
+    // listener, which checks each directory transition against the
+    // model checker's rule tables (mc::Conformance).
+    p.traceEvents = true;
+    p.cohTrace = true;
+    p.taskTrace = true;
+    p.conformance = true;
 
     run.machine = std::make_unique<AlewifeMachine>(p, &prog);
     AlewifeMachine &m = *run.machine;
     bootCase(m, c, prog);
-
-    m.run(opts.maxCycles);
-    if (!m.halted()) {
-        std::ostringstream os;
-        os << "alewife(skip=" << cycle_skip << ", " << v.name
-           << ") did not halt within " << opts.maxCycles
-           << " cycles; node0 pc=" << m.proc(0).pc() << " ["
-           << prog.symbolAt(m.proc(0).pc()) << "]";
-        run.error = os.str();
-        return run;
-    }
-    if (!m.quiesce(opts.quiesceCycles)) {
-        run.error = "alewife machine failed to quiesce after halt";
-        return run;
-    }
-
-    run.snap = snapshotMachine(m);
-    std::ostringstream stats;
-    m.dump(stats);
-    run.stats = stats.str();
+    std::ostringstream what;
+    what << "alewife(skip=" << cycle_skip << ", threads=" << host_threads
+         << ", " << v.name << ")";
+    error = runToQuiet(m, prog, what.str());
     // quiesce() already panicked if any node's bucket sum diverged
-    // from its cycle count; here we pin the full breakdown so the two
-    // cycle-skip modes must also agree bucket by bucket, frame by
-    // frame (§7.5: skip windows are attributed, never dropped).
-    run.breakdown = profile::cycleBreakdownJson(m.profileSource().procs);
-    if (opts.compareTraces) {
-        std::ostringstream trace;
-        m.writeTrace(trace);
-        run.trace = trace.str();
-    }
-    std::ostringstream coh;
-    m.writeCohTrace(coh);
-    run.cohTrace = coh.str();
-    std::ostringstream task_os;
-    m.writeTaskTrace(task_os);
-    run.taskTrace = task_os.str();
+    // from its cycle count; the record's breakdown pins the rest, so
+    // twins must also agree bucket by bucket, frame by frame (§7.5:
+    // skip windows are attributed, never dropped).
+    if (error.empty())
+        run.record = recordRun(m);
     return run;
+}
+
+/** Append a labelled section to @p div when @p diff is non-empty. */
+void
+note(std::ostream &div, const std::string &label,
+     const std::string &diff)
+{
+    if (!diff.empty())
+        div << label << ":\n" << diff;
 }
 
 } // namespace
@@ -133,180 +159,44 @@ runDifferential(const FuzzCase &c, const DiffOptions &opts)
 {
     DiffResult r;
     Program prog = buildProgram(c);
-
-    AlewifeRun on = runAlewife(c, prog, true, opts);
-    if (!on.error.empty()) {
-        r.divergence = on.error;
-        return r;
-    }
-    AlewifeRun off = runAlewife(c, prog, false, opts);
-    if (!off.error.empty()) {
-        r.divergence = off.error;
-        return r;
-    }
-    r.alewifeCycles = on.snap.cycle;
-
     std::ostringstream div;
-    if (!on.snap.coherenceErrors.empty()) {
-        div << "coherence violations in the skip-on run:\n";
-        for (const std::string &e : on.snap.coherenceErrors)
-            div << "  " << e << "\n";
-    }
+    std::string error;
 
-    std::string exact = compareExact(on.snap, off.snap);
-    if (!exact.empty())
-        div << "cycle-skip ON vs OFF:\n" << exact;
-    if (on.stats != off.stats) {
-        div << "cycle-skip ON vs OFF: stats dumps differ ("
-            << on.stats.size() << " vs " << off.stats.size()
-            << " bytes)\n";
-    }
-    if (on.breakdown != off.breakdown) {
-        div << "cycle-skip ON vs OFF: cycle-accounting breakdowns "
-               "differ:\n  on:  " << on.breakdown << "\n  off: "
-            << off.breakdown << "\n";
-    }
-    if (on.cohTrace != off.cohTrace) {
-        div << "cycle-skip ON vs OFF: coherence-transaction traces "
-               "differ (" << on.cohTrace.size() << " vs "
-            << off.cohTrace.size() << " bytes)\n";
-    }
-    if (on.taskTrace != off.taskTrace) {
-        div << "cycle-skip ON vs OFF: task-trace reports differ ("
-            << on.taskTrace.size() << " vs " << off.taskTrace.size()
-            << " bytes)\n";
-    }
-    if (opts.compareTraces && on.trace != off.trace) {
-        div << "cycle-skip ON vs OFF: trace JSON differs ("
-            << on.trace.size() << " vs " << off.trace.size()
-            << " bytes)\n";
-    }
-
-    // The parallel execution engine: same machine, same skip mode,
-    // sharded across host worker threads. Must be a bit-for-bit twin
-    // of the sequential run (DESIGN.md §7.6).
-    if (opts.hostThreads > 1) {
-        AlewifeRun par =
-            runAlewife(c, prog, true, opts, opts.hostThreads);
-        if (!par.error.empty()) {
-            r.divergence = par.error;
+    // Each shape runs skip-on, skip-off and, when hostThreads > 1,
+    // sharded over that many host threads (DESIGN.md §7.6); the three
+    // runs must be twins. Every shape after the first changes timing
+    // only, so it must agree architecturally with the full-map run.
+    MachineSnapshot fullmap;
+    for (const Variant &v : variantsOf(c, opts)) {
+        AlewifeRun on = runAlewife(c, prog, v, true, 1, error);
+        AlewifeRun off = runAlewife(c, prog, v, false, 1, error);
+        AlewifeRun par;
+        if (opts.hostThreads > 1)
+            par = runAlewife(c, prog, v, true, opts.hostThreads, error);
+        if (!error.empty()) {
+            r.divergence = error;
             return r;
         }
-        std::string pexact = compareExact(on.snap, par.snap);
-        if (!pexact.empty()) {
-            div << "threads=1 vs threads=" << opts.hostThreads
-                << ":\n" << pexact;
+        bool base = v.scheme == coh::DirScheme::FullMap;
+        std::string prefix = base ? "" : v.name + " ";
+        std::string violations;
+        for (const std::string &e : on.record.snap.coherenceErrors)
+            violations += "  " + e + "\n";
+        note(div, prefix + "coherence violations in the skip-on run",
+             violations);
+        note(div, prefix + "cycle-skip ON vs OFF",
+             compareRuns(on.record, off.record));
+        if (opts.hostThreads > 1) {
+            note(div, prefix + "threads=1 vs threads=" +
+                          std::to_string(opts.hostThreads),
+                 compareRuns(on.record, par.record));
         }
-        if (on.stats != par.stats) {
-            div << "threads=1 vs threads=" << opts.hostThreads
-                << ": stats dumps differ (" << on.stats.size()
-                << " vs " << par.stats.size() << " bytes)\n";
-        }
-        if (on.breakdown != par.breakdown) {
-            div << "threads=1 vs threads=" << opts.hostThreads
-                << ": cycle-accounting breakdowns differ\n";
-        }
-        if (on.cohTrace != par.cohTrace) {
-            div << "threads=1 vs threads=" << opts.hostThreads
-                << ": coherence-transaction traces differ ("
-                << on.cohTrace.size() << " vs " << par.cohTrace.size()
-                << " bytes)\n";
-        }
-        if (on.taskTrace != par.taskTrace) {
-            div << "threads=1 vs threads=" << opts.hostThreads
-                << ": task-trace reports differ ("
-                << on.taskTrace.size() << " vs "
-                << par.taskTrace.size() << " bytes)\n";
-        }
-        if (opts.compareTraces && on.trace != par.trace) {
-            div << "threads=1 vs threads=" << opts.hostThreads
-                << ": trace JSON differs (" << on.trace.size()
-                << " vs " << par.trace.size() << " bytes)\n";
-        }
-    }
-
-    // The dirScheme x mesh axis: the limited directory (default and
-    // forced-spill pointer counts) and — when the case is a 2x2 mesh —
-    // the same four nodes reshaped as a 1-D line, which changes every
-    // hop distance. Each variant changes timing only: it must be
-    // bit-identical across cycle-skip modes (and host-thread counts)
-    // and architecturally identical to the full-map run above.
-    if (opts.schemeAxis) {
-        std::vector<Variant> variants = {
-            {"limited(i=4)", coh::DirScheme::LimitedPtr, 4, 0, 0},
-            {"limited(forced-spill)", coh::DirScheme::LimitedPtr, 0, 0,
-             0},
-        };
-        if (c.dim == 2 && c.radix == 2) {
-            variants.push_back(
-                {"line-mesh+limited(i=1)", coh::DirScheme::LimitedPtr,
-                 1, 1, 4});
-        }
-        for (const Variant &v : variants) {
-            AlewifeRun von = runAlewife(c, prog, true, opts, 1, v);
-            if (!von.error.empty()) {
-                r.divergence = von.error;
-                return r;
-            }
-            AlewifeRun voff = runAlewife(c, prog, false, opts, 1, v);
-            if (!voff.error.empty()) {
-                r.divergence = voff.error;
-                return r;
-            }
-            std::string vexact = compareExact(von.snap, voff.snap);
-            if (!vexact.empty()) {
-                div << v.name << " cycle-skip ON vs OFF:\n" << vexact;
-            }
-            if (von.stats != voff.stats) {
-                div << v.name
-                    << " cycle-skip ON vs OFF: stats dumps differ\n";
-            }
-            if (von.breakdown != voff.breakdown) {
-                div << v.name
-                    << " cycle-skip ON vs OFF: cycle-accounting "
-                       "breakdowns differ\n";
-            }
-            if (von.cohTrace != voff.cohTrace) {
-                div << v.name
-                    << " cycle-skip ON vs OFF: coherence-transaction "
-                       "traces differ\n";
-            }
-            if (von.taskTrace != voff.taskTrace) {
-                div << v.name
-                    << " cycle-skip ON vs OFF: task-trace reports "
-                       "differ\n";
-            }
-            if (opts.compareTraces && von.trace != voff.trace) {
-                div << v.name
-                    << " cycle-skip ON vs OFF: trace JSON differs\n";
-            }
-            if (opts.hostThreads > 1) {
-                AlewifeRun vpar = runAlewife(c, prog, true, opts,
-                                             opts.hostThreads, v);
-                if (!vpar.error.empty()) {
-                    r.divergence = vpar.error;
-                    return r;
-                }
-                std::string ppexact =
-                    compareExact(von.snap, vpar.snap);
-                if (!ppexact.empty()) {
-                    div << v.name << " threads=1 vs threads="
-                        << opts.hostThreads << ":\n" << ppexact;
-                }
-                if (von.stats != vpar.stats ||
-                    von.cohTrace != vpar.cohTrace ||
-                    von.taskTrace != vpar.taskTrace ||
-                    von.breakdown != vpar.breakdown) {
-                    div << v.name << " threads=1 vs threads="
-                        << opts.hostThreads
-                        << ": deterministic artifacts differ\n";
-                }
-            }
-            std::string varch =
-                compareArchitectural(on.snap, von.snap);
-            if (!varch.empty()) {
-                div << "FullMap vs " << v.name << ":\n" << varch;
-            }
+        if (base) {
+            r.alewifeCycles = on.record.snap.cycle;
+            fullmap = std::move(on.record.snap);
+        } else {
+            note(div, "FullMap vs " + v.name,
+                 compareArchitectural(fullmap, on.record.snap));
         }
     }
 
@@ -316,25 +206,15 @@ runDifferential(const FuzzCase &c, const DiffOptions &opts)
     pp.numNodes = c.numNodes();
     PerfectMachine oracle(pp, &prog);
     bootCase(oracle, c, prog);
-    oracle.run(opts.maxCycles);
-    if (!oracle.halted()) {
-        std::ostringstream os;
-        os << "oracle did not halt within " << opts.maxCycles
-           << " cycles; node0 pc=" << oracle.proc(0).pc() << " ["
-           << prog.symbolAt(oracle.proc(0).pc()) << "]";
-        r.divergence = os.str();
-        return r;
-    }
-    if (!oracle.quiesce(opts.quiesceCycles)) {
-        r.divergence = "oracle failed to quiesce after halt";
+    error = runToQuiet(oracle, prog, "oracle");
+    if (!error.empty()) {
+        r.divergence = error;
         return r;
     }
     MachineSnapshot osnap = snapshotMachine(oracle);
     r.perfectCycles = osnap.cycle;
-
-    std::string arch = compareArchitectural(on.snap, osnap);
-    if (!arch.empty())
-        div << "alewife vs ISA oracle:\n" << arch;
+    note(div, "alewife vs ISA oracle",
+         compareArchitectural(fullmap, osnap));
 
     r.divergence = div.str();
     r.ok = r.divergence.empty();

@@ -2,17 +2,17 @@
  * @file
  * Differential execution of generated APRIL programs.
  *
- * Each case runs three ways:
- *
- *   1. AlewifeMachine, cycle-skipping ON  (the production fast path)
- *   2. AlewifeMachine, cycle-skipping OFF (the plain per-cycle loop)
- *   3. PerfectMachine                     (the architectural oracle)
- *
- * Runs 1 and 2 must be bit-for-bit twins: identical snapshots,
- * identical cycle counts, identical stats dumps, byte-identical trace
- * JSON. Run 1 must additionally be architecturally equivalent to the
- * oracle (registers, memory + f/e bits, console, deterministic trap
- * counters) — the generator's single-writer discipline makes the
+ * Each case runs on the ALEWIFE machine with cycle-skipping on (the
+ * production fast path) and off (the plain per-cycle loop) and, when
+ * DiffOptions::hostThreads > 1, sharded over that many host threads.
+ * Those runs must be twins: compareRuns() finds every deterministic
+ * output identical (snapshot, stats JSON, cycle breakdown, trace,
+ * transaction and task JSON). On the directory-scheme x mesh axis
+ * each variant shape runs the same way and must also agree
+ * architecturally with the full-map run. The full-map run must in
+ * turn be architecturally equivalent to the PerfectMachine oracle
+ * (registers, memory + f/e bits, console, deterministic trap
+ * counters): the generator's single-writer discipline makes the
  * final state machine-independent even though the interleavings are
  * wildly different.
  *
@@ -28,7 +28,6 @@
 #include <functional>
 #include <string>
 
-#include "coherence/protocol.hh"
 #include "fuzz/generator.hh"
 
 namespace april::fuzz
@@ -37,20 +36,16 @@ namespace april::fuzz
 /** Knobs of one differential run. */
 struct DiffOptions
 {
-    uint64_t maxCycles = 4'000'000; ///< per machine; hang => failure
-    uint64_t quiesceCycles = 250'000;
-    bool compareTraces = true;      ///< trace JSON of runs 1 vs 2
-    /// When > 1, a fourth run repeats run 1 sharded over this many
-    /// host worker threads and must be bit-for-bit identical to it
-    /// (snapshot, stats dump, cycle breakdown, trace JSON).
+    /// When > 1, every shape also runs sharded over this many host
+    /// worker threads and must be a twin of its one-thread run.
     uint32_t hostThreads = 1;
     /// The directory-scheme x mesh axis (DESIGN.md §7.8): replay the
     /// case under the limited directory (i = 4), the forced-spill
     /// variant (i = 0), and — for 2x2 cases — the same node count
-    /// reshaped as a 1-D line mesh. Each variant must stay bit-for-bit
-    /// identical across cycle-skip modes (and hostThreads, when set)
-    /// and architecturally identical to the full-map run, which is
-    /// itself checked against the PerfectMachine oracle.
+    /// reshaped as a 1-D line mesh. Each variant must stay a twin
+    /// across cycle-skip modes (and hostThreads, when set) and
+    /// architecturally identical to the full-map run, which is itself
+    /// checked against the PerfectMachine oracle.
     bool schemeAxis = false;
 };
 
@@ -59,11 +54,11 @@ struct DiffResult
 {
     bool ok = false;
     std::string divergence;         ///< empty when ok
-    uint64_t alewifeCycles = 0;     ///< machine cycles, run 1
-    uint64_t perfectCycles = 0;     ///< machine cycles, run 3
+    uint64_t alewifeCycles = 0;     ///< full-map skip-on run's cycles
+    uint64_t perfectCycles = 0;     ///< the oracle's cycles
 };
 
-/** Run one case all three ways and cross-check. */
+/** Run one case every way and cross-check. */
 DiffResult runDifferential(const FuzzCase &c,
                            const DiffOptions &opts = {});
 

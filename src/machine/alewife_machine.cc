@@ -76,11 +76,6 @@ AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
     }
     arrivals.resize(n);
 
-    // AlewifeParams::dirScheme is authoritative over whatever the
-    // embedded ControllerParams carries.
-    ctrlParams_.dirScheme = p.dirScheme;
-    ctrlParams_.dirPointers = p.dirPointers;
-
     for (uint32_t i = 0; i < n; ++i) {
         uint32_t shard = shardOf(i);
         Shard *sh = &shards[shard];
@@ -211,17 +206,21 @@ AlewifeMachine::queueIpi(Shard &s, uint32_t src, uint32_t dst,
                        net_.hopCycles() +
                    ctrlParams_.reqFlits;
     PendingIpi ipi{due, src, dst, arg};
-    Shard &home = shards[shardOf(dst)];
-    if (&home == &s) {
-        auto pos = std::upper_bound(
-            s.ipiPending.begin(), s.ipiPending.end(), ipi,
-            [](const PendingIpi &a, const PendingIpi &b) {
-                return a.due != b.due ? a.due < b.due : a.src < b.src;
-            });
-        s.ipiPending.insert(pos, ipi);
-    } else {
+    if (&shards[shardOf(dst)] == &s)
+        insertIpi(s, ipi);
+    else
         s.ipiOutbox.push_back(ipi);
-    }
+}
+
+void
+AlewifeMachine::insertIpi(Shard &home, const PendingIpi &ipi)
+{
+    auto pos = std::upper_bound(
+        home.ipiPending.begin(), home.ipiPending.end(), ipi,
+        [](const PendingIpi &a, const PendingIpi &b) {
+            return a.due != b.due ? a.due < b.due : a.src < b.src;
+        });
+    home.ipiPending.insert(pos, ipi);
 }
 
 void
@@ -396,14 +395,7 @@ AlewifeMachine::syncAt(uint64_t t)
                       " due at ", ipi.due,
                       " on or before the barrier at ", t);
             }
-            Shard &home = shards[shardOf(ipi.dst)];
-            auto pos = std::upper_bound(
-                home.ipiPending.begin(), home.ipiPending.end(), ipi,
-                [](const PendingIpi &a, const PendingIpi &b) {
-                    return a.due != b.due ? a.due < b.due
-                                          : a.src < b.src;
-                });
-            home.ipiPending.insert(pos, ipi);
+            insertIpi(shards[shardOf(ipi.dst)], ipi);
         }
         s.ipiOutbox.clear();
     }

@@ -45,16 +45,9 @@ namespace april
 struct AlewifeParams : MachineParams
 {
     net::NetworkParams network;     ///< defines the node count
+    /// Every node's cache and directory, the directory scheme
+    /// (controller.dirScheme, controller.dirPointers) included.
     coh::ControllerParams controller;
-    /// Directory organization, copied into every controller at
-    /// construction (authoritative over controller.dirScheme).
-    /// FullMap is the paper's scheme and the differential oracle;
-    /// LimitedPtr is the i-pointer LimitLESS-style directory that
-    /// makes >64-node machines representable.
-    coh::DirScheme dirScheme = coh::DirScheme::FullMap;
-    /// Hardware pointers per line under LimitedPtr (0 forces the
-    /// software spill handler on every sharer addition).
-    uint32_t dirPointers = 4;
     /// Host worker threads for run(). Nodes are split into that many
     /// contiguous shards advanced in parallel; results are
     /// bit-identical for every value. Clamped to [1, numNodes] and
@@ -248,6 +241,9 @@ class AlewifeMachine final : public Machine
     void deliverNode(Shard &s, uint32_t node);
     void applyIpis(Shard &s);
     void queueIpi(Shard &s, uint32_t src, uint32_t dst, Word arg);
+    /** Insert @p ipi into @p home's pending list, which is kept in
+     *  the canonical (due, src) order. */
+    static void insertIpi(Shard &home, const PendingIpi &ipi);
     uint32_t queueBlockGo(Shard &s, uint32_t node, Word src, Word dst,
                           Word len);
     void executeBlockOp(const BlockOp &op);

@@ -75,8 +75,6 @@ makeMachine(const Program &prog, const DriverOptions &options,
         shared(ap);
         ap.network = meshFor(options);
         ap.controller = options.controller;
-        ap.dirScheme = options.dirScheme;
-        ap.dirPointers = options.dirPointers;
         ap.hostThreads = hostThreadCount(options.hostThreads);
         m = std::make_unique<AlewifeMachine>(ap, &prog);
     } else {

@@ -54,15 +54,9 @@ struct DriverOptions : ObsParams
     /// Mesh radix when alewife is on; 0 derives a square 2-D mesh
     /// from `nodes` (which must be a perfect square).
     int netRadix = 0;
-    /// Cache/directory configuration when alewife is on.
+    /// Cache and directory configuration, the directory scheme
+    /// included, when alewife is on.
     coh::ControllerParams controller;
-    /// Directory organization when alewife is on (FullMap: the
-    /// paper's scheme / the oracle; LimitedPtr: i-pointer directory
-    /// with software spill).
-    coh::DirScheme dirScheme = coh::DirScheme::FullMap;
-    /// Hardware pointers per line under LimitedPtr (0 forces the
-    /// spill handler on every sharer addition).
-    uint32_t dirPointers = 4;
 
     /** The Encore Multimax baseline configuration (Section 7). */
     static DriverOptions

@@ -4,7 +4,9 @@
 #include <map>
 #include <sstream>
 
+#include "common/json.hh"
 #include "machine/alewife_machine.hh"
+#include "profile/report.hh"
 
 namespace april
 {
@@ -310,6 +312,82 @@ compareArchitectural(const MachineSnapshot &alewife,
         }
     }
     return d.report();
+}
+
+namespace
+{
+
+/** The text @p write puts on a stream. */
+template <typename Write>
+std::string
+capture(Write &&write)
+{
+    std::ostringstream os;
+    write(os);
+    return os.str();
+}
+
+/** Adds a line to @p os when output @p what of two records differs:
+ *  the first differing byte and each side's bytes around it. */
+void
+diffBytes(std::ostream &os, const char *what, const std::string &a,
+          const std::string &b)
+{
+    if (a == b)
+        return;
+    size_t at = 0;
+    while (at < a.size() && at < b.size() && a[at] == b[at])
+        ++at;
+    size_t from = at - std::min<size_t>(at, 40);
+    os << what << " differs at byte " << at << " (" << a.size()
+       << " vs " << b.size() << " bytes): ";
+    json::writeString(os, std::string_view(a).substr(from, 64));
+    os << " vs ";
+    json::writeString(os, std::string_view(b).substr(from, 64));
+    os << "\n";
+}
+
+} // namespace
+
+RunRecord
+recordRun(Machine &m)
+{
+    RunRecord r;
+    r.snap = snapshotMachine(m);
+    profile::ProfileSource src = m.profileSource();
+    r.stats = capture([&](std::ostream &os) { m.dumpJson(os); });
+    r.breakdown = profile::cycleBreakdownJson(src.procs);
+    r.trace = capture([&](std::ostream &os) { m.writeTrace(os); });
+    r.cohTrace = capture([&](std::ostream &os) { m.writeCohTrace(os); });
+    r.taskTrace =
+        capture([&](std::ostream &os) { m.writeTaskTrace(os); });
+    if (!src.samplers.empty()) {
+        r.profile = capture([&](std::ostream &os) {
+            profile::writeProfileJson(os, src);
+        });
+    }
+    if (src.intervals) {
+        r.series = capture(
+            [&](std::ostream &os) { src.intervals->writeCsv(os); });
+    }
+    return r;
+}
+
+std::string
+compareRuns(const RunRecord &a, const RunRecord &b)
+{
+    std::ostringstream os;
+    std::string snap = compareExact(a.snap, b.snap);
+    if (!snap.empty())
+        os << "snapshot differs: " << snap;
+    diffBytes(os, "stats JSON", a.stats, b.stats);
+    diffBytes(os, "cycle breakdown", a.breakdown, b.breakdown);
+    diffBytes(os, "trace JSON", a.trace, b.trace);
+    diffBytes(os, "coherence-transaction trace", a.cohTrace, b.cohTrace);
+    diffBytes(os, "task-trace report", a.taskTrace, b.taskTrace);
+    diffBytes(os, "profile", a.profile, b.profile);
+    diffBytes(os, "interval series", a.series, b.series);
+    return os.str();
 }
 
 } // namespace april

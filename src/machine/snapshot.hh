@@ -1,28 +1,29 @@
 /**
  * @file
- * Deterministic whole-machine state snapshots and comparison.
+ * Deterministic records of finished runs, and their comparison.
  *
- * The differential fuzzer runs one program on three machine
- * configurations (ALEWIFE with cycle-skipping on, off, and the
- * perfect-memory oracle) and needs a single value type that captures
- * everything architecturally observable about a finished run:
- * register frames, trap state, trap counters, the console, and a
- * *coherent* view of memory (dirty cache lines folded over the
- * backing image, since a quiesced ALEWIFE machine still legitimately
- * holds Modified lines that were never evicted).
+ * MachineSnapshot captures everything architecturally observable
+ * about a run: register frames, trap state, trap counters, the
+ * console, and a *coherent* view of memory (dirty cache lines folded
+ * over the backing image, since even a quiesced ALEWIFE machine holds
+ * Modified lines it never evicted). RunRecord adds the bytes of every
+ * other deterministic output: stats JSON, the cycle breakdown and the
+ * reports of the planes that are on. Comparisons:
  *
- * Two comparison strengths are provided:
- *
- *  - compareExact: every captured bit must match. Valid only between
- *    two runs of the *same* machine model (cycle-skip on vs. off,
- *    which are documented to be cycle-exact twins).
+ *  - compareRuns: every output byte must match. The check between
+ *    twins, runs of the *same* machine model that differ only in
+ *    cycle-skipping, host threads or pause points; compareExact is
+ *    its snapshot part.
  *  - compareArchitectural: ISA-level equivalence against the perfect
- *    oracle. Timing-dependent state is excluded: cycle counts,
- *    RemoteMiss/Ipi trap counters, context-switch side effects on the
- *    trap windows and non-active frames.
+ *    oracle or another directory scheme. Timing-dependent state is
+ *    excluded: cycle counts, RemoteMiss/Ipi trap counters,
+ *    context-switch side effects on the trap windows and non-active
+ *    frames.
  *
- * Callers must quiesce() the machine first; snapshotting a machine
- * with in-flight coherence traffic would capture a transient.
+ * Capturing never quiesces. Quiesce first to compare with another
+ * machine model, where in-flight traffic is a transient; twins
+ * stopped at the same committed halt may carry it, as it is itself
+ * deterministic.
  */
 
 #ifndef APRIL_MACHINE_SNAPSHOT_HH
@@ -67,7 +68,7 @@ struct ProcSnapshot
     std::array<uint64_t, size_t(TrapKind::NumKinds)> traps{};
 };
 
-/** Captured state of a whole machine after quiesce(). */
+/** Captured state of a whole machine. */
 struct MachineSnapshot
 {
     bool halted = false;
@@ -105,6 +106,32 @@ std::string compareExact(const MachineSnapshot &a,
  */
 std::string compareArchitectural(const MachineSnapshot &alewife,
                                  const MachineSnapshot &oracle);
+
+/** Every deterministic output of one finished run. A plane's report
+ *  is empty when that plane was off. */
+struct RunRecord
+{
+    MachineSnapshot snap;
+    std::string stats;          ///< stats JSON (Group::dumpJson)
+    std::string breakdown;      ///< profile::cycleBreakdownJson
+    std::string trace;          ///< Chrome trace JSON (traceEvents)
+    std::string cohTrace;       ///< transaction JSON (cohTrace)
+    std::string taskTrace;      ///< task report JSON (taskTrace)
+    std::string profile;        ///< profile JSON (profile)
+    std::string series;         ///< interval CSV (statsInterval)
+};
+
+/** Capture @p m as it stands; the caller runs (and, if it wants,
+ *  quiesces) it first. */
+RunRecord recordRun(Machine &m);
+
+/**
+ * Twin check: every output of @p a and @p b must be byte-identical.
+ * @return "" when they are, else one line per differing output: the
+ * snapshot's line carries compareExact()'s report, every other one
+ * the first differing byte.
+ */
+std::string compareRuns(const RunRecord &a, const RunRecord &b);
 
 } // namespace april
 

@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "machine/alewife_machine.hh"
 #include "machine/driver.hh"
 #include "machine/perfect_machine.hh"
 #include "machine/snapshot.hh"
+#include "machine/workload.hh"
 #include "mult/compiler.hh"
 #include "runtime/layout.hh"
 #include "workloads/workloads.hh"
@@ -207,6 +211,52 @@ TEST(AlewifeIntegration, RuntimeCountersReadModifiedLines)
     EXPECT_GT(r.steals, 0u);
     EXPECT_EQ(r.steals, counter(rt::nb::statSteals));
     EXPECT_EQ(r.spawns, counter(rt::nb::statSpawns));
+}
+
+/** compareRuns names each output that differs, one line apiece, and
+ *  nothing else; identical records compare as "". */
+TEST(RunRecord, CompareRunsNamesEveryDifferingOutput)
+{
+    workloads::Workload w = workloads::fromSpec("fib:6");
+    w.options.wordsPerNode = 1u << 16;
+    w.options.traceEvents = w.options.cohTrace = w.options.taskTrace = true;
+    w.options.profile = true;
+    w.options.statsInterval = 1024;
+    std::unique_ptr<Machine> m = makeMachine(w.prog, w.options, w.boot);
+    m->run(w.options.maxCycles);
+    ASSERT_TRUE(m->halted());
+    const RunRecord a = recordRun(*m);
+    EXPECT_EQ(compareRuns(a, recordRun(*m)), "");
+
+    RunRecord b = a;
+    b.snap.cycle += 1;
+    std::string report = compareRuns(a, b);
+    EXPECT_EQ(report.rfind("snapshot differs: 1 divergence(s):\ncycle: ", 0),
+              0u)
+        << report;
+    EXPECT_EQ(report.find(" differs at byte "), std::string::npos);
+
+    const std::pair<const char *, std::string RunRecord::*> outputs[] = {
+        {"stats JSON", &RunRecord::stats},
+        {"cycle breakdown", &RunRecord::breakdown},
+        {"trace JSON", &RunRecord::trace},
+        {"coherence-transaction trace", &RunRecord::cohTrace},
+        {"task-trace report", &RunRecord::taskTrace},
+        {"profile", &RunRecord::profile},
+        {"interval series", &RunRecord::series},
+    };
+    for (const auto &[name, field] : outputs) {
+        b = a;
+        std::string &bytes = b.*field;
+        ASSERT_FALSE(bytes.empty()) << name;
+        size_t at = bytes.size() / 2;
+        bytes[at] ^= 1;
+        report = compareRuns(a, b);
+        std::string line = name + (" differs at byte " + std::to_string(at));
+        EXPECT_EQ(report.rfind(line + " ", 0), 0u) << report;
+        EXPECT_EQ(std::count(report.begin(), report.end(), '\n'), 1)
+            << report;
+    }
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "machine/alewife_machine.hh"
+#include "machine/snapshot.hh"
 #include "mult/compiler.hh"
 #include "runtime/runtime.hh"
 #include "workloads/handwritten.hh"
@@ -105,7 +106,7 @@ bootRaw(AlewifeMachine &m, const Program &prog)
 
 struct RacyOut
 {
-    testutil::MachineOut machine;
+    RunRecord run;
     uint64_t races = 0;
     std::string reports;
 };
@@ -127,7 +128,7 @@ runRacyCounter(bool detect, bool skip)
     m.run(5'000'000);
 
     RacyOut out;
-    out.machine = testutil::finishMachine(m);
+    out.run = recordRun(m);
     if (m.raceDetector()) {
         out.races = uint64_t(m.raceDetector()->statRaces.value());
         out.reports = m.raceDetector()->formatReports();
@@ -138,7 +139,7 @@ runRacyCounter(bool detect, bool skip)
 TEST(RaceDetector, FlagsThePlainSharedCounter)
 {
     RacyOut out = runRacyCounter(true, true);
-    ASSERT_TRUE(out.machine.halted);
+    ASSERT_TRUE(out.run.snap.halted);
     EXPECT_GE(out.races, 1u) << "unsynchronized shared counter missed";
 
     // Every report is about the counter, from the second node to
@@ -171,20 +172,18 @@ TEST(RaceDetector, DetectorIsPurelyObservational)
 {
     RacyOut on = runRacyCounter(true, true);
     RacyOut off = runRacyCounter(false, true);
-    ASSERT_TRUE(on.machine.halted);
-    ASSERT_TRUE(off.machine.halted);
-    EXPECT_EQ(on.machine.cycles, off.machine.cycles);
-    EXPECT_EQ(on.machine.console, off.machine.console);
+    ASSERT_TRUE(on.run.snap.halted);
+    // The detector adds statistics of its own, so only the machine
+    // state is a twin.
+    EXPECT_EQ(compareExact(on.run.snap, off.run.snap), "");
 }
 
 TEST(RaceDetector, ReportsAreIdenticalUnderCycleSkip)
 {
     RacyOut skip = runRacyCounter(true, true);
     RacyOut tick = runRacyCounter(true, false);
-    ASSERT_TRUE(skip.machine.halted);
-    ASSERT_TRUE(tick.machine.halted);
-    EXPECT_EQ(skip.machine.cycles, tick.machine.cycles);
-    EXPECT_EQ(skip.machine.console, tick.machine.console);
+    ASSERT_TRUE(skip.run.snap.halted);
+    EXPECT_EQ(compareRuns(skip.run, tick.run), "");
     EXPECT_EQ(skip.races, tick.races);
     EXPECT_EQ(skip.reports, tick.reports) << "reports are cycle-stamped: "
                                              "skipping must be exact";

@@ -5,17 +5,18 @@
  * through an f/e-locked counter) the home node writes it, forcing
  * exactly three invalidations. Asserts every fill's parent is its
  * miss, the invalidation acks balance per transaction, the always-on
- * directory census saw the three-wide sharer set, and the span log is
- * bit-identical across cycle-skip modes and host-thread counts.
+ * directory census saw the three-wide sharer set, and the whole run,
+ * span log included, is bit-identical across cycle-skip modes and
+ * host-thread counts.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
-#include <sstream>
 
 #include "machine/alewife_machine.hh"
 #include "machine/coh_report.hh"
+#include "machine/snapshot.hh"
 #include "workloads/handwritten.hh"
 
 namespace april
@@ -108,8 +109,8 @@ runOnce(const Program &prog, uint32_t threads, bool skip,
     p.bootRuntime = false;
     p.cycleSkip = skip;
     p.controller.cache = {.lineWords = 4, .numLines = 64, .assoc = 2};
-    p.dirScheme = scheme;
-    p.dirPointers = pointers;
+    p.controller.dirScheme = scheme;
+    p.controller.dirPointers = pointers;
     p.cohTrace = true;
     p.hostThreads = threads;
     auto m = std::make_unique<AlewifeMachine>(p, &prog);
@@ -122,14 +123,6 @@ runOnce(const Program &prog, uint32_t threads, bool skip,
     // the invalidation/ack balance must hold exactly.
     EXPECT_TRUE(m->quiesce(1'000'000));
     return m;
-}
-
-std::string
-cohJson(AlewifeMachine &m)
-{
-    std::ostringstream os;
-    m.writeCohTrace(os);
-    return os.str();
 }
 
 TEST(CohTrace, SpanCausalityOnSharingWorkload)
@@ -212,16 +205,16 @@ TEST(CohTrace, SpanCausalityOnSharingWorkload)
 TEST(CohTrace, SpanLogIsBitIdenticalAcrossEngines)
 {
     Program prog = buildSharingWorkload();
-    auto ref_machine = runOnce(prog, 1, true);
-    std::string ref = cohJson(*ref_machine);
-    EXPECT_NE(ref.find("\"transactions\""), std::string::npos);
+    RunRecord ref = recordRun(*runOnce(prog, 1, true));
+    EXPECT_NE(ref.cohTrace.find("\"transactions\""), std::string::npos);
 
     for (bool skip : {true, false}) {
         for (uint32_t threads : {1u, 2u, 4u}) {
             if (skip && threads == 1)
                 continue;       // the reference configuration
-            auto m = runOnce(prog, threads, skip);
-            EXPECT_EQ(cohJson(*m), ref)
+            EXPECT_EQ(compareRuns(ref, recordRun(*runOnce(prog, threads,
+                                                          skip))),
+                      "")
                 << "threads=" << threads << " skip=" << skip;
         }
     }
@@ -231,8 +224,9 @@ TEST(CohTrace, SpanLogIsBitIdenticalAcrossEngines)
  *  workload reshaped onto a 1-D line mesh of 4 nodes under the
  *  limited directory with a single hardware pointer, so the
  *  three-sharer set overflows, the spill path runs inside the traced
- *  transactions — and both the span log and the stats dump stay
- *  bit-identical across host-thread counts and cycle-skip modes. */
+ *  transactions — and the whole run, span log and stats included,
+ *  stays bit-identical across host-thread counts and cycle-skip
+ *  modes. */
 TEST(CohTrace, SpanLogIsBitIdenticalUnderLimitedDirectoryOnMesh)
 {
     Program prog = buildSharingWorkload();
@@ -247,20 +241,13 @@ TEST(CohTrace, SpanLogIsBitIdenticalUnderLimitedDirectoryOnMesh)
     EXPECT_EQ(home.statInvSent.value(), home.statInvAcks.value());
     ASSERT_NE(ref_machine->txnTracer(), nullptr);
     EXPECT_EQ(checkCohInvariants(*ref_machine->txnTracer()), "");
-    std::string ref = cohJson(*ref_machine);
-    std::ostringstream ref_stats;
-    ref_machine->dump(ref_stats);
+    RunRecord ref = recordRun(*ref_machine);
 
     for (bool skip : {true, false}) {
         for (uint32_t threads : {1u, 2u, 4u}) {
             if (skip && threads == 1)
                 continue;       // the reference configuration
-            auto m = run(threads, skip);
-            EXPECT_EQ(cohJson(*m), ref)
-                << "threads=" << threads << " skip=" << skip;
-            std::ostringstream stats;
-            m->dump(stats);
-            EXPECT_EQ(stats.str(), ref_stats.str())
+            EXPECT_EQ(compareRuns(ref, recordRun(*run(threads, skip))), "")
                 << "threads=" << threads << " skip=" << skip;
         }
     }

@@ -259,6 +259,11 @@ TEST(Stats, LogPercentileReportsBucketCeilings)
     const std::vector<uint64_t> zeros = {5, 0, 0, 0, 0, 0};
     EXPECT_EQ(logPercentile(zeros, 5, 0, 0.99), 0u);
     EXPECT_EQ(logPercentile(zeros, 0, 0, 0.5), 0u);
+    // A middle bucket whose ceiling is above the largest sample
+    // reports the sample: 8-15 holding a maximum of 13.
+    const std::vector<uint64_t> low = {0, 1, 1, 1, 2, 0};
+    EXPECT_EQ(logPercentile(low, 5, 13, 0.6), 7u);   // below the max
+    EXPECT_EQ(logPercentile(low, 5, 13, 0.99), 13u);
 
     // Histogram::percentile applies the same rule to its own buckets.
     Group g("top");

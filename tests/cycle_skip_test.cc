@@ -10,10 +10,9 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "machine/alewife_machine.hh"
 #include "machine/driver.hh"
+#include "machine/snapshot.hh"
 #include "workloads/workloads.hh"
 
 #include "test_support/machine_workloads.hh"
@@ -175,10 +174,7 @@ TEST(CtrlNextEvent, IdlePendingAndInbox)
 // Differential: coherence-stress workload on the full machine
 // ---------------------------------------------------------------------
 
-using testutil::MachineOut;
-using testutil::finishMachine;
-
-MachineOut
+RunRecord
 runStallStress(bool skip)
 {
     Program prog = testutil::buildStallStress(4);
@@ -191,28 +187,26 @@ runStallStress(bool skip)
     AlewifeMachine m(p, &prog);
     testutil::bootStallStress(m, prog);
     m.run(20'000'000);
-    return finishMachine(m);
+    return recordRun(m);
 }
 
 TEST(CycleSkipDifferential, CoherenceStressOnAlewife)
 {
-    MachineOut on = runStallStress(true);
-    MachineOut off = runStallStress(false);
-    ASSERT_TRUE(on.halted);
-    ASSERT_TRUE(off.halted);
-    ASSERT_EQ(on.console.size(), 1u);
-    EXPECT_EQ(on.console.at(0), Word(fixnum(4 * testutil::kStressIters)));
-    EXPECT_EQ(on.cycles, off.cycles);
-    EXPECT_EQ(on.console, off.console);
-    EXPECT_EQ(on.stats, off.stats) << "per-stat values must be "
-                                      "identical with skipping on/off";
+    RunRecord on = runStallStress(true);
+    RunRecord off = runStallStress(false);
+    ASSERT_TRUE(on.snap.halted);
+    ASSERT_EQ(on.snap.console.size(), 1u);
+    EXPECT_EQ(on.snap.console.at(0),
+              Word(fixnum(4 * testutil::kStressIters)));
+    EXPECT_EQ(compareRuns(on, off), "")
+        << "every output must be identical with skipping on/off";
 }
 
 // ---------------------------------------------------------------------
 // Differential: future-heavy Mul-T workload, both machines
 // ---------------------------------------------------------------------
 
-MachineOut
+RunRecord
 runEagerFibAlewife(bool skip)
 {
     mult::CompileOptions copts;
@@ -226,20 +220,17 @@ runEagerFibAlewife(bool skip)
     p.controller.cache = {.lineWords = 4, .numLines = 512, .assoc = 4};
     AlewifeMachine m(p, &prog);
     m.run(80'000'000);
-    return finishMachine(m);
+    return recordRun(m);
 }
 
 TEST(CycleSkipDifferential, EagerFutureFibOnAlewife)
 {
-    MachineOut on = runEagerFibAlewife(true);
-    MachineOut off = runEagerFibAlewife(false);
-    ASSERT_TRUE(on.halted);
-    ASSERT_TRUE(off.halted);
-    ASSERT_FALSE(on.console.empty());
-    EXPECT_EQ(on.console.back(), Word(fixnum(34)));
-    EXPECT_EQ(on.cycles, off.cycles);
-    EXPECT_EQ(on.console, off.console);
-    EXPECT_EQ(on.stats, off.stats);
+    RunRecord on = runEagerFibAlewife(true);
+    RunRecord off = runEagerFibAlewife(false);
+    ASSERT_TRUE(on.snap.halted);
+    ASSERT_FALSE(on.snap.console.empty());
+    EXPECT_EQ(on.snap.console.back(), Word(fixnum(34)));
+    EXPECT_EQ(compareRuns(on, off), "");
 }
 
 TEST(CycleSkipDifferential, EagerFutureFibOnPerfectMachine)

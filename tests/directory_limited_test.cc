@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 
 #include "machine/alewife_machine.hh"
 #include "machine/snapshot.hh"
@@ -40,8 +39,8 @@ runWide(const workloads::WideSharing &w, int dim, int radix,
     p.cycleSkip = skip;
     p.controller.cache = {.lineWords = kLineWords, .numLines = 64,
                           .assoc = 2};
-    p.dirScheme = scheme;
-    p.dirPointers = ptrs;
+    p.controller.dirScheme = scheme;
+    p.controller.dirPointers = ptrs;
     p.hostThreads = threads;
     auto m = std::make_unique<AlewifeMachine>(p, &w.prog);
     for (uint32_t n = 0; n < m->numNodes(); ++n)
@@ -50,14 +49,6 @@ runWide(const workloads::WideSharing &w, int dim, int radix,
     EXPECT_TRUE(m->halted());
     EXPECT_TRUE(m->quiesce(1'000'000));
     return m;
-}
-
-std::string
-statsJson(AlewifeMachine &m)
-{
-    std::ostringstream os;
-    m.dumpJson(os);
-    return os.str();
 }
 
 TEST(DirectoryLimited, OverflowTrapFiresAndSpillPreservesCoherence)
@@ -123,20 +114,17 @@ TEST(DirectoryLimited, BitIdenticalAcrossEnginesUnderLimitedDirectory)
 {
     // The spill penalty rides the controller's deterministic delay
     // queue, so the limited directory must keep the parallel engine's
-    // bit-identity guarantee: same snapshot, same stats dump for every
-    // host-thread count and cycle-skip mode.
+    // bit-identity guarantee: the same record for every host-thread
+    // count and cycle-skip mode.
     workloads::WideSharing w = workloads::buildWideSharing(16, 1u << 14);
-    auto ref = runWide(w, 2, 4, coh::DirScheme::LimitedPtr, 4, 1, true);
-    MachineSnapshot ref_snap = snapshotMachine(*ref);
-    std::string ref_stats = statsJson(*ref);
+    RunRecord ref = recordRun(
+        *runWide(w, 2, 4, coh::DirScheme::LimitedPtr, 4, 1, true));
 
     for (bool skip : {true, false}) {
         for (uint32_t threads : {2u, 4u}) {
             auto m = runWide(w, 2, 4, coh::DirScheme::LimitedPtr, 4,
                              threads, skip);
-            EXPECT_EQ(compareExact(ref_snap, snapshotMachine(*m)), "")
-                << "threads=" << threads << " skip=" << skip;
-            EXPECT_EQ(statsJson(*m), ref_stats)
+            EXPECT_EQ(compareRuns(ref, recordRun(*m)), "")
                 << "threads=" << threads << " skip=" << skip;
         }
     }
@@ -235,8 +223,8 @@ TEST(DirectoryLimited, EvictReacquireRoundTrip)
         p.bootRuntime = false;
         p.controller.cache = {.lineWords = kLineWords, .numLines = 64,
                               .assoc = 2};
-        p.dirScheme = scheme;
-        p.dirPointers = ptrs;
+        p.controller.dirScheme = scheme;
+        p.controller.dirPointers = ptrs;
         auto m = std::make_unique<AlewifeMachine>(p, &prog);
         for (uint32_t n = 0; n < m->numNodes(); ++n)
             workloads::bootCoherentNode(m->proc(n), prog);

@@ -176,7 +176,7 @@ TEST(MachineStats, OutputDigestsArePinned)
         workloads::Workload w = workloads::fromSpec(spec);
         w.options.hostThreads = threads;
         w.options.cohTrace = true;
-        w.options.dirScheme = scheme;
+        w.options.controller.dirScheme = scheme;
         std::unique_ptr<Machine> m =
             makeMachine(w.prog, w.options, w.boot);
         m->run(w.options.maxCycles);
@@ -191,7 +191,7 @@ TEST(MachineStats, OutputDigestsArePinned)
         writeCohReportJson(report, dynamic_cast<AlewifeMachine &>(*m));
         m->writeCohTrace(txns);
         std::string what = std::to_string(threads) + " thread(s)";
-        EXPECT_EQ(digestOf(report.str()), 0xa90682ec4f250b7aull)
+        EXPECT_EQ(digestOf(report.str()), 0x485348afcb270a3cull)
             << what << " coherence report JSON";
         EXPECT_EQ(digestOf(txns.str()), 0x630f91e10308a0c1ull)
             << what << " transaction log";
@@ -276,16 +276,14 @@ TEST(MachineStats, Table4FibOn4x4IsPinned)
     ASSERT_TRUE(m->halted());
     EXPECT_EQ(w.answer(*m), w.expected);
 
-    std::ostringstream stats;
-    m->dumpJson(stats);
-    MachineSnapshot snap = snapshotMachine(*m);
-    EXPECT_TRUE(snap.coherenceErrors.empty());
+    RunRecord run = recordRun(*m);
+    EXPECT_TRUE(run.snap.coherenceErrors.empty());
     Digest memory;
-    for (const MemWord &word : snap.memory) {
+    for (const MemWord &word : run.snap.memory) {
         memory.addWord(word.data);
         memory.addByte(word.full);
     }
-    EXPECT_EQ(digestOf(stats.str()), 0x6b7ea5dc1048a449ull) << "stats JSON";
+    EXPECT_EQ(digestOf(run.stats), 0x6b7ea5dc1048a449ull) << "stats JSON";
     EXPECT_EQ(memory.value(), 0xcf6ea960987db47dull) << "memory image";
     const size_t pagesPerCache = alewife.controller(0).cacheRef().numPages();
     EXPECT_GT(residentCachePages(), 0u);

@@ -2,15 +2,22 @@
  * @file
  * The parallel execution engine (DESIGN.md §7.6): AlewifeMachine
  * sharded over host worker threads must be a bit-for-bit twin of the
- * sequential simulator — identical final snapshot, cycle count, stats
- * dump and trace JSON — for every thread count, with cycle-skipping
- * on or off, and across arbitrary pause/resume boundaries.
+ * sequential simulator (compareRuns: identical snapshot, stats JSON,
+ * cycle breakdown, trace and span log; and as many resident memory
+ * pages) for every thread count, with cycle-skipping on or off, and
+ * across arbitrary pause/resume boundaries.
+ *
+ * No run quiesces: the booted runtime's idle workers spin forever, so
+ * the machine never goes fully silent. Every run stops at the same
+ * committed halt cycle, which is all twin comparison needs —
+ * in-flight traffic is part of the deterministic state. A sharded
+ * machine is freed as soon as it is recorded: its idle host workers
+ * keep spinning while it lives.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "common/logging.hh"
@@ -24,20 +31,6 @@ namespace april
 {
 namespace
 {
-
-/** Everything observable about one finished run. */
-struct RunOut
-{
-    MachineSnapshot snap;
-    std::string stats;
-    std::string trace;
-    std::string cohTrace;
-    Word result = 0;
-    uint64_t cycles = 0;
-    uint32_t threadsUsed = 0;
-    uint64_t quantum = 0;
-    size_t residentPages = 0;
-};
 
 Program
 compileLazy(const std::string &source)
@@ -61,50 +54,13 @@ makeMachine(const Program &prog, uint32_t threads, bool skip)
     return std::make_unique<AlewifeMachine>(p, &prog);
 }
 
-RunOut
-finish(AlewifeMachine &m)
-{
-    EXPECT_TRUE(m.halted());
-    // No quiesce: the booted runtime's idle workers spin forever, so
-    // the machine never goes fully silent. Every run stops at the
-    // same committed halt cycle, which is all twin comparison needs —
-    // in-flight traffic is part of the deterministic state.
-    RunOut out;
-    out.result = m.console().empty() ? 0 : m.console().back();
-    out.cycles = m.cycle();
-    out.threadsUsed = m.hostThreads();
-    out.quantum = m.quantum();
-    out.residentPages = m.memory().residentPages();
-    out.snap = snapshotMachine(m);
-    std::ostringstream stats, trace;
-    m.dump(stats);
-    out.stats = stats.str();
-    m.writeTrace(trace);
-    out.trace = trace.str();
-    std::ostringstream coh;
-    m.writeCohTrace(coh);
-    out.cohTrace = coh.str();
-    return out;
-}
-
-RunOut
+std::unique_ptr<AlewifeMachine>
 runOnce(const Program &prog, uint32_t threads, bool skip)
 {
     auto m = makeMachine(prog, threads, skip);
     m->run(80'000'000);
-    return finish(*m);
-}
-
-void
-expectTwin(const RunOut &ref, const RunOut &got, const std::string &what)
-{
-    EXPECT_EQ(got.cycles, ref.cycles) << what;
-    EXPECT_EQ(got.residentPages, ref.residentPages) << what;
-    std::string diff = compareExact(ref.snap, got.snap);
-    EXPECT_EQ(diff, "") << what;
-    EXPECT_EQ(got.stats, ref.stats) << what;
-    EXPECT_EQ(got.trace, ref.trace) << what;
-    EXPECT_EQ(got.cohTrace, ref.cohTrace) << what;
+    EXPECT_TRUE(m->halted());
+    return m;
 }
 
 class ParallelRun : public testing::TestWithParam<const char *>
@@ -131,16 +87,23 @@ TEST_P(ParallelRun, ShardedRunIsBitIdentical)
     Program prog = compileLazy(b.source);
 
     for (bool skip : {true, false}) {
-        RunOut ref = runOnce(prog, 1, skip);
-        EXPECT_EQ(ref.threadsUsed, 1u);
-        EXPECT_EQ(tagged::toInt(ref.result), b.expected);
+        auto ref = runOnce(prog, 1, skip);
+        EXPECT_EQ(ref->hostThreads(), 1u);
+        ASSERT_FALSE(ref->console().empty());
+        EXPECT_EQ(tagged::toInt(ref->console().back()), b.expected);
+        size_t pages = ref->memory().residentPages();
+        RunRecord want = recordRun(*ref);
         for (uint32_t threads : {2u, 3u, 4u}) {
-            RunOut par = runOnce(prog, threads, skip);
-            EXPECT_EQ(par.threadsUsed, threads);
-            EXPECT_GE(par.quantum, 1u);
-            expectTwin(ref, par,
-                       name + " threads=" + std::to_string(threads) +
-                           " skip=" + (skip ? "on" : "off"));
+            auto par = runOnce(prog, threads, skip);
+            std::string what = name + " threads=" +
+                               std::to_string(threads) + " skip=" +
+                               (skip ? "on" : "off");
+            EXPECT_EQ(par->hostThreads(), threads);
+            EXPECT_GE(par->quantum(), 1u);
+            EXPECT_EQ(par->memory().residentPages(), pages) << what;
+            RunRecord got = recordRun(*par);
+            par.reset();
+            EXPECT_EQ(compareRuns(want, got), "") << what;
         }
     }
 }
@@ -158,7 +121,10 @@ INSTANTIATE_TEST_SUITE_P(Workloads, ParallelRun,
 TEST(ParallelRunResume, ChunkedRunMatchesContinuousRun)
 {
     Program prog = compileLazy(workloads::fibSource(10));
-    RunOut ref = runOnce(prog, 4, true);
+    auto ref = runOnce(prog, 4, true);
+    size_t pages = ref->memory().residentPages();
+    RunRecord want = recordRun(*ref);
+    ref.reset();
 
     for (uint64_t chunk : {uint64_t(1), uint64_t(0)}) {
         auto m = makeMachine(prog, 4, true);
@@ -167,9 +133,12 @@ TEST(ParallelRunResume, ChunkedRunMatchesContinuousRun)
         uint64_t guard = 0;
         while (!m->halted() && ++guard < 1'000'000)
             m->run(step);
-        RunOut got = finish(*m);
-        expectTwin(ref, got,
-                   std::string("chunked step=") + std::to_string(step));
+        std::string what = "chunked step=" + std::to_string(step);
+        EXPECT_TRUE(m->halted()) << what;
+        EXPECT_EQ(m->memory().residentPages(), pages) << what;
+        RunRecord got = recordRun(*m);
+        m.reset();
+        EXPECT_EQ(compareRuns(want, got), "") << what;
     }
 }
 
@@ -194,32 +163,37 @@ TEST(ParallelRunMesh, LimitedDirectoryOnMeshIsBitIdentical)
         p.traceEvents = true;
         p.cohTrace = true;
         p.hostThreads = threads;
-        p.dirScheme = coh::DirScheme::LimitedPtr;
-        p.dirPointers = 4;
+        p.controller.dirScheme = coh::DirScheme::LimitedPtr;
+        p.controller.dirPointers = 4;
         auto m = std::make_unique<AlewifeMachine>(p, &w.prog);
         for (uint32_t n = 0; n < m->numNodes(); ++n)
             workloads::bootCoherentNode(m->proc(n), w.prog);
         m->run(80'000'000);
-        RunOut out = finish(*m);
+        EXPECT_TRUE(m->halted());
         // The spill machinery actually ran in every configuration.
         double traps = 0;
         for (uint32_t n = 0; n < m->numNodes(); ++n)
             traps += m->controller(n).statOverflowTraps.value();
         EXPECT_GE(traps, 1.0) << "threads=" << threads;
-        return out;
+        return m;
     };
 
     for (bool skip : {true, false}) {
-        RunOut ref = runWide(1, skip);
-        EXPECT_EQ(ref.threadsUsed, 1u);
-        EXPECT_EQ(ref.result, tagged::fixnum(99));
+        auto ref = runWide(1, skip);
+        EXPECT_EQ(ref->hostThreads(), 1u);
+        EXPECT_EQ(ref->console(), std::vector<Word>{tagged::fixnum(99)});
+        size_t pages = ref->memory().residentPages();
+        RunRecord want = recordRun(*ref);
         for (uint32_t threads : {2u, 4u}) {
-            RunOut par = runWide(threads, skip);
-            EXPECT_EQ(par.threadsUsed, threads);
-            expectTwin(ref, par,
-                       std::string("wide-sharing threads=") +
-                           std::to_string(threads) + " skip=" +
-                           (skip ? "on" : "off"));
+            auto par = runWide(threads, skip);
+            std::string what = "wide-sharing threads=" +
+                               std::to_string(threads) + " skip=" +
+                               (skip ? "on" : "off");
+            EXPECT_EQ(par->hostThreads(), threads);
+            EXPECT_EQ(par->memory().residentPages(), pages) << what;
+            RunRecord got = recordRun(*par);
+            par.reset();
+            EXPECT_EQ(compareRuns(want, got), "") << what;
         }
     }
 }
@@ -248,27 +222,31 @@ TEST(ParallelRunMesh, SubPageNodeSpansAreBitIdentical)
         for (uint32_t n = 0; n < m->numNodes(); ++n)
             workloads::bootCoherentNode(m->proc(n), w.prog);
         m->run(80'000'000);
-        return finish(*m);
+        EXPECT_TRUE(m->halted());
+        return m;
     };
 
-    RunOut ref = runWide(1);
-    EXPECT_EQ(ref.result, tagged::fixnum(99));
+    auto ref = runWide(1);
+    EXPECT_EQ(ref->console(), std::vector<Word>{tagged::fixnum(99)});
     // Every node wrote its own done flag back home: one page each.
-    EXPECT_EQ(ref.residentPages, 4u);
-    RunOut par = runWide(4);
-    EXPECT_EQ(par.threadsUsed, 4u);
-    expectTwin(ref, par, "sub-page nodes threads=4");
+    EXPECT_EQ(ref->memory().residentPages(), 4u);
+    auto par = runWide(4);
+    EXPECT_EQ(par->hostThreads(), 4u);
+    EXPECT_EQ(par->memory().residentPages(), 4u);
+    EXPECT_EQ(compareRuns(recordRun(*ref), recordRun(*par)), "");
 }
 
 /** Thread counts beyond the node count clamp instead of failing. */
 TEST(ParallelRunResume, ThreadsClampToNodeCount)
 {
     Program prog = compileLazy(workloads::fibSource(8));
-    RunOut ref = runOnce(prog, 1, true);
-    RunOut par = runOnce(prog, 64, true);
-    EXPECT_LE(par.threadsUsed, 4u);
-    EXPECT_GE(par.threadsUsed, 2u);
-    expectTwin(ref, par, "threads=64 (clamped)");
+    auto ref = runOnce(prog, 1, true);
+    auto par = runOnce(prog, 64, true);
+    EXPECT_LE(par->hostThreads(), 4u);
+    EXPECT_GE(par->hostThreads(), 2u);
+    EXPECT_EQ(par->memory().residentPages(),
+              ref->memory().residentPages());
+    EXPECT_EQ(compareRuns(recordRun(*ref), recordRun(*par)), "");
 }
 
 /** A guest fault on one node, raised inside a shard's quantum,

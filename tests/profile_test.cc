@@ -15,6 +15,7 @@
 #include "json_test_util.hh"
 #include "machine/alewife_machine.hh"
 #include "machine/driver.hh"
+#include "machine/snapshot.hh"
 #include "profile/interval.hh"
 #include "profile/pc_sampler.hh"
 #include "profile/report.hh"
@@ -108,21 +109,13 @@ TEST(IntervalSampler, SampleIfDueIsIdempotentPerBoundary)
 
 // --- full-machine invariants -----------------------------------------
 
-struct StressRun
-{
-    uint64_t cycles = 0;
-    std::string breakdown;      ///< profile::cycleBreakdownJson
-    std::string profileJson;
-    std::string seriesCsv;
-    uint64_t samples0 = 0;      ///< node 0 PC samples
-    uint64_t proc0Cycles = 0;
-};
-
-StressRun
+/** The stall-stress workload with the profiler and the interval
+ *  sampler on, run to its halt and drained. */
+std::unique_ptr<AlewifeMachine>
 runStress(bool cycle_skip)
 {
-    constexpr uint32_t kNodes = 4;
-    Program prog = testutil::buildStallStress(kNodes);
+    // One program outlives every machine that points at it.
+    static const Program prog = testutil::buildStallStress(4);
     AlewifeParams p;
     p.network = {.dim = 2, .radix = 2};
     p.bootRuntime = false;
@@ -130,31 +123,17 @@ runStress(bool cycle_skip)
     p.profile = true;
     p.profilePeriod = 64;
     p.statsInterval = 512;
-    AlewifeMachine m(p, &prog);
-    testutil::bootStallStress(m, prog);
-    m.run(20'000'000);
-    EXPECT_TRUE(m.halted());
-    EXPECT_TRUE(m.quiesce(1'000'000));
-
-    StressRun out;
-    out.cycles = m.cycle();
-    profile::ProfileSource src = m.profileSource();
-    out.breakdown = profile::cycleBreakdownJson(src.procs);
-    std::ostringstream pj;
-    profile::writeProfileJson(pj, src);
-    out.profileJson = pj.str();
-    std::ostringstream cs;
-    src.intervals->writeCsv(cs);
-    out.seriesCsv = cs.str();
-    out.samples0 = src.samplers[0]->totalSamples();
-    out.proc0Cycles = uint64_t(src.procs[0]->statCycles.value());
-    return out;
+    auto m = std::make_unique<AlewifeMachine>(p, &prog);
+    testutil::bootStallStress(*m, prog);
+    m->run(20'000'000);
+    EXPECT_TRUE(m->halted());
+    EXPECT_TRUE(m->quiesce(1'000'000));
+    return m;
 }
 
 TEST(ProfileMachine, BucketsSumToTotalCyclesOnEveryNode)
 {
-    StressRun run = runStress(true);
-    Json profile = parseJson(run.profileJson);
+    Json profile = parseJson(recordRun(*runStress(true)).profile);
     const auto &nodes = profile.at("nodes").array;
     ASSERT_EQ(nodes.size(), 4u);
     for (const Json &node : nodes) {
@@ -179,21 +158,22 @@ TEST(ProfileMachine, BucketsSumToTotalCyclesOnEveryNode)
 
 TEST(ProfileMachine, BitIdenticalUnderCycleSkipping)
 {
-    StressRun on = runStress(true);
-    StressRun off = runStress(false);
-    EXPECT_EQ(on.cycles, off.cycles);
-    EXPECT_EQ(on.breakdown, off.breakdown);
-    EXPECT_EQ(on.profileJson, off.profileJson);
-    EXPECT_EQ(on.seriesCsv, off.seriesCsv);
+    RunRecord on = recordRun(*runStress(true));
+    RunRecord off = recordRun(*runStress(false));
+    ASSERT_FALSE(on.profile.empty());
+    ASSERT_FALSE(on.series.empty());
+    EXPECT_EQ(compareRuns(on, off), "");
 }
 
 TEST(ProfileMachine, PcSampleCountMatchesTheGrid)
 {
-    StressRun run = runStress(true);
+    auto m = runStress(true);
+    profile::ProfileSource src = m->profileSource();
     // Node 0 never parks before it halts, so its core ticks (or
     // skip-credits) every one of its cycles: exactly one sample per
     // full period on the global grid.
-    EXPECT_EQ(run.samples0, run.proc0Cycles / 64);
+    EXPECT_EQ(src.samplers[0]->totalSamples(),
+              uint64_t(src.procs[0]->statCycles.value()) / 64);
 }
 
 // --- the Mul-T driver path -------------------------------------------
@@ -255,18 +235,8 @@ TEST(ProfileDriver, IdenticalAcrossSkipModes)
 
 TEST(ProfileReport, TextFoldedAndCountersAreWellFormed)
 {
-    StressRun run = runStress(true);
-    Program prog = testutil::buildStallStress(4);
-    AlewifeParams p;
-    p.network = {.dim = 2, .radix = 2};
-    p.bootRuntime = false;
-    p.profile = true;
-    p.statsInterval = 512;
-    AlewifeMachine m(p, &prog);
-    testutil::bootStallStress(m, prog);
-    m.run(20'000'000);
-    ASSERT_TRUE(m.halted());
-    profile::ProfileSource src = m.profileSource();
+    auto m = runStress(true);
+    profile::ProfileSource src = m->profileSource();
 
     std::ostringstream text;
     profile::writeProfileText(text, src, 3);

@@ -15,6 +15,7 @@
 
 #include "machine/alewife_machine.hh"
 #include "machine/driver.hh"
+#include "machine/snapshot.hh"
 #include "mult/compiler.hh"
 #include "task/task_trace.hh"
 #include "workloads/workloads.hh"
@@ -171,23 +172,17 @@ TEST(TaskAnalysis, SpinEpisodesMergeAndStealConvoysDetected)
 // Directed machine test: a lazy future actually stolen
 // ---------------------------------------------------------------------
 
-struct TaskedOut
-{
-    bool halted = false;
-    uint64_t cycles = 0;
-    std::vector<task::TaskEvent> events;
-    std::string reportJson;
-};
-
 /** Lazy fib on a 2x2 ALEWIFE machine: idle nodes steal the deferred
  *  continuations, so the lazy claim race genuinely runs. */
-TaskedOut
+std::unique_ptr<AlewifeMachine>
 runLazyFib(bool skip, uint32_t threads)
 {
-    mult::CompileOptions copts;
-    copts.futures = mult::CompileOptions::FutureMode::Lazy;
-    Program prog = mult::compileProgram(workloads::fibSource(10), copts);
-
+    // One program outlives every machine that points at it.
+    static const Program prog = [] {
+        mult::CompileOptions copts;
+        copts.futures = mult::CompileOptions::FutureMode::Lazy;
+        return mult::compileProgram(workloads::fibSource(10), copts);
+    }();
     AlewifeParams p;
     p.network = {.dim = 2, .radix = 2};
     p.wordsPerNode = 1u << 20;
@@ -195,31 +190,31 @@ runLazyFib(bool skip, uint32_t threads)
     p.hostThreads = threads;
     p.taskTrace = true;
     p.controller.cache = {.lineWords = 4, .numLines = 512, .assoc = 4};
-    AlewifeMachine m(p, &prog);
-    m.run(80'000'000);
+    auto m = std::make_unique<AlewifeMachine>(p, &prog);
+    m->run(80'000'000);
+    return m;
+}
 
-    TaskedOut t;
-    t.halted = m.halted();
-    t.cycles = m.cycle();
+/** The task events @p m recorded, as a vector. */
+std::vector<task::TaskEvent>
+eventsOf(AlewifeMachine &m)
+{
     const task::Tracer &log = *m.taskTracer();
-    t.events.assign(log.begin(), log.end());
-    std::ostringstream os;
-    m.writeTaskTrace(os);
-    t.reportJson = os.str();
-    return t;
+    return {log.begin(), log.end()};
 }
 
 TEST(TaskTrace, LazyStealProducesSpawnStealResolveChain)
 {
-    TaskedOut out = runLazyFib(true, 1);
-    ASSERT_TRUE(out.halted);
-    ASSERT_FALSE(out.events.empty());
+    auto m = runLazyFib(true, 1);
+    ASSERT_TRUE(m->halted());
+    const task::Tracer &log = *m->taskTracer();
+    ASSERT_FALSE(log.empty());
 
     // The probe vocabulary fired: lazy markers were published, the
     // claim race ran, a thief resumed a continuation and futures
     // resolved.
     bool saw[task::kNumEvs] = {};
-    for (const task::TaskEvent &e : out.events)
+    for (const task::TaskEvent &e : log)
         saw[size_t(e.kind)] = true;
     EXPECT_TRUE(saw[size_t(task::Ev::SpawnLazy)]);
     EXPECT_TRUE(saw[size_t(task::Ev::StealWon)]);
@@ -230,9 +225,8 @@ TEST(TaskTrace, LazyStealProducesSpawnStealResolveChain)
     EXPECT_TRUE(saw[size_t(task::Ev::RootBegin)]);
     EXPECT_TRUE(saw[size_t(task::Ev::RootEnd)]);
 
-    task::Report r = task::analyze(logOf(out.events), {.numNodes = 4,
-                                                .totalCycles =
-                                                    out.cycles});
+    task::Report r = task::analyze(log, {.numNodes = 4,
+                                         .totalCycles = m->cycle()});
 
     // At least one minted task is a stolen lazy continuation whose
     // span chain completed: spawned on the victim, run on the thief,
@@ -271,21 +265,24 @@ TEST(TaskTrace, LazyStealProducesSpawnStealResolveChain)
 
 TEST(TaskTrace, ReportByteIdenticalAcrossSkipAndThreads)
 {
-    TaskedOut base = runLazyFib(true, 1);
-    ASSERT_TRUE(base.halted);
-    ASSERT_FALSE(base.reportJson.empty());
+    auto base = runLazyFib(true, 1);
+    ASSERT_TRUE(base->halted());
+    RunRecord want = recordRun(*base);
+    ASSERT_FALSE(want.taskTrace.empty());
+    std::vector<task::TaskEvent> events = eventsOf(*base);
 
-    TaskedOut noskip = runLazyFib(false, 1);
-    EXPECT_TRUE(base.events == noskip.events);
-    EXPECT_EQ(base.reportJson, noskip.reportJson);
-    EXPECT_EQ(base.cycles, noskip.cycles);
+    auto noskip = runLazyFib(false, 1);
+    EXPECT_TRUE(events == eventsOf(*noskip));
+    EXPECT_EQ(compareRuns(want, recordRun(*noskip)), "");
 
     for (uint32_t threads : {2u, 4u}) {
-        TaskedOut par = runLazyFib(true, threads);
-        EXPECT_TRUE(base.events == par.events)
+        auto par = runLazyFib(true, threads);
+        EXPECT_TRUE(events == eventsOf(*par))
             << "event stream diverged at " << threads << " threads";
-        EXPECT_EQ(base.reportJson, par.reportJson)
-            << "report diverged at " << threads << " threads";
+        RunRecord got = recordRun(*par);
+        par.reset();    // its idle host workers spin while it lives
+        EXPECT_EQ(compareRuns(want, got), "")
+            << "run diverged at " << threads << " threads";
     }
 }
 

@@ -4,15 +4,11 @@
  * long arithmetic stalls with contended full/empty locking so both the
  * cycle-skipping fast path and the coherence protocol are genuinely
  * exercised; cycle_skip_test.cc and trace_test.cc run it differentially
- * (skip on vs. off) and must observe identical machines.
+ * (skip on vs. off) and must record identical runs (recordRun).
  */
 
 #ifndef APRIL_TESTS_TEST_SUPPORT_MACHINE_WORKLOADS_HH
 #define APRIL_TESTS_TEST_SUPPORT_MACHINE_WORKLOADS_HH
-
-#include <sstream>
-#include <string>
-#include <vector>
 
 #include "machine/alewife_machine.hh"
 
@@ -107,28 +103,6 @@ bootStallStress(AlewifeMachine &m, const Program &prog)
         }
     }
     m.memory().write(kStressCount, tagged::fixnum(0));
-}
-
-/** Everything observable about a finished machine run. */
-struct MachineOut
-{
-    bool halted = false;
-    uint64_t cycles = 0;
-    std::vector<Word> console;
-    std::string stats;          ///< full dump: every stat of every node
-};
-
-inline MachineOut
-finishMachine(AlewifeMachine &m)
-{
-    MachineOut out;
-    out.halted = m.halted();
-    out.cycles = m.cycle();
-    out.console = m.console();
-    std::ostringstream os;
-    m.dump(os);
-    out.stats = os.str();
-    return out;
 }
 
 } // namespace april::testutil

@@ -17,6 +17,7 @@
 #include "common/trace.hh"
 #include "machine/alewife_machine.hh"
 #include "machine/driver.hh"
+#include "machine/snapshot.hh"
 #include "workloads/workloads.hh"
 
 #include "json_test_util.hh"
@@ -164,17 +165,19 @@ TEST(TraceRecorder, ChromeExportSchemaAndNames)
 // Differential: the event stream is identical with skipping on/off
 // ---------------------------------------------------------------------
 
-struct TracedOut
+/** The event stream @p m recorded, as a vector. */
+std::vector<trace::Event>
+eventsOf(AlewifeMachine &m)
 {
-    testutil::MachineOut out;
-    std::vector<trace::Event> events;
-    std::string traceJson;
-};
+    const trace::Recorder &rec = *m.traceRecorder();
+    return {rec.begin(), rec.end()};
+}
 
-TracedOut
+std::unique_ptr<AlewifeMachine>
 runTracedStallStress(bool skip)
 {
-    Program prog = testutil::buildStallStress(4);
+    // One program outlives every machine that points at it.
+    static const Program prog = testutil::buildStallStress(4);
     AlewifeParams p;
     p.network = {.dim = 2, .radix = 2};
     p.wordsPerNode = 1u << 16;
@@ -182,95 +185,80 @@ runTracedStallStress(bool skip)
     p.cycleSkip = skip;
     p.traceEvents = true;
     p.controller.cache = {.lineWords = 4, .numLines = 64, .assoc = 2};
-    AlewifeMachine m(p, &prog);
-    testutil::bootStallStress(m, prog);
-    m.run(20'000'000);
-
-    TracedOut t;
-    t.out = testutil::finishMachine(m);
-    const trace::Recorder &rec = *m.traceRecorder();
-    t.events.assign(rec.begin(), rec.end());
-    std::ostringstream os;
-    m.writeTrace(os);
-    t.traceJson = os.str();
-    return t;
+    auto m = std::make_unique<AlewifeMachine>(p, &prog);
+    testutil::bootStallStress(*m, prog);
+    m->run(20'000'000);
+    return m;
 }
 
 TEST(TraceDifferential, StallStressStreamIdenticalWithSkipOnOff)
 {
-    TracedOut on = runTracedStallStress(true);
-    TracedOut off = runTracedStallStress(false);
-    ASSERT_TRUE(on.out.halted);
-    ASSERT_TRUE(off.out.halted);
-    ASSERT_FALSE(on.events.empty());
+    auto on = runTracedStallStress(true);
+    auto off = runTracedStallStress(false);
+    ASSERT_TRUE(on->halted());
+    std::vector<trace::Event> events = eventsOf(*on);
+    ASSERT_FALSE(events.empty());
 
     // The recorded stream and its serialization are byte-identical:
     // cycle-skipping may only jump windows proven event-free.
-    EXPECT_TRUE(on.events == off.events);
-    EXPECT_EQ(on.traceJson, off.traceJson);
-    EXPECT_EQ(on.out.cycles, off.out.cycles);
+    EXPECT_TRUE(events == eventsOf(*off));
+    RunRecord run = recordRun(*on);
+    EXPECT_EQ(compareRuns(run, recordRun(*off)), "");
 
     // The workload's non-trapping accesses exercise the coherence and
     // network families (misses MHOLD rather than trap).
     bool saw[8] = {};
-    for (const trace::Event &e : on.events)
+    for (const trace::Event &e : events)
         saw[size_t(e.kind)] = true;
     EXPECT_TRUE(saw[size_t(trace::EventKind::Coherence)]);
     EXPECT_TRUE(saw[size_t(trace::EventKind::NetSend)]);
     EXPECT_TRUE(saw[size_t(trace::EventKind::NetDeliver)]);
 
     // And the real machine's export passes the schema check too.
-    checkChromeTraceSchema(on.traceJson);
+    checkChromeTraceSchema(run.trace);
 }
 
-TracedOut
+std::unique_ptr<AlewifeMachine>
 runTracedEagerFib(bool skip)
 {
-    mult::CompileOptions copts;
-    copts.futures = mult::CompileOptions::FutureMode::Eager;
-    Program prog = mult::compileProgram(workloads::fibSource(9), copts);
-
+    static const Program prog = [] {
+        mult::CompileOptions copts;
+        copts.futures = mult::CompileOptions::FutureMode::Eager;
+        return mult::compileProgram(workloads::fibSource(9), copts);
+    }();
     AlewifeParams p;
     p.network = {.dim = 2, .radix = 2};
     p.wordsPerNode = 1u << 20;
     p.cycleSkip = skip;
     p.traceEvents = true;
     p.controller.cache = {.lineWords = 4, .numLines = 512, .assoc = 4};
-    AlewifeMachine m(p, &prog);
-    m.run(80'000'000);
-
-    TracedOut t;
-    t.out = testutil::finishMachine(m);
-    const trace::Recorder &rec = *m.traceRecorder();
-    t.events.assign(rec.begin(), rec.end());
-    std::ostringstream os;
-    m.writeTrace(os);
-    t.traceJson = os.str();
-    return t;
+    auto m = std::make_unique<AlewifeMachine>(p, &prog);
+    m->run(80'000'000);
+    return m;
 }
 
 TEST(TraceDifferential, EagerFibStreamIdenticalWithSkipOnOff)
 {
-    TracedOut on = runTracedEagerFib(true);
-    TracedOut off = runTracedEagerFib(false);
-    ASSERT_TRUE(on.out.halted);
-    ASSERT_TRUE(off.out.halted);
+    auto on = runTracedEagerFib(true);
+    auto off = runTracedEagerFib(false);
+    ASSERT_TRUE(on->halted());
 
-    EXPECT_TRUE(on.events == off.events);
-    EXPECT_EQ(on.traceJson, off.traceJson);
-    EXPECT_EQ(on.out.cycles, off.out.cycles);
+    std::vector<trace::Event> events = eventsOf(*on);
+    EXPECT_TRUE(events == eventsOf(*off));
+    RunRecord run = recordRun(*on);
+    EXPECT_EQ(compareRuns(run, recordRun(*off)), "");
 
     // The runtime's trapping accesses and trap handlers add the
     // processor-side families the stall-stress workload cannot reach.
     bool saw[8] = {};
-    for (const trace::Event &e : on.events)
+    for (const trace::Event &e : events)
         saw[size_t(e.kind)] = true;
     EXPECT_TRUE(saw[size_t(trace::EventKind::CtxSwitch)]);
     EXPECT_TRUE(saw[size_t(trace::EventKind::Trap)]);
     EXPECT_TRUE(saw[size_t(trace::EventKind::Coherence)]);
     EXPECT_TRUE(saw[size_t(trace::EventKind::NetSend)]);
 
-    checkChromeTraceSchema(on.traceJson);
+    checkChromeTraceSchema(run.trace);
 }
 
 TEST(TraceDifferential, UntracedRunHasNoRecorder)

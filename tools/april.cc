@@ -486,8 +486,8 @@ runWorkload(const RunOptions &o)
     d.hostThreads = o.threads;
     d.proc.numFrames = o.frames;
     d.cycleSkip = o.cycleSkip;
-    d.dirScheme = o.dirScheme;
-    d.dirPointers = o.dirPointers;
+    d.controller.dirScheme = o.dirScheme;
+    d.controller.dirPointers = o.dirPointers;
     d.traceEvents = !o.perfettoFile.empty();
     d.cohTrace = o.coh && o.cohSpans;
     d.taskTrace = o.task;

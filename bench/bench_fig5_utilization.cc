@@ -33,58 +33,15 @@
 #include "machine/alewife_machine.hh"
 #include "model/scalability.hh"
 #include "profile/accounting.hh"
+#include "workloads/handwritten.hh"
 
 namespace
 {
 
 using namespace april;
 
-constexpr int kUseful = 48;         ///< useful instructions per miss
+constexpr int kUseful = workloads::kMeasuredUseful;
 constexpr uint32_t kIters = 200;    ///< loop iterations per thread
-
-/**
- * The bench_model_validation thread: kUseful instructions of pure
- * compute, then a remote load from a fresh line (stride one line in
- * the next node's memory — every load misses to a remote home), under
- * the standard 6-instruction switch-spinning handler.
- */
-Program
-buildMeasuredLoop(int words_shift)
-{
-    using namespace tagged;
-    Assembler as;
-    as.bind("thread");
-    // r20: iteration counter; r21: remote cursor (boxed); r22: result
-    as.movi(20, 0);
-    as.ldio(21, int(IoReg::NodeId));
-    as.addiR(21, 21, 1);
-    as.ldio(23, int(IoReg::NumNodes));
-    as.push({.op = Opcode::REM, .rd = 21, .rs1 = 21, .rs2 = 23});
-    as.slliR(21, 21, words_shift);  // * wordsPerNode (2^words_shift)
-    as.slliR(21, 21, 3);
-    as.oriR(21, 21, uint8_t(Tag::Other));
-    as.addiR(21, 21, wordOff(1 << (words_shift - 5)));
-
-    as.bind("loop");
-    for (int i = 0; i < kUseful - 4; ++i)
-        as.addiR(22, 22, 1);
-    as.ldnt(24, 21, 0);             // remote miss -> context switch
-    as.addiR(21, 21, wordOff(4));   // next line (never reused)
-    as.addiR(20, 20, 1);
-    as.cmpiR(20, int32_t(kIters));
-    as.jRaw(Cond::LT, "loop");
-    as.nop();
-    as.halt();
-
-    as.bind("cswitch");
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.nop();
-    as.wrpsr(reg::t(0));
-    as.nop();
-    as.rettRetry();
-    return as.finish();
-}
 
 /** One measured point of the X6 table. */
 struct MeasuredPoint
@@ -110,16 +67,8 @@ measureFrames(const Program &prog, uint32_t p, int radix,
     params.controller.dirScheme = scheme;
     AlewifeMachine m(params, &prog);
 
-    for (uint32_t n = 0; n < m.numNodes(); ++n) {
-        Processor &proc = m.proc(n);
-        proc.reset(prog.entry("thread"));
-        proc.setTrapVector(TrapKind::RemoteMiss, prog.entry("cswitch"));
-        for (uint32_t f = 1; f < p; ++f) {
-            proc.frame(f).trapPC = prog.entry("thread");
-            proc.frame(f).trapNPC = prog.entry("thread") + 1;
-            proc.frame(f).trapRegs[0] = psr::ET;
-        }
-    }
+    for (uint32_t n = 0; n < m.numNodes(); ++n)
+        workloads::bootMeasuredNode(m.proc(n), prog);
 
     // Run until node 0 finishes its frame-0 thread.
     for (uint64_t c = 0; !m.proc(0).halted() && c < 30'000'000; ++c)
@@ -217,7 +166,7 @@ main()
     std::printf("%8s  %10s  %8s  %8s  %14s  %7s\n", "frames p",
                 "U measured", "m meas", "T meas", "U Eq.1(m,T)",
                 "delta");
-    Program prog = buildMeasuredLoop(19);
+    Program prog = workloads::buildMeasuredLoop(19, kIters);
     bool ok = true;
     for (uint32_t p = 1; p <= 4; ++p) {
         MeasuredPoint pt = measureFrames(prog, p, 4, 1u << 19);
@@ -241,7 +190,7 @@ main()
     std::printf("%6s  %6s  %8s  %10s  %8s  %8s  %14s  %7s\n", "nodes",
                 "T(1)", "frames p", "U measured", "m meas", "T meas",
                 "U Eq.1(m,T)", "delta");
-    Program sprog = buildMeasuredLoop(15);
+    Program sprog = workloads::buildMeasuredLoop(15, kIters);
     for (uint32_t nodes : {64u, 256u}) {
         int radix = nodes == 64 ? 8 : 16;
         ScalabilityModel mesh_model(ModelParams::forSimMesh(nodes));

@@ -19,59 +19,15 @@
 
 #include "machine/alewife_machine.hh"
 #include "model/scalability.hh"
+#include "workloads/handwritten.hh"
 
 namespace
 {
 
 using namespace april;
-using namespace april::tagged;
 
-constexpr int kUseful = 48;         ///< useful instructions per miss
+constexpr int kUseful = workloads::kMeasuredUseful;
 constexpr uint32_t kIters = 300;    ///< loop iterations per thread
-
-/**
- * Per-thread loop: kUseful raw adds, then a remote load from a fresh
- * line (stride one line, a different victim node per home region).
- */
-Program
-buildLoop()
-{
-    Assembler as;
-    as.bind("thread");
-    // r20: iteration counter; r21: remote cursor (boxed); r22: result
-    as.movi(20, 0);
-    // Remote region cursor starts in the NEXT node's memory.
-    as.ldio(21, int(IoReg::NodeId));
-    as.addiR(21, 21, 1);
-    as.ldio(23, int(IoReg::NumNodes));
-    as.push({.op = Opcode::REM, .rd = 21, .rs1 = 21, .rs2 = 23});
-    as.slliR(21, 21, 19);           // * wordsPerNode (2^19)
-    as.slliR(21, 21, 3);
-    as.oriR(21, 21, uint8_t(Tag::Other));
-    // Skip the victim's node block: + 64KB offset.
-    as.addiR(21, 21, wordOff(1 << 14));
-
-    as.bind("loop");
-    for (int i = 0; i < kUseful - 4; ++i)
-        as.addiR(22, 22, 1);
-    as.ldnt(24, 21, 0);             // remote miss -> context switch
-    as.addiR(21, 21, wordOff(4));   // next line (never reused)
-    as.addiR(20, 20, 1);
-    as.cmpiR(20, int32_t(kIters));
-    as.jRaw(Cond::LT, "loop");
-    as.nop();
-    as.halt();
-
-    // Switch-spinning context-switch handler (Section 6.1).
-    as.bind("cswitch");
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.nop();
-    as.wrpsr(reg::t(0));
-    as.nop();
-    as.rettRetry();
-    return as.finish();
-}
 
 /** Measured utilization with p threads per processor. */
 double
@@ -86,16 +42,8 @@ measure(const Program &prog, uint32_t p)
                                .assoc = 4};
     AlewifeMachine m(params, &prog);
 
-    for (uint32_t n = 0; n < m.numNodes(); ++n) {
-        Processor &proc = m.proc(n);
-        proc.reset(prog.entry("thread"));
-        proc.setTrapVector(TrapKind::RemoteMiss, prog.entry("cswitch"));
-        for (uint32_t f = 1; f < p; ++f) {
-            proc.frame(f).trapPC = prog.entry("thread");
-            proc.frame(f).trapNPC = prog.entry("thread") + 1;
-            proc.frame(f).trapRegs[0] = psr::ET;
-        }
-    }
+    for (uint32_t n = 0; n < m.numNodes(); ++n)
+        workloads::bootMeasuredNode(m.proc(n), prog);
 
     // Run until node 0 finishes its frame-0 thread.
     uint64_t cycles = 0;
@@ -118,7 +66,7 @@ measure(const Program &prog, uint32_t p)
 int
 main()
 {
-    Program prog = buildLoop();
+    Program prog = workloads::buildMeasuredLoop(19, kIters);
 
     // Model configured to the measured machine: 16-node 2-D mesh.
     model::ModelParams mp;

@@ -6,15 +6,14 @@
 namespace april::analysis
 {
 
-RaceDetector::RaceDetector(uint32_t num_nodes, uint64_t max_reports,
-                           stats::Group *parent)
+RaceDetector::RaceDetector(uint32_t num_nodes, stats::Group *parent)
     : stats::Group("races", parent),
       statRaces(this, "reported", "unsynchronized sharing reports"),
       statSyncWords(this, "syncWords",
                     "words exempted by f/e-bit discipline"),
       statWordsTracked(this, "wordsTracked",
                        "distinct data words observed"),
-      maxReports(max_reports), held(num_nodes)
+      held(num_nodes)
 {
 }
 
@@ -39,7 +38,7 @@ RaceDetector::report(WordState &w, uint64_t cycle, uint32_t node,
 {
     w.phase = Phase::Reported;
     ++statRaces;
-    if (_reports.size() < maxReports)
+    if (_reports.size() < kMaxReports)
         _reports.push_back({cycle, addr, node, pc, w.owner, write});
     if (trec) {
         trec->record({cycle, node, trace::EventKind::Race,

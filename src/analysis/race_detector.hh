@@ -64,8 +64,10 @@ class RaceDetector : public MemObserver, public stats::Group
         bool write = false;
     };
 
-    RaceDetector(uint32_t num_nodes, uint64_t max_reports = 64,
-                 stats::Group *parent = nullptr);
+    /// Detailed reports retained; statRaces keeps counting past it.
+    static constexpr uint64_t kMaxReports = 64;
+
+    RaceDetector(uint32_t num_nodes, stats::Group *parent);
 
     /** Attach the machine's event recorder (nullptr: no events). */
     void setTraceRecorder(trace::Recorder *r) { trec = r; }
@@ -104,7 +106,6 @@ class RaceDetector : public MemObserver, public stats::Group
     void report(WordState &w, uint64_t cycle, uint32_t node,
                 uint32_t pc, Addr addr, bool write);
 
-    uint64_t maxReports;
     trace::Recorder *trec = nullptr;
     std::unordered_map<Addr, WordState> words;
     std::vector<std::set<Addr>> held;   ///< per-node held locks

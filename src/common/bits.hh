@@ -15,7 +15,7 @@ namespace april
  * "No event, ever" sentinel for nextEventCycle() reports. Components
  * that can do no further observable work without external input
  * (halted processors, idle controllers, empty networks) return this so
- * the machines' cycle-skipping run loops can fast-forward past them.
+ * the machines' cycle-skipping run loop can fast-forward past them.
  */
 constexpr uint64_t kNeverCycle = ~uint64_t(0);
 

@@ -5,7 +5,7 @@
  * Each simulator component owns a debug flag (Cache, Coh, Net, Ctx,
  * Trap, FE, Runtime); a TRACE(Flag, ...) call prints its streamed
  * message to stderr only while that flag is enabled. Flags are runtime
- * toggles selected programmatically (DriverOptions::debugFlags), or
+ * toggles selected programmatically (debug::setFlags("Ctx,Trap")), or
  * from the environment (APRIL_DEBUG="Coh,Net").
  *
  * Cost contract: a disabled TRACE is one load of a plain global bool

@@ -5,7 +5,7 @@
  * epoch-counter barrier.
  *
  * The machine advances in quanta: the coordinating thread publishes a
- * job, bumps the epoch (release), every worker spins on the epoch
+ * job, bumps the epoch (release), every worker waits on the epoch
  * (acquire), runs the job for its own shard, and bumps the done
  * counter (release); the coordinator spins until all workers have
  * checked in (acquire). The release/acquire pairs on `epoch_` and
@@ -15,9 +15,9 @@
  * next quantum's shard work. ThreadSanitizer sees those edges, so the
  * engine is clean under TSan with no locks on the simulation path.
  *
- * Workers spin with a bounded busy-wait and then fall back to
- * yielding, so an idle pool (machine paused between run() calls)
- * costs no meaningful CPU.
+ * Workers wait for the next epoch with a bounded spin, then bounded
+ * yields, then park on the epoch (a futex wait), so an idle pool (a
+ * machine paused or finished but alive) costs no CPU.
  *
  * A job that throws does not take the host down: each worker's
  * exception is captured, the quantum's barrier completes as usual,
@@ -61,6 +61,7 @@ class WorkerPool
     {
         stop_.store(true, std::memory_order_relaxed);
         epoch_.fetch_add(1, std::memory_order_release);
+        epoch_.notify_all();
         for (auto &t : threads_)
             t.join();
     }
@@ -80,6 +81,7 @@ class WorkerPool
     {
         done_.store(0, std::memory_order_relaxed);
         epoch_.fetch_add(1, std::memory_order_release);
+        epoch_.notify_all();    // no system call unless one is parked
         runJob(0);
         // Wait for workers 1..N-1 (acquire pairs with their release).
         // Bounded spin, then yield: on an oversubscribed host the
@@ -88,7 +90,7 @@ class WorkerPool
         uint32_t spins = 0;
         while (done_.load(std::memory_order_acquire) + 1 <
                numWorkers_) {
-            if (++spins < 128)
+            if (++spins < kSpins)
                 relax();
             else
                 std::this_thread::yield();
@@ -106,6 +108,10 @@ class WorkerPool
     uint32_t numWorkers() const { return numWorkers_; }
 
   private:
+    /// Pause-spins, then yields, before an idle worker parks.
+    static constexpr uint32_t kSpins = 128;
+    static constexpr uint32_t kYields = 1024;
+
     static void
     relax()
     {
@@ -131,14 +137,16 @@ class WorkerPool
     void
     workerLoop(uint32_t index)
     {
-        uint64_t seen = 0;
+        uint32_t seen = 0;
         for (;;) {
             uint32_t spins = 0;
             while (epoch_.load(std::memory_order_acquire) == seen) {
-                if (++spins < 128)
+                if (++spins < kSpins)
                     relax();
-                else
+                else if (spins < kSpins + kYields)
                     std::this_thread::yield();
+                else
+                    epoch_.wait(seen, std::memory_order_acquire);
             }
             ++seen;
             if (stop_.load(std::memory_order_relaxed))
@@ -151,7 +159,7 @@ class WorkerPool
     uint32_t numWorkers_;
     std::function<void(uint32_t)> job_;
     std::vector<std::exception_ptr> errors_;    ///< per worker
-    std::atomic<uint64_t> epoch_{0};
+    std::atomic<uint32_t> epoch_{0};    ///< futex-sized; wraps harmlessly
     std::atomic<uint32_t> done_{0};
     std::atomic<bool> stop_{false};
     std::vector<std::thread> threads_;

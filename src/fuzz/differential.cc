@@ -119,13 +119,12 @@ runAlewife(const FuzzCase &c, const Program &prog, const Variant &v,
     // Every deterministic artifact is on, so every pair compares all
     // of them: the machine trace, the transaction spans, the task
     // plane (fuzz programs have no runtime probes, but the processor
-    // hook points still emit events) and the spec-conformance
-    // listener, which checks each directory transition against the
-    // model checker's rule tables (mc::Conformance).
+    // hook points still emit events). The machine's spec-conformance
+    // listener checks each directory transition against the model
+    // checker's rule tables (mc::Conformance).
     p.traceEvents = true;
     p.cohTrace = true;
     p.taskTrace = true;
-    p.conformance = true;
 
     run.machine = std::make_unique<AlewifeMachine>(p, &prog);
     AlewifeMachine &m = *run.machine;

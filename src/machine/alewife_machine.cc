@@ -57,12 +57,9 @@ AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
         quantum_ = 1;
 
     if (p.detectRaces) {
-        races = std::make_unique<analysis::RaceDetector>(
-            n, p.raceMaxReports, this);
+        races = std::make_unique<analysis::RaceDetector>(n, this);
         races->setTraceRecorder(trace_.lane(0));
     }
-    if (p.conformance)
-        conform_ = std::make_unique<mc::Conformance>();
 
     shards.resize(w);
     uint32_t base = n / w;
@@ -88,7 +85,7 @@ AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
         ctrl.setTraceRecorder(sh->trace);
         ctrl.setTxnTracer(coh_.lane(shard));
         ctrl.setObserver(races.get());
-        ctrl.setTransitionListener(conform_.get());
+        ctrl.setTransitionListener(&conform_);
     }
     startIntervalSampler();
     if (w > 1) {
@@ -349,18 +346,11 @@ AlewifeMachine::advanceShard(Shard &s, uint64_t target)
         uint64_t stop = std::min({target, s.haltAt, s.blockMin});
         if (s.cycle >= stop)
             break;
-        if (params_.cycleSkip && s.probe.due(s.cycle)) {
-            uint64_t next = shardNextEvent(s);
-            if (next > s.cycle + 1) {
-                s.probe.hit();
-                uint64_t to = std::min(next - 1, stop);
-                if (to > s.cycle) {
-                    shardSkip(s, to - s.cycle);
-                    continue;
-                }
-            } else {
-                s.probe.miss(s.cycle);
-            }
+        uint64_t to = skipTarget(&s.probe, s.cycle, stop,
+                                 [&] { return shardNextEvent(s); });
+        if (to > s.cycle) {
+            shardSkip(s, to - s.cycle);
+            continue;
         }
         ++s.cycle;
         applyIpis(s);
@@ -459,15 +449,10 @@ AlewifeMachine::syncAt(uint64_t t)
         for (const ConsoleEntry &e : merged)
             console_.push_back(e.word);
     }
-    if (interval_) {
-        foldObservability();
-        interval_->sampleIfDue(t);
-    }
     // Raise any conformance violation the shard workers recorded
     // from the coordinating thread, at the same barrier for every
     // host-thread count.
-    if (conform_)
-        conform_->check();
+    conform_.check();
 }
 
 void
@@ -496,77 +481,42 @@ AlewifeMachine::nextEventCycle() const
     return next;
 }
 
-uint64_t
-AlewifeMachine::run(uint64_t maxcycle_s)
+void
+AlewifeMachine::advance(uint64_t stop)
 {
-    uint64_t start = cycle_;
-    uint64_t end = maxcycle_s > kNeverCycle - cycle_
-        ? kNeverCycle
-        : cycle_ + maxcycle_s;
-    uint32_t w = hostThreads();
-    while (!haltFlag_ && cycle_ < end) {
-        uint64_t target = end;
-        for (const Shard &s : shards)
-            target = std::min({target, s.haltAt, s.blockMin});
-        if (!pendingBlocks.empty())
-            target = std::min(target, pendingBlocks.front().commit);
-        if (interval_)
-            target = std::min(target,
-                              interval_->nextSampleCycle(cycle_));
-        if (w == 1) {
-            // One shard: no quantum needed — the shard slices itself
-            // at its own commit boundaries.
-            advanceShard(shards[0], target);
-            syncAt(shards[0].cycle);
-            continue;
-        }
-        target = std::min(target, nextGrid(cycle_));
-        if (params_.cycleSkip) {
-            // Whole-machine fast-forward across quanta: sound because
-            // every shard's next event (including in-flight arrivals
-            // and pending commits) bounds the window.
-            uint64_t next = nextEventCycle();
-            if (next > cycle_ + 1) {
-                uint64_t to = std::min(
-                    next == kNeverCycle ? end : next - 1, target);
-                if (to > cycle_) {
-                    for (Shard &s : shards)
-                        shardSkip(s, to - cycle_);
-                    syncAt(to);
-                    continue;
-                }
-            }
-        }
-        quantumTarget_ = target;
-        pool_->runQuantum();
-        syncAt(target);
+    // The barrier must run exactly at each pending commit boundary.
+    for (const Shard &s : shards)
+        stop = std::min({stop, s.haltAt, s.blockMin});
+    if (!pendingBlocks.empty())
+        stop = std::min(stop, pendingBlocks.front().commit);
+    if (shards.size() == 1) {
+        // One shard: no quantum needed — the shard slices itself at
+        // its own commit boundaries.
+        advanceShard(shards[0], stop);
+        syncAt(shards[0].cycle);
+        return;
     }
-    foldObservability();
-    warnPlaneOverflow();
-    return cycle_ - start;
-}
-
-bool
-AlewifeMachine::quiesce(uint64_t max_cycles)
-{
-    bool quiet = false;
-    for (uint64_t i = 0; i < max_cycles && !quiet; ++i) {
-        if (nextEventCycle() == kNeverCycle)
-            quiet = true;
-        else
-            tick();
+    stop = std::min(stop, nextGrid(cycle_));
+    // Whole-machine fast-forward across quanta: sound because every
+    // shard's next event (including in-flight arrivals and pending
+    // commits) bounds the window.
+    uint64_t to = skipTarget(nullptr, cycle_, stop,
+                             [this] { return nextEventCycle(); });
+    if (to > cycle_) {
+        for (Shard &s : shards)
+            shardSkip(s, to - cycle_);
+        syncAt(to);
+        return;
     }
-    quiet = quiet || nextEventCycle() == kNeverCycle;
-    verifyCycleAccounting();
-    if (conform_)
-        conform_->check();
-    foldObservability();
-    return quiet;
+    quantumTarget_ = stop;
+    pool_->runQuantum();
+    syncAt(stop);
 }
 
 void
 AlewifeMachine::foldObservability()
 {
+    conform_.check();
     net_.foldStats();
     telemetry_.foldStats();
 }

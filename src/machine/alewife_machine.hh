@@ -19,9 +19,10 @@
  * sequential loop).
  *
  * The shared layer (machine/machine.hh) owns the nodes' processors,
- * I/O registers, planes and clock; this machine adds the memory
- * system under them: caches and controllers, the network, the shards
- * and the barrier merge.
+ * I/O registers, planes, clock and run loop; this machine adds the
+ * memory system under them: caches and controllers, the network, the
+ * shards and the barrier merge, which also checks every directory
+ * transition against the protocol spec (mc::Conformance).
  */
 
 #ifndef APRIL_MACHINE_ALEWIFE_MACHINE_HH
@@ -58,15 +59,6 @@ struct AlewifeParams : MachineParams
     /// controller. Purely observational: execution (and the trace
     /// event stream, minus Race events) is identical either way.
     bool detectRaces = false;
-    /// Detailed race reports retained when detectRaces is on (the
-    /// stats counter keeps counting past the cap).
-    uint64_t raceMaxReports = 64;
-    /// Check every directory transition the controllers record
-    /// against the model checker's protocol spec (src/mc); the
-    /// machine panics at the next sync point if the implementation
-    /// performs a step no spec rule allows. Cheap (one table lookup
-    /// per transition), so it defaults on.
-    bool conformance = true;
 };
 
 /** N ALEWIFE nodes on a mesh. */
@@ -76,27 +68,12 @@ class AlewifeMachine final : public Machine
     AlewifeMachine(const AlewifeParams &params, const Program *prog);
     ~AlewifeMachine();
 
-    /** Advance exactly one machine cycle (serial; tests, quiesce). */
-    void tick();
-    uint64_t run(uint64_t max_cycles) override;
+    /** Every shard in node order, then one barrier (serial). */
+    void tick() override;
 
-    /**
-     * Earliest cycle at which any component (processor, controller,
-     * in-flight packet, pending interrupt or block transfer) can do
-     * observable work; kNeverCycle when the machine is permanently
-     * idle. Values <= cycle() + 1 mean "tick normally".
-     */
-    uint64_t nextEventCycle() const;
-
-    /**
-     * Tick until no component has a pending event or @p max_cycles
-     * elapse; @return true when fully quiescent. run() exits when the
-     * committed MachineHalt boundary is reached, which can leave
-     * coherence traffic (e.g. the write-back of the very word the
-     * halt decision was read from) in flight — snapshotting without
-     * draining it would read stale memory.
-     */
-    bool quiesce(uint64_t max_cycles) override;
+    /** Over processors, controllers, in-flight packets, pending
+     *  interrupts and block transfers. */
+    uint64_t nextEventCycle() const override;
 
     /** Number of shards (= host worker threads) actually in use. */
     uint32_t hostThreads() const { return uint32_t(shards.size()); }
@@ -266,19 +243,22 @@ class AlewifeMachine final : public Machine
      */
     void advanceShard(Shard &s, uint64_t target);
 
+    /** One barrier: the one shard runs to its next commit boundary,
+     *  or every shard skips or runs one quantum; then syncAt(). */
+    void advance(uint64_t stop) override;
+
     /** Barrier phase: all shards parked at cycle @p t. Merges
      *  cross-shard traffic canonically, commits due block transfers
-     *  and halts, and takes due interval samples. */
+     *  and halts, and raises any conformance violation. */
     void syncAt(uint64_t t);
 
-    /** Fold network/telemetry accumulators into the stats tree (the
-     *  deterministic-sync-point bundle around net_.foldStats()). */
-    void foldObservability();
+    /** Raise any conformance violation; fold network and telemetry. */
+    void foldObservability() override;
 
     /// Controller configuration, the directory scheme applied.
     coh::ControllerParams ctrlParams_;
     std::unique_ptr<analysis::RaceDetector> races;
-    std::unique_ptr<mc::Conformance> conform_;
+    mc::Conformance conform_;
     net::Network net_;
     net::Telemetry telemetry_;
     uint64_t quantum_ = 1;

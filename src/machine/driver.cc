@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "common/debug.hh"
 #include "common/logging.hh"
 #include "runtime/layout.hh"
 
@@ -27,23 +26,20 @@ hostThreadCount(uint32_t requested)
 namespace
 {
 
-/** A square 2-D mesh when netRadix is 0, the explicit shape
- *  otherwise; fatal unless it covers options.nodes exactly. */
+/** The square 2-D mesh of radix netRadix, derived from the node
+ *  count when that is 0; fatal unless it covers options.nodes
+ *  exactly. */
 net::NetworkParams
 meshFor(const DriverOptions &options)
 {
     net::NetworkParams np;
-    np.dim = options.netDim;
+    np.dim = 2;
     np.radix = options.netRadix;
     if (!np.radix) {
-        np.dim = 2;
         while (uint64_t(np.radix) * uint64_t(np.radix) < options.nodes)
             ++np.radix;
     }
-    uint64_t covered = 1;
-    for (int d = 0; d < np.dim; ++d)
-        covered *= uint64_t(np.radix);
-    if (covered != options.nodes) {
+    if (uint64_t(np.radix) * uint64_t(np.radix) != options.nodes) {
         fatal("driver: ", options.nodes, " nodes do not fill a ",
               np.radix, "^", np.dim, " mesh");
     }
@@ -58,8 +54,6 @@ makeMachine(const Program &prog, const DriverOptions &options,
 {
     if (options.nodes == 0)
         fatal("driver: a machine needs at least one node");
-    if (!options.debugFlags.empty())
-        debug::setFlags(options.debugFlags);
 
     auto shared = [&](MachineParams &mp) {
         static_cast<ObsParams &>(mp) = options;

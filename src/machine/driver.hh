@@ -43,16 +43,12 @@ struct DriverOptions : ObsParams
     /// machine always runs serially). 0 means "use the APRIL_THREADS
     /// environment variable, else 1" — resolved by hostThreadCount().
     uint32_t hostThreads = 0;
-    /// Comma-separated debug-flag names ("Ctx,Trap", "All") turned on
-    /// for the run; empty leaves the current flags untouched.
-    std::string debugFlags;
-    /// Run on the full ALEWIFE machine (caches + directories + mesh)
-    /// instead of perfect shared memory. `nodes` must then equal
-    /// netRadix^netDim.
+    /// Run on the full ALEWIFE machine (caches + directories + 2-D
+    /// mesh) instead of perfect shared memory. `nodes` must then equal
+    /// netRadix^2.
     bool alewife = false;
-    int netDim = 2;             ///< mesh dimension when alewife is on
-    /// Mesh radix when alewife is on; 0 derives a square 2-D mesh
-    /// from `nodes` (which must be a perfect square).
+    /// Mesh radix when alewife is on; 0 derives it from `nodes`
+    /// (which must be a perfect square).
     int netRadix = 0;
     /// Cache and directory configuration, the directory scheme
     /// included, when alewife is on.

@@ -143,11 +143,48 @@ Machine::startIntervalSampler()
             params_.statsInterval, *this);
 }
 
-void
-Machine::warnPlaneOverflow()
+uint64_t
+Machine::run(uint64_t max_cycles)
 {
+    const uint64_t start = cycle_;
+    const uint64_t end = max_cycles > kNeverCycle - cycle_
+        ? kNeverCycle
+        : cycle_ + max_cycles;
+    while (!haltFlag_ && cycle_ < end) {
+        // Skipping is additive, so ending a window at a sample
+        // boundary is cycle-exact.
+        advance(interval_
+                    ? std::min(end, interval_->nextSampleCycle(cycle_))
+                    : end);
+        sampleIfDue();
+    }
+    foldObservability();
     obs::warnOverflow(warnedTraceDrop_, trace_.dropped(), coh_.dropped(),
                       task_.dropped());
+    return cycle_ - start;
+}
+
+bool
+Machine::quiesce(uint64_t max_cycles)
+{
+    bool quiet = nextEventCycle() == kNeverCycle;
+    for (uint64_t i = 0; i < max_cycles && !quiet; ++i) {
+        tick();
+        sampleIfDue();
+        quiet = nextEventCycle() == kNeverCycle;
+    }
+    verifyCycleAccounting();
+    foldObservability();
+    return quiet;
+}
+
+void
+Machine::sampleIfDue()
+{
+    if (interval_) {
+        foldObservability();
+        interval_->sampleIfDue(cycle_);
+    }
 }
 
 uint64_t

@@ -8,13 +8,14 @@
  * is that upper layer. It owns the memory image, the processors and
  * their I/O registers, the console, the halt flag and the clock, and
  * the observability planes, samplers and probe map. The two machines
- * derive from it and keep only their memory systems and run loops:
+ * derive from it and keep only their memory systems and advance():
  * the perfect-memory multiprocessor (machine/perfect_machine.hh) and
  * the full ALEWIFE machine (machine/alewife_machine.hh).
  *
- * run() and quiesce() are whole-run calls and the only virtuals the
- * driver uses. The I/O hooks fire only on STIO writes: nothing on a
- * machine's per-cycle path calls through a virtual.
+ * run() and quiesce() are both machines' one run and drain loops, and
+ * skipTarget() their one skip decision. The loops call the machine's
+ * virtual hooks once per window or barrier, and the I/O hooks fire
+ * only on STIO writes: nothing per node-cycle calls a virtual.
  */
 
 #ifndef APRIL_MACHINE_MACHINE_HH
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "coherence/coh_trace.hh"
+#include "common/bits.hh"
 #include "common/obs_log.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
@@ -52,41 +54,26 @@ struct MachineParams : ObsParams
     /// runtime's symbols in the program). Turn off for raw programs
     /// that manage their own entry points and trap vectors.
     bool bootRuntime = true;
-    /// Fast-forward cycles in run() when every component is provably
-    /// idle (cycle-exact; see each machine's nextEventCycle()). Off
-    /// forces the plain per-cycle loop.
+    /// Fast-forward cycles when every component is provably idle
+    /// (cycle-exact; see skipTarget()). Off forces the plain per-cycle
+    /// loop.
     bool cycleSkip = true;
 };
 
 /**
- * Skip-probe hysteresis. A probe asks whether the next cycles are
- * provably idle; when one finds no window, the next probe waits,
- * the wait doubling up to a cap, and a probe that finds a window
- * resets it. Probe-hostile phases (every core busy every cycle) then
- * don't pay the scan per tick. Ticking through a window that opens
- * mid-back-off is equivalent to skipping it, so this is a host-speed
- * knob only: it cannot change simulated state.
+ * Skip-probe hysteresis, kept by Machine::skipTarget(). A probe asks
+ * whether the next cycles are provably idle; when one finds no
+ * window, the next probe waits, the wait doubling up to a cap, and a
+ * probe that finds a window resets it. Probe-hostile phases (every
+ * core busy every cycle) then don't pay the scan per tick. Ticking
+ * through a window that opens mid-back-off is equivalent to skipping
+ * it, so this is a host-speed knob only: it cannot change simulated
+ * state.
  */
-class ProbeBackoff
+struct ProbeBackoff
 {
-  public:
-    /** Whether a probe is worth making at @p cycle. */
-    bool due(uint64_t cycle) const { return cycle >= probeAt_; }
-
-    /** The probe found a window: probe freely again. */
-    void hit() { backoff_ = 0; }
-
-    /** The probe at @p cycle found no window: wait before the next. */
-    void
-    miss(uint64_t cycle)
-    {
-        backoff_ = std::min<uint32_t>(backoff_ ? backoff_ * 2 : 1, 32);
-        probeAt_ = cycle + 1 + backoff_;
-    }
-
-  private:
-    uint64_t probeAt_ = 0;
-    uint32_t backoff_ = 0;
+    uint64_t probeAt = 0;       ///< no probe before this cycle
+    uint32_t wait = 0;          ///< the last miss's wait, in cycles
 };
 
 /** An APRIL multiprocessor; its statistics tree is the machine. */
@@ -96,10 +83,11 @@ class Machine : public stats::Group
     ~Machine() override;
 
     /**
-     * Run until the machine halts or @p max_cycles elapse.
+     * Run until the machine halts or @p max_cycles elapse, in windows
+     * that end at each interval-sample boundary.
      * @return elapsed machine cycles.
      */
-    virtual uint64_t run(uint64_t max_cycles) = 0;
+    uint64_t run(uint64_t max_cycles);
 
     /**
      * Tick until no component has a pending event or @p max_cycles
@@ -107,7 +95,14 @@ class Machine : public stats::Group
      * halt, which can leave work in flight; snapshot and compare flows
      * quiesce first so the final state is well defined.
      */
-    virtual bool quiesce(uint64_t max_cycles) = 0;
+    bool quiesce(uint64_t max_cycles);
+
+    /** Advance exactly one cycle (no interval sample). */
+    virtual void tick() = 0;
+
+    /** Earliest cycle at which any component can do observable work;
+     *  kNeverCycle when the machine is permanently idle. */
+    virtual uint64_t nextEventCycle() const = 0;
 
     bool halted() const { return haltFlag_; }
     uint64_t cycle() const { return cycle_; }
@@ -205,8 +200,40 @@ class Machine : public stats::Group
      *  and become columns. */
     void startIntervalSampler();
 
-    /** Warn once on stderr if any plane dropped events. */
-    void warnPlaneOverflow();
+    /** Tick or skip toward @p stop (> cycle()); return there, at the
+     *  halt, or at a boundary of the machine's own. */
+    virtual void advance(uint64_t stop) = 0;
+
+    /** Fold statistics kept outside the stats tree into it; run
+     *  before every sample and at the end of run() and quiesce(). */
+    virtual void foldObservability() {}
+
+    /**
+     * The one skip decision for components at @p now < @p stop whose
+     * earliest event is @p next_event(). @return the cycle they may
+     * fast-forward to, at most @p stop, or @p now to tick. A null
+     * @p probe probes on every call.
+     */
+    template <class NextEvent>
+    uint64_t
+    skipTarget(ProbeBackoff *probe, uint64_t now, uint64_t stop,
+               NextEvent next_event) const
+    {
+        if (!params_.cycleSkip || (probe && now < probe->probeAt))
+            return now;
+        uint64_t next = next_event();
+        if (next > now + 1) {
+            if (probe)
+                probe->wait = 0;
+            return next == kNeverCycle ? stop : std::min(next - 1, stop);
+        }
+        if (probe) {
+            probe->wait = std::min<uint32_t>(
+                probe->wait ? probe->wait * 2 : 1, 32);
+            probe->probeAt = now + 1 + probe->wait;
+        }
+        return now;
+    }
 
     // The I/O-register effects each machine implements its own way;
     // NodeIo decodes the registers and calls these on STIO writes.
@@ -235,6 +262,9 @@ class Machine : public stats::Group
 
   private:
     class NodeIo;
+
+    /** Fold and take the interval sample due at cycle(), if any. */
+    void sampleIfDue();
 
     const Program *prog_;
     /// The run-time system's entry points, when bootRuntime is set.

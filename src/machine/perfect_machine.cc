@@ -68,60 +68,23 @@ PerfectMachine::nextEventCycle() const
     return next;
 }
 
-uint64_t
-PerfectMachine::run(uint64_t max_cycles)
+void
+PerfectMachine::advance(uint64_t stop)
 {
-    uint64_t start = cycle_;
-    while (!haltFlag_ && cycle_ - start < max_cycles) {
-        if (params_.cycleSkip && probe_.due(cycle_)) {
-            uint64_t next = nextEventCycle();
-            if (next <= cycle_ + 1) {
-                probe_.miss(cycle_);
-            } else {
-                probe_.hit();
-                // Every core is stalled (or halted) until `next`:
-                // credit the idle window in one arithmetic step,
-                // clamped to the caller's budget.
-                uint64_t idle = next == kNeverCycle
-                    ? kNeverCycle
-                    : next - cycle_ - 1;
-                uint64_t n =
-                    std::min(idle, max_cycles - (cycle_ - start));
-                // Never skip past a stats-sample boundary: skipCycles
-                // is additive, so splitting the window is cycle-exact
-                // and the recorded series matches the per-cycle loop.
-                if (interval_) {
-                    n = std::min(
-                        n, interval_->nextSampleCycle(cycle_) - cycle_);
-                }
-                cycle_ += n;
-                for (auto &p : procs_)
-                    p->skipCycles(n);
-                if (interval_)
-                    interval_->sampleIfDue(cycle_);
-                continue;
-            }
+    while (!haltFlag_ && cycle_ < stop) {
+        uint64_t to = skipTarget(&probe_, cycle_, stop,
+                                 [this] { return nextEventCycle(); });
+        if (to == cycle_) {
+            tick();
+            continue;
         }
-        tick();
-        if (interval_)
-            interval_->sampleIfDue(cycle_);
+        // Every core is stalled (or halted) until `to`: credit the
+        // idle window in one arithmetic step.
+        uint64_t n = to - cycle_;
+        cycle_ = to;
+        for (auto &p : procs_)
+            p->skipCycles(n);
     }
-    warnPlaneOverflow();
-    return cycle_ - start;
-}
-
-bool
-PerfectMachine::quiesce(uint64_t max_cycles)
-{
-    for (uint64_t i = 0; i < max_cycles; ++i) {
-        if (nextEventCycle() == kNeverCycle) {
-            verifyCycleAccounting();
-            return true;
-        }
-        tick();
-    }
-    verifyCycleAccounting();
-    return nextEventCycle() == kNeverCycle;
 }
 
 } // namespace april

@@ -9,9 +9,9 @@
  * (Section 7). This machine is that configuration: N processors
  * stepped round-robin one cycle at a time against one SharedMemory
  * image, with per-node I/O (console, RNG, IPIs) and a global halt.
- * The shared layer (machine/machine.hh) owns the nodes; this machine
- * adds only its zero-latency memory ports, its run loop, and I/O
- * effects that take hold at once.
+ * The shared layer (machine/machine.hh) owns the nodes and the run
+ * loop; this machine adds only its zero-latency memory ports, its
+ * advance(), and I/O effects that take hold at once.
  *
  * The full cache + directory + network ALEWIFE machine lives in
  * machine/alewife_machine.hh.
@@ -45,30 +45,17 @@ class PerfectMachine final : public Machine
                    const Program *prog);
 
     /** Advance every processor by one cycle. */
-    void tick();
+    void tick() override;
 
-    /**
-     * Run until the machine halts (boot thread finished) or
-     * @p max_cycles elapse. @return elapsed machine cycles.
-     */
-    uint64_t run(uint64_t max_cycles) override;
-
-    /**
-     * Earliest cycle at which any processor can do observable work;
-     * kNeverCycle when all cores are halted (perfect memory has no
-     * other time-dependent component).
-     */
-    uint64_t nextEventCycle() const;
-
-    /**
-     * Tick until no processor has a pending event or @p max_cycles
-     * elapse; @return true when fully quiescent. run() exits the
-     * moment MachineHalt is written, which can leave other cores one
-     * instruction short of their own HALT.
-     */
-    bool quiesce(uint64_t max_cycles) override;
+    /** Over the processors only: perfect memory has no other
+     *  time-dependent component. */
+    uint64_t nextEventCycle() const override;
 
   private:
+    /** Tick, or skip where every core is idle, until @p stop or the
+     *  halt: MachineHalt takes hold the cycle it is written. */
+    void advance(uint64_t stop) override;
+
     void consoleOut(uint32_t node, Word word) override;
     void machineHalt(uint32_t node) override;
     void sendIpi(uint32_t src, uint32_t dst, Word arg) override;

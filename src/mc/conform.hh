@@ -4,8 +4,8 @@
  * directory transition the real coh::Controller records — the same
  * stream the always-on census counts — is checked against the model
  * checker's rule tables via the derived legal-transition relation
- * (mc::legalDirTransitions). Runs by default in every AlewifeMachine
- * (AlewifeParams::conformance), so every unit test, fuzz program and
+ * (mc::legalDirTransitions). Runs in every AlewifeMachine, always
+ * (one table lookup per transition), so every unit test, fuzz program and
  * workload run doubles as a spec-conformance run: if the
  * implementation ever performs a (old state, cause message) -> new
  * state step no spec rule allows, the machine panics with the

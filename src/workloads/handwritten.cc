@@ -140,22 +140,7 @@ buildCoherentLoop(uint32_t nodes, uint32_t iters)
     as.bind("done");
     as.halt();
 
-    as.bind("cswitch");
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.nop();
-    as.wrpsr(reg::t(0));
-    as.nop();
-    as.rettRetry();
-    as.bind("fyield");
-    as.moviLabel(reg::t(1), "fyield");
-    as.wrspec(Spec::TrapPC, reg::t(1));
-    as.addiR(reg::t(1), reg::t(1), 1);
-    as.wrspec(Spec::TrapNPC, reg::t(1));
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.wrpsr(reg::t(0));
-    as.rettRetry();
+    emitSwitchStubs(as);
     out.prog = as.finish();
     return out;
 }
@@ -222,22 +207,7 @@ buildWideSharing(uint32_t nodes, uint32_t words_per_node)
     as.bind("done");
     as.halt();
 
-    as.bind("cswitch");
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.nop();
-    as.wrpsr(reg::t(0));
-    as.nop();
-    as.rettRetry();
-    as.bind("fyield");
-    as.moviLabel(reg::t(1), "fyield");
-    as.wrspec(Spec::TrapPC, reg::t(1));
-    as.addiR(reg::t(1), reg::t(1), 1);
-    as.wrspec(Spec::TrapNPC, reg::t(1));
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.wrpsr(reg::t(0));
-    as.rettRetry();
+    emitSwitchStubs(as);
     out.prog = as.finish();
     return out;
 }
@@ -317,6 +287,27 @@ buildDirHandlers(bool frame_leak)
 }
 
 void
+emitSwitchStubs(Assembler &as)
+{
+    as.bind("cswitch");
+    as.rdpsr(reg::t(0));
+    as.incfp();
+    as.nop();
+    as.wrpsr(reg::t(0));
+    as.nop();
+    as.rettRetry();
+    as.bind("fyield");
+    as.moviLabel(reg::t(1), "fyield");
+    as.wrspec(Spec::TrapPC, reg::t(1));
+    as.addiR(reg::t(1), reg::t(1), 1);
+    as.wrspec(Spec::TrapNPC, reg::t(1));
+    as.rdpsr(reg::t(0));
+    as.incfp();
+    as.wrpsr(reg::t(0));
+    as.rettRetry();
+}
+
+void
 bootCoherentNode(Processor &proc, const Program &prog)
 {
     proc.reset(prog.entry("worker"));
@@ -352,6 +343,51 @@ buildStallLoop(uint32_t iters)
     as.bind("done");
     as.halt();
     return as.finish();
+}
+
+Program
+buildMeasuredLoop(int words_shift, uint32_t iters)
+{
+    using namespace april::tagged;
+
+    Assembler as;
+    as.bind("thread");
+    // r20: iteration counter; r21: remote cursor (boxed); r22: result
+    as.movi(20, 0);
+    as.ldio(21, int(IoReg::NodeId));
+    as.addiR(21, 21, 1);
+    as.ldio(23, int(IoReg::NumNodes));
+    as.push({.op = Opcode::REM, .rd = 21, .rs1 = 21, .rs2 = 23});
+    as.slliR(21, 21, words_shift);  // * wordsPerNode (2^words_shift)
+    as.slliR(21, 21, 3);
+    as.oriR(21, 21, uint8_t(Tag::Other));
+    as.addiR(21, 21, wordOff(1 << (words_shift - 5)));  // past node block
+
+    as.bind("loop");
+    for (int i = 0; i < kMeasuredUseful - 4; ++i)
+        as.addiR(22, 22, 1);
+    as.ldnt(24, 21, 0);             // remote miss -> context switch
+    as.addiR(21, 21, wordOff(4));   // next line (never reused)
+    as.addiR(20, 20, 1);
+    as.cmpiR(20, int32_t(iters));
+    as.jRaw(Cond::LT, "loop");
+    as.nop();
+    as.halt();
+
+    emitSwitchStubs(as);
+    return as.finish();
+}
+
+void
+bootMeasuredNode(Processor &proc, const Program &prog)
+{
+    proc.reset(prog.entry("thread"));
+    proc.setTrapVector(TrapKind::RemoteMiss, prog.entry("cswitch"));
+    for (uint32_t f = 1; f < proc.numFrames(); ++f) {
+        proc.frame(f).trapPC = prog.entry("thread");
+        proc.frame(f).trapNPC = prog.entry("thread") + 1;
+        proc.frame(f).trapRegs[0] = psr::ET;
+    }
 }
 
 } // namespace april::workloads

@@ -53,6 +53,11 @@ struct CoherentLoop
 
 CoherentLoop buildCoherentLoop(uint32_t nodes, uint32_t iters);
 
+/** Emit the raw workloads' trap stubs: "cswitch", the switch-spinning
+ *  context-switch handler of Section 6.1, and "fyield", which rotates
+ *  an idle frame onward. */
+void emitSwitchStubs(Assembler &as);
+
 /** Point @p proc at the coherent loop's worker entry: reset to
  *  "worker", wire the context-switch and frame-yield trap stubs. */
 void bootCoherentNode(Processor &proc, const Program &prog);
@@ -64,6 +69,19 @@ void bootCoherentNode(Processor &proc, const Program &prog);
  * stalled: the best case for cycle skipping.
  */
 Program buildStallLoop(uint32_t iters);
+
+/**
+ * The remote-miss loop of bench_fig5_utilization and
+ * bench_model_validation: each thread runs `iters` iterations of
+ * kMeasuredUseful - 4 adds (counted in r22) and a load from a fresh
+ * line in the next node's memory of 2^@p words_shift words, which
+ * always misses and switches context.
+ */
+Program buildMeasuredLoop(int words_shift, uint32_t iters);
+constexpr int kMeasuredUseful = 48;     ///< instructions per miss
+
+/** Start every frame of @p proc at the measured loop's "thread". */
+void bootMeasuredNode(Processor &proc, const Program &prog);
 
 /**
  * The machine-scaling stress workload (DESIGN.md §7.8): every node

@@ -69,39 +69,15 @@ buildRacyCounter()
     as.stfnw(reg::r0, 2, 0);            // set full: node 1 is done
     as.halt();
 
-    as.bind("cswitch");
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.nop();
-    as.wrpsr(reg::t(0));
-    as.nop();
-    as.rettRetry();
-    as.bind("fyield");
-    as.moviLabel(reg::t(1), "fyield");
-    as.wrspec(Spec::TrapPC, reg::t(1));
-    as.addiR(reg::t(1), reg::t(1), 1);
-    as.wrspec(Spec::TrapNPC, reg::t(1));
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.wrpsr(reg::t(0));
-    as.rettRetry();
+    workloads::emitSwitchStubs(as);
     return as.finish();
 }
 
 void
 bootRaw(AlewifeMachine &m, const Program &prog)
 {
-    for (uint32_t n = 0; n < m.numNodes(); ++n) {
-        Processor &proc = m.proc(n);
-        proc.reset(prog.entry("worker"));
-        proc.setTrapVector(TrapKind::RemoteMiss, prog.entry("cswitch"));
-        proc.setTrapVector(TrapKind::FeEmpty, prog.entry("cswitch"));
-        for (uint32_t f = 1; f < proc.numFrames(); ++f) {
-            proc.frame(f).trapPC = prog.entry("fyield");
-            proc.frame(f).trapNPC = prog.entry("fyield") + 1;
-            proc.frame(f).trapRegs[0] = psr::ET;
-        }
-    }
+    for (uint32_t n = 0; n < m.numNodes(); ++n)
+        workloads::bootCoherentNode(m.proc(n), prog);
 }
 
 struct RacyOut

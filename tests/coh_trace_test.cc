@@ -77,24 +77,8 @@ buildSharingWorkload()
     as.stio(int(IoReg::MachineHalt), reg::r0);
     as.halt();
 
-    // The coherent-loop trap stubs (same labels, so the shared
-    // bootCoherentNode helper wires this workload too).
-    as.bind("cswitch");
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.nop();
-    as.wrpsr(reg::t(0));
-    as.nop();
-    as.rettRetry();
-    as.bind("fyield");
-    as.moviLabel(reg::t(1), "fyield");
-    as.wrspec(Spec::TrapPC, reg::t(1));
-    as.addiR(reg::t(1), reg::t(1), 1);
-    as.wrspec(Spec::TrapNPC, reg::t(1));
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.wrpsr(reg::t(0));
-    as.rettRetry();
+    // bootCoherentNode wires these stubs.
+    workloads::emitSwitchStubs(as);
     return as.finish();
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "machine/alewife_machine.hh"
+#include "workloads/handwritten.hh"
 
 namespace april
 {
@@ -55,22 +56,7 @@ buildIncrementers(bool use_tas)
     as.nop();
     as.halt();
 
-    as.bind("cswitch");
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.nop();
-    as.wrpsr(reg::t(0));
-    as.nop();
-    as.rettRetry();
-    as.bind("fyield");
-    as.moviLabel(reg::t(1), "fyield");
-    as.wrspec(Spec::TrapPC, reg::t(1));
-    as.addiR(reg::t(1), reg::t(1), 1);
-    as.wrspec(Spec::TrapNPC, reg::t(1));
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.wrpsr(reg::t(0));
-    as.rettRetry();
+    workloads::emitSwitchStubs(as);
     return as.finish();
 }
 
@@ -84,17 +70,8 @@ runStress(bool use_tas, int dim, int radix, uint32_t *inv_out = nullptr)
     p.bootRuntime = false;
     p.controller.cache = {.lineWords = 4, .numLines = 64, .assoc = 2};
     AlewifeMachine m(p, &prog);
-    for (uint32_t n = 0; n < m.numNodes(); ++n) {
-        Processor &proc = m.proc(n);
-        proc.reset(prog.entry("worker"));
-        proc.setTrapVector(TrapKind::RemoteMiss, prog.entry("cswitch"));
-        proc.setTrapVector(TrapKind::FeEmpty, prog.entry("cswitch"));
-        for (uint32_t f = 1; f < proc.numFrames(); ++f) {
-            proc.frame(f).trapPC = prog.entry("fyield");
-            proc.frame(f).trapNPC = prog.entry("fyield") + 1;
-            proc.frame(f).trapRegs[0] = psr::ET;
-        }
-    }
+    for (uint32_t n = 0; n < m.numNodes(); ++n)
+        workloads::bootCoherentNode(m.proc(n), prog);
     m.memory().write(kCount, fixnum(0));
     for (uint64_t c = 0; c < 20'000'000; ++c) {
         m.tick();

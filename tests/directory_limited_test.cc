@@ -189,22 +189,7 @@ buildEvictReacquire(uint32_t nodes, uint32_t words_per_node,
     as.stio(int(IoReg::MachineHalt), reg::r0);
     as.halt();
 
-    as.bind("cswitch");
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.nop();
-    as.wrpsr(reg::t(0));
-    as.nop();
-    as.rettRetry();
-    as.bind("fyield");
-    as.moviLabel(reg::t(1), "fyield");
-    as.wrspec(Spec::TrapPC, reg::t(1));
-    as.addiR(reg::t(1), reg::t(1), 1);
-    as.wrspec(Spec::TrapNPC, reg::t(1));
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.wrpsr(reg::t(0));
-    as.rettRetry();
+    workloads::emitSwitchStubs(as);
     return as.finish();
 }
 

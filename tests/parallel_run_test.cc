@@ -10,15 +10,18 @@
  * No run quiesces: the booted runtime's idle workers spin forever, so
  * the machine never goes fully silent. Every run stops at the same
  * committed halt cycle, which is all twin comparison needs —
- * in-flight traffic is part of the deterministic state. A sharded
- * machine is freed as soon as it is recorded: its idle host workers
- * keep spinning while it lives.
+ * in-flight traffic is part of the deterministic state. An idle
+ * sharded machine's host workers park, so a paused or finished
+ * machine costs no CPU while it lives.
  */
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "common/logging.hh"
 #include "machine/alewife_machine.hh"
@@ -234,6 +237,31 @@ TEST(ParallelRunMesh, SubPageNodeSpansAreBitIdentical)
     EXPECT_EQ(par->hostThreads(), 4u);
     EXPECT_EQ(par->memory().residentPages(), 4u);
     EXPECT_EQ(compareRuns(recordRun(*ref), recordRun(*par)), "");
+}
+
+/** CPU time (user + system) this process has used so far. */
+std::chrono::microseconds
+processCpu()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return std::chrono::seconds(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+           std::chrono::microseconds(ru.ru_utime.tv_usec +
+                                     ru.ru_stime.tv_usec);
+}
+
+/** A finished machine's three idle host workers park: holding it for
+ *  200 ms costs the process well under 50 ms of CPU. */
+TEST(ParallelRunResume, IdleWorkersCostNoCpu)
+{
+    Program prog = compileLazy(workloads::fibSource(8));
+    auto m = runOnce(prog, 4, true);
+    ASSERT_EQ(m->hostThreads(), 4u);
+    auto before = processCpu();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    auto used = processCpu() - before;
+    EXPECT_LT(used, std::chrono::milliseconds(50))
+        << used.count() << " us of CPU while idle";
 }
 
 /** Thread counts beyond the node count clamp instead of failing. */

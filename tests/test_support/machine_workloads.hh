@@ -11,6 +11,7 @@
 #define APRIL_TESTS_TEST_SUPPORT_MACHINE_WORKLOADS_HH
 
 #include "machine/alewife_machine.hh"
+#include "workloads/handwritten.hh"
 
 namespace april::testutil
 {
@@ -68,22 +69,7 @@ buildStallStress(uint32_t nodes)
     as.bind("done");
     as.halt();
 
-    as.bind("cswitch");
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.nop();
-    as.wrpsr(reg::t(0));
-    as.nop();
-    as.rettRetry();
-    as.bind("fyield");
-    as.moviLabel(reg::t(1), "fyield");
-    as.wrspec(Spec::TrapPC, reg::t(1));
-    as.addiR(reg::t(1), reg::t(1), 1);
-    as.wrspec(Spec::TrapNPC, reg::t(1));
-    as.rdpsr(reg::t(0));
-    as.incfp();
-    as.wrpsr(reg::t(0));
-    as.rettRetry();
+    workloads::emitSwitchStubs(as);
     return as.finish();
 }
 
@@ -91,17 +77,8 @@ buildStallStress(uint32_t nodes)
 inline void
 bootStallStress(AlewifeMachine &m, const Program &prog)
 {
-    for (uint32_t n = 0; n < m.numNodes(); ++n) {
-        Processor &proc = m.proc(n);
-        proc.reset(prog.entry("worker"));
-        proc.setTrapVector(TrapKind::RemoteMiss, prog.entry("cswitch"));
-        proc.setTrapVector(TrapKind::FeEmpty, prog.entry("cswitch"));
-        for (uint32_t f = 1; f < proc.numFrames(); ++f) {
-            proc.frame(f).trapPC = prog.entry("fyield");
-            proc.frame(f).trapNPC = prog.entry("fyield") + 1;
-            proc.frame(f).trapRegs[0] = psr::ET;
-        }
-    }
+    for (uint32_t n = 0; n < m.numNodes(); ++n)
+        workloads::bootCoherentNode(m.proc(n), prog);
     m.memory().write(kStressCount, tagged::fixnum(0));
 }
 

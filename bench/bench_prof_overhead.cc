@@ -107,7 +107,7 @@ runAlewifeOnce(const workloads::CoherentLoop &coh, uint32_t nodes,
     bench::Timing timing =
         bench::runToHalt(m, 2'000'000'000, "alewife workload");
     RunRecord run = recordRun(m);
-    return {timing, run.stats, run.profile};
+    return {timing, run.outputs.stats, run.outputs.profile};
 }
 
 Measurement
@@ -122,7 +122,7 @@ runDriverOnce(int fib_n, bool profile)
     double seconds = lap.seconds();
     if (d.result != Word(fixnum(int32_t(workloads::fibExpected(fib_n)))))
         fatal("bench_prof_overhead: wrong fib result");
-    return {{d.cycles, d.instructions, seconds}, d.statsJson, {}};
+    return {{d.cycles, d.instructions, seconds}, d.outputs.stats, {}};
 }
 
 } // namespace

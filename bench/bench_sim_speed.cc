@@ -16,16 +16,16 @@
  *    through the standard driver.
  *
  * Reports host-side simulated-cycles/sec and instructions/sec for
- * each mode, verifies the runs are cycle-identical, and writes the
- * results as one machine-readable JSON object to stdout and to
- * BENCH_sim_speed.json.
+ * each mode, timed in alternation (bench::alternating), verifies the
+ * runs are cycle-identical, and writes the results as one
+ * machine-readable JSON object to stdout and to BENCH_sim_speed.json.
  *
  * Usage: bench_sim_speed [--quick]
  */
 
-#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,22 +51,22 @@ struct WorkloadResult
     bool identical = false;     ///< cycle counts and insts match
 };
 
-/** Time one machine from @p make(skip) with skipping on, then one
- *  with it off; each is destroyed before the next is built. */
-template <typename Make>
+/** Time @p once(skip), one run returning its Timing, with skipping
+ *  on and off in alternation for at least @p min_seconds each. */
+template <typename Once>
 WorkloadResult
-skipOnOff(const char *name, Make make)
+skipOnOff(const char *name, double min_seconds, Once once)
 {
-    const uint64_t budget = 2'000'000'000;
-    WorkloadResult r;
-    r.name = name;
-    r.on = bench::runToHalt(*make(true), budget, name);
-    r.off = bench::runToHalt(*make(false), budget, name);
-    return r;
+    auto [on, off] = bench::alternating(
+        min_seconds, [&] { return once(true); },
+        [&] { return once(false); });
+    return {name, on, off};
 }
 
+const uint64_t kBudget = 2'000'000'000;     ///< cycles per machine
+
 WorkloadResult
-runStall16(uint32_t iters)
+runStall16(uint32_t iters, double min_seconds)
 {
     Program prog = workloads::buildStallLoop(iters);
     auto make = [&](bool skip) {
@@ -80,11 +80,13 @@ runStall16(uint32_t iters)
             m->proc(n).reset(prog.entry("worker"));
         return m;
     };
-    return skipOnOff("alewife_stall16", make);
+    return skipOnOff("alewife_stall16", min_seconds, [&](bool skip) {
+        return bench::runToHalt(*make(skip), kBudget, "alewife_stall16");
+    });
 }
 
 WorkloadResult
-runCoherent16(uint32_t iters)
+runCoherent16(uint32_t iters, double min_seconds)
 {
     const workloads::Workload w =
         workloads::fromSpec("coherent16:" + std::to_string(iters));
@@ -94,11 +96,13 @@ runCoherent16(uint32_t iters)
         o.cycleSkip = skip;
         return makeMachine(w.prog, o, w.boot);
     };
-    return skipOnOff("alewife_coherent16", make);
+    return skipOnOff("alewife_coherent16", min_seconds, [&](bool skip) {
+        return bench::runToHalt(*make(skip), kBudget, "alewife_coherent16");
+    });
 }
 
 WorkloadResult
-runPerfect16(int fib_n)
+runPerfect16(int fib_n, double min_seconds)
 {
     auto once = [&](bool skip) {
         DriverOptions opts = DriverOptions::april(
@@ -113,7 +117,7 @@ runPerfect16(int fib_n)
             fatal("bench_sim_speed: wrong fib result");
         return Timing{d.cycles, d.instructions, seconds};
     };
-    return {"perfect16", once(true), once(false)};
+    return skipOnOff("perfect16", min_seconds, once);
 }
 
 void
@@ -137,22 +141,14 @@ main(int argc, char **argv)
     const bench::Session session(argc, argv);
     const bool quick = session.quick;
 
-    // Min-of-reps wall clock per mode: quick runs are fractions of a
-    // second, where scheduler noise alone swings ratios by +-10%.
-    auto bestOf = [](const std::function<WorkloadResult()> &make) {
-        return bench::bestOf(3, make, [](WorkloadResult &r,
-                                         const WorkloadResult &again) {
-            r.on.seconds = std::min(r.on.seconds, again.on.seconds);
-            r.off.seconds = std::min(r.off.seconds, again.off.seconds);
-        });
-    };
-    std::vector<std::function<WorkloadResult()>> makers;
-    makers.push_back([&] { return runStall16(quick ? 2'000 : 50'000); });
-    makers.push_back([&] { return runCoherent16(quick ? 30 : 200); });
-    makers.push_back([&] { return runPerfect16(quick ? 10 : 13); });
+    // Host seconds each mode of a workload runs for at least. One run
+    // takes 10 ms (perfect16) to 1 s (coherent16), and on a shared
+    // host consecutive runs of one simulation differ by up to 2x.
+    const double min_seconds = quick ? 0.5 : 4.0;
     std::vector<WorkloadResult> results;
-    for (auto &make : makers)
-        results.push_back(bestOf(make));
+    results.push_back(runStall16(quick ? 2'000 : 50'000, min_seconds));
+    results.push_back(runCoherent16(quick ? 30 : 200, min_seconds));
+    results.push_back(runPerfect16(quick ? 10 : 13, min_seconds));
 
     bool ok = true;
     std::printf("%-20s %14s %14s %14s %9s\n", "workload",
@@ -204,23 +200,17 @@ main(int argc, char **argv)
     // And skipping must never cost measurable time, even on
     // coherence-bound workloads where few windows are skippable: the
     // per-iteration skip probe has to stay cheap. 2% tolerance in
-    // full mode, with one re-measure to ride out host scheduling
-    // noise; quick runs are fractions of a second, where min-of-reps
-    // wall clocks still jitter by ~15% on a busy host, so the smoke
-    // budget is only tight enough to catch a broken probe path.
+    // full mode; quick runs are short enough that even alternated
+    // means jitter by ~15% on a busy host, so the smoke budget is
+    // only tight enough to catch a broken probe path.
     double budget = quick ? 0.85 : 0.98;
-    for (size_t i = 0; i < results.size(); ++i) {
-        double ratio = results[i].off.seconds / results[i].on.seconds;
-        if (ratio < budget) {
-            WorkloadResult again = bestOf(makers[i]);
-            ratio = std::max(ratio,
-                             again.off.seconds / again.on.seconds);
-        }
+    for (const WorkloadResult &r : results) {
+        double ratio = r.off.seconds / r.on.seconds;
         if (ratio < budget) {
             std::fprintf(stderr,
                          "FAIL: %s with skipping on is %.1f%% slower "
                          "than plain ticking (>%.0f%% budget)\n",
-                         results[i].name.c_str(), (1 / ratio - 1) * 100,
+                         r.name.c_str(), (1 / ratio - 1) * 100,
                          (1 / budget - 1) * 100);
             ok = false;
         }

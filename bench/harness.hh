@@ -1,9 +1,8 @@
 /**
  * @file
  * The measuring harness the plain-executable benches share: their
- * command line, the host clock, min-of-N repetition, alternating
- * two-mode timing, the timed machine run and the BENCH_<name>.json
- * writer. Every host time a bench reports is a Lap, so a change of
+ * command line, the host clock, alternating two-mode timing, the
+ * timed machine run and the BENCH_<name>.json writer. Every host time a bench reports is a Lap, so a change of
  * clock (DESIGN.md §6) is a change here alone.
  */
 
@@ -114,18 +113,6 @@ struct Session
         std::exit(2);
     }
 };
-
-/** Min-of-@p reps: the first result of @p run, with @p keep(best,
- *  again) folding each later repetition's timings into it. */
-template <typename Run, typename Keep>
-auto
-bestOf(int reps, Run run, Keep keep)
-{
-    auto best = run();
-    for (int i = 1; i < reps; ++i)
-        keep(best, run());
-    return best;
-}
 
 /**
  * Two modes timed in alternation, run by run and in ABBA order, until

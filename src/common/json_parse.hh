@@ -3,9 +3,10 @@
  * A minimal recursive-descent JSON parser. Only the features the
  * simulator's own emitters use are supported (objects, arrays, strings
  * with \-escapes, numbers, true/false/null); a parse error throws
- * std::runtime_error with the offending offset. Used by `april` to
- * read back report JSON (for diff and check) and by the
- * tests to validate every JSON emitter in the tree.
+ * std::runtime_error with the offending offset. Arrays and objects
+ * nest at most kMaxDepth deep, so no input can exhaust the stack.
+ * Used by `april` to read back report JSON (for diff and check) and
+ * by the tests to validate every JSON emitter in the tree.
  */
 
 #ifndef APRIL_COMMON_JSON_PARSE_HH
@@ -53,6 +54,10 @@ struct Json
 class JsonParser
 {
   public:
+    /// Deepest nesting of arrays and objects accepted; far beyond any
+    /// report the simulator writes.
+    static constexpr int kMaxDepth = 512;
+
     explicit JsonParser(const std::string &text) : s(text) {}
 
     Json
@@ -101,14 +106,25 @@ class JsonParser
     value()
     {
         switch (peek()) {
-          case '{': return object();
-          case '[': return array();
+          case '{': return nested(&JsonParser::object);
+          case '[': return nested(&JsonParser::array);
           case '"': return string();
           case 't': return keyword("true", boolean(true));
           case 'f': return keyword("false", boolean(false));
           case 'n': return keyword("null", {});
           default: return number();
         }
+    }
+
+    /** Parse a container with @p parse, one level deeper. */
+    Json
+    nested(Json (JsonParser::*parse)())
+    {
+        if (++depth > kMaxDepth)
+            fail("nesting deeper than " + std::to_string(kMaxDepth));
+        Json v = (this->*parse)();
+        --depth;
+        return v;
     }
 
     static Json
@@ -230,6 +246,7 @@ class JsonParser
 
     const std::string &s;
     size_t pos = 0;
+    int depth = 0;      ///< containers open around pos
 };
 
 inline Json

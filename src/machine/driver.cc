@@ -1,7 +1,6 @@
 #include "machine/driver.hh"
 
 #include <cstdlib>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "runtime/layout.hh"
@@ -108,37 +107,8 @@ runMultProgram(const std::string &source, const DriverOptions &options)
     r.blocks = machine.runtimeCounter(rt::nb::statBlocks);
     r.resumes = machine.runtimeCounter(rt::nb::statResumes);
     r.instructions = machine.instructions();
-    {
-        std::ostringstream os;
-        machine.dumpJson(os);
-        r.statsJson = os.str();
-    }
-    if (options.traceEvents) {
-        std::ostringstream os;
-        machine.writeTrace(os);
-        r.traceJson = os.str();
-    }
-    if (options.taskTrace) {
-        std::ostringstream os;
-        machine.writeTaskTrace(os);
-        r.taskTraceJson = os.str();
-    }
     machine.verifyCycleAccounting();
-    if (options.profile) {
-        std::ostringstream os;
-        profile::writeProfileJson(os, machine.profileSource());
-        r.profileJson = os.str();
-    }
-    if (options.statsInterval && machine.intervalSampler()) {
-        std::ostringstream os;
-        machine.intervalSampler()->writeCsv(os);
-        r.statsSeriesCsv = os.str();
-    }
-    if (options.cohTrace) {
-        std::ostringstream os;
-        machine.writeCohTrace(os);
-        r.cohTraceJson = os.str();
-    }
+    r.outputs = recordOutputs(machine);
     return r;
 }
 

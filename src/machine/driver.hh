@@ -18,6 +18,7 @@
 
 #include "machine/alewife_machine.hh"
 #include "machine/perfect_machine.hh"
+#include "machine/snapshot.hh"
 #include "mult/compiler.hh"
 #include "runtime/runtime.hh"
 
@@ -25,10 +26,10 @@ namespace april
 {
 
 /**
- * Configuration of a driver run. The ObsParams planes come back as
- * DriverResult::traceJson (traceEvents), cohTraceJson (cohTrace,
- * alewife only), taskTraceJson (taskTrace), profileJson (profile) and
- * statsSeriesCsv (statsInterval).
+ * Configuration of a driver run. The ObsParams planes come back in
+ * DriverResult::outputs, one RunOutputs string per plane: trace
+ * (traceEvents), cohTrace (cohTrace, alewife only), taskTrace
+ * (taskTrace), profile (profile) and series (statsInterval).
  */
 struct DriverOptions : ObsParams
 {
@@ -89,22 +90,8 @@ struct DriverResult
     uint64_t spawns = 0;
     uint64_t blocks = 0;
     uint64_t resumes = 0;
-    /// Hierarchical machine statistics (stats::Group::dumpJson).
-    std::string statsJson;
-    /// Chrome trace-event JSON; empty unless options.traceEvents.
-    std::string traceJson;
-    /// Structured coherence-transaction JSON; empty unless
-    /// options.alewife && options.cohTrace.
-    std::string cohTraceJson;
-    /// Task-observability report JSON (DAG, wait attribution,
-    /// critical path); empty unless options.taskTrace.
-    std::string taskTraceJson;
-    /// Profile JSON (schemaVersion 1: per-node buckets, frames,
-    /// hotspots); empty unless options.profile.
-    std::string profileJson;
-    /// "cycle,col,..." stats time series; empty unless
-    /// options.statsInterval.
-    std::string statsSeriesCsv;
+    /// Stats JSON, cycle breakdown and each plane's report.
+    RunOutputs outputs;
 };
 
 /** Points a raw (runtime-free) program's cores at their entries and

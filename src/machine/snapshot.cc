@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/json.hh"
+#include "common/logging.hh"
 #include "machine/alewife_machine.hh"
 #include "profile/report.hh"
 
@@ -317,16 +318,6 @@ compareArchitectural(const MachineSnapshot &alewife,
 namespace
 {
 
-/** The text @p write puts on a stream. */
-template <typename Write>
-std::string
-capture(Write &&write)
-{
-    std::ostringstream os;
-    write(os);
-    return os.str();
-}
-
 /** Adds a line to @p os when output @p what of two records differs:
  *  the first differing byte and each side's bytes around it. */
 void
@@ -349,28 +340,58 @@ diffBytes(std::ostream &os, const char *what, const std::string &a,
 
 } // namespace
 
+const std::array<RunOutput, 7> kRunOutputs = {{
+    {"stats JSON", &RunOutputs::stats,
+     [](Machine &m, std::ostream &os) { m.dumpJson(os); }},
+    {"cycle breakdown", &RunOutputs::breakdown,
+     [](Machine &m, std::ostream &os) {
+         os << profile::cycleBreakdownJson(m.profileSource().procs);
+     }},
+    {"trace JSON", &RunOutputs::trace,
+     [](Machine &m, std::ostream &os) { m.writeTrace(os); }},
+    {"coherence-transaction trace", &RunOutputs::cohTrace,
+     [](Machine &m, std::ostream &os) { m.writeCohTrace(os); }},
+    {"task-trace report", &RunOutputs::taskTrace,
+     [](Machine &m, std::ostream &os) { m.writeTaskTrace(os); }},
+    {"profile", &RunOutputs::profile,
+     [](Machine &m, std::ostream &os) {
+         profile::ProfileSource src = m.profileSource();
+         if (!src.samplers.empty())
+             profile::writeProfileJson(os, src);
+     }},
+    {"interval series", &RunOutputs::series,
+     [](Machine &m, std::ostream &os) {
+         if (const profile::IntervalSampler *s = m.intervalSampler())
+             s->writeCsv(os);
+     }},
+}};
+
+const RunOutput &
+runOutput(std::string RunOutputs::*text)
+{
+    for (const RunOutput &row : kRunOutputs) {
+        if (row.text == text)
+            return row;
+    }
+    panic("runOutput: no table row keeps that output");
+}
+
+RunOutputs
+recordOutputs(Machine &m)
+{
+    RunOutputs out;
+    for (const RunOutput &row : kRunOutputs) {
+        std::ostringstream os;
+        row.write(m, os);
+        out.*row.text = os.str();
+    }
+    return out;
+}
+
 RunRecord
 recordRun(Machine &m)
 {
-    RunRecord r;
-    r.snap = snapshotMachine(m);
-    profile::ProfileSource src = m.profileSource();
-    r.stats = capture([&](std::ostream &os) { m.dumpJson(os); });
-    r.breakdown = profile::cycleBreakdownJson(src.procs);
-    r.trace = capture([&](std::ostream &os) { m.writeTrace(os); });
-    r.cohTrace = capture([&](std::ostream &os) { m.writeCohTrace(os); });
-    r.taskTrace =
-        capture([&](std::ostream &os) { m.writeTaskTrace(os); });
-    if (!src.samplers.empty()) {
-        r.profile = capture([&](std::ostream &os) {
-            profile::writeProfileJson(os, src);
-        });
-    }
-    if (src.intervals) {
-        r.series = capture(
-            [&](std::ostream &os) { src.intervals->writeCsv(os); });
-    }
-    return r;
+    return {snapshotMachine(m), recordOutputs(m)};
 }
 
 std::string
@@ -380,13 +401,8 @@ compareRuns(const RunRecord &a, const RunRecord &b)
     std::string snap = compareExact(a.snap, b.snap);
     if (!snap.empty())
         os << "snapshot differs: " << snap;
-    diffBytes(os, "stats JSON", a.stats, b.stats);
-    diffBytes(os, "cycle breakdown", a.breakdown, b.breakdown);
-    diffBytes(os, "trace JSON", a.trace, b.trace);
-    diffBytes(os, "coherence-transaction trace", a.cohTrace, b.cohTrace);
-    diffBytes(os, "task-trace report", a.taskTrace, b.taskTrace);
-    diffBytes(os, "profile", a.profile, b.profile);
-    diffBytes(os, "interval series", a.series, b.series);
+    for (const RunOutput &row : kRunOutputs)
+        diffBytes(os, row.name, a.outputs.*row.text, b.outputs.*row.text);
     return os.str();
 }
 

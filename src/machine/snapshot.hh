@@ -6,9 +6,9 @@
  * about a run: register frames, trap state, trap counters, the
  * console, and a *coherent* view of memory (dirty cache lines folded
  * over the backing image, since even a quiesced ALEWIFE machine holds
- * Modified lines it never evicted). RunRecord adds the bytes of every
- * other deterministic output: stats JSON, the cycle breakdown and the
- * reports of the planes that are on. Comparisons:
+ * Modified lines it never evicted). The output table kRunOutputs
+ * lists every other deterministic output once; the driver, recordRun,
+ * compareRuns and `april run` all go through it. Comparisons:
  *
  *  - compareRuns: every output byte must match. The check between
  *    twins, runs of the *same* machine model that differ only in
@@ -31,6 +31,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -107,11 +108,10 @@ std::string compareExact(const MachineSnapshot &a,
 std::string compareArchitectural(const MachineSnapshot &alewife,
                                  const MachineSnapshot &oracle);
 
-/** Every deterministic output of one finished run. A plane's report
- *  is empty when that plane was off. */
-struct RunRecord
+/** The bytes of every output of one finished run, one string per
+ *  kRunOutputs row; empty when its plane was off. */
+struct RunOutputs
 {
-    MachineSnapshot snap;
     std::string stats;          ///< stats JSON (Group::dumpJson)
     std::string breakdown;      ///< profile::cycleBreakdownJson
     std::string trace;          ///< Chrome trace JSON (traceEvents)
@@ -119,6 +119,32 @@ struct RunRecord
     std::string taskTrace;      ///< task report JSON (taskTrace)
     std::string profile;        ///< profile JSON (profile)
     std::string series;         ///< interval CSV (statsInterval)
+};
+
+/** One deterministic output: the name compareRuns reports it by, the
+ *  string RunOutputs keeps it in, and its writer, which writes
+ *  nothing when the output's plane is off. */
+struct RunOutput
+{
+    const char *name;
+    std::string RunOutputs::*text;
+    void (*write)(Machine &, std::ostream &);
+};
+
+/** The output table: every deterministic output of a run, once. */
+extern const std::array<RunOutput, 7> kRunOutputs;
+
+/** The kRunOutputs row kept in RunOutputs::*@p text. */
+const RunOutput &runOutput(std::string RunOutputs::*text);
+
+/** Every output of @p m as it stands. */
+RunOutputs recordOutputs(Machine &m);
+
+/** A finished run: its snapshot and its outputs. */
+struct RunRecord
+{
+    MachineSnapshot snap;
+    RunOutputs outputs;
 };
 
 /** Capture @p m as it stands; the caller runs (and, if it wants,

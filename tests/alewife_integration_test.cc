@@ -236,18 +236,18 @@ TEST(RunRecord, CompareRunsNamesEveryDifferingOutput)
         << report;
     EXPECT_EQ(report.find(" differs at byte "), std::string::npos);
 
-    const std::pair<const char *, std::string RunRecord::*> outputs[] = {
-        {"stats JSON", &RunRecord::stats},
-        {"cycle breakdown", &RunRecord::breakdown},
-        {"trace JSON", &RunRecord::trace},
-        {"coherence-transaction trace", &RunRecord::cohTrace},
-        {"task-trace report", &RunRecord::taskTrace},
-        {"profile", &RunRecord::profile},
-        {"interval series", &RunRecord::series},
+    const std::pair<const char *, std::string RunOutputs::*> outputs[] = {
+        {"stats JSON", &RunOutputs::stats},
+        {"cycle breakdown", &RunOutputs::breakdown},
+        {"trace JSON", &RunOutputs::trace},
+        {"coherence-transaction trace", &RunOutputs::cohTrace},
+        {"task-trace report", &RunOutputs::taskTrace},
+        {"profile", &RunOutputs::profile},
+        {"interval series", &RunOutputs::series},
     };
     for (const auto &[name, field] : outputs) {
         b = a;
-        std::string &bytes = b.*field;
+        std::string &bytes = b.outputs.*field;
         ASSERT_FALSE(bytes.empty()) << name;
         size_t at = bytes.size() / 2;
         bytes[at] ^= 1;

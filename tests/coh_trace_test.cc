@@ -190,7 +190,7 @@ TEST(CohTrace, SpanLogIsBitIdenticalAcrossEngines)
 {
     Program prog = buildSharingWorkload();
     RunRecord ref = recordRun(*runOnce(prog, 1, true));
-    EXPECT_NE(ref.cohTrace.find("\"transactions\""), std::string::npos);
+    EXPECT_NE(ref.outputs.cohTrace.find("\"transactions\""), std::string::npos);
 
     for (bool skip : {true, false}) {
         for (uint32_t threads : {1u, 2u, 4u}) {

@@ -1,10 +1,12 @@
-/** @file Unit tests for the streaming JSON writer. */
+/** @file Unit tests for the streaming JSON writer and the parser's
+ *  nesting limit. */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/json.hh"
@@ -76,6 +78,36 @@ TEST(JsonWriter, IntegersPrintEveryDigit)
                         R"("min":-9223372036854775808,)"
                         R"("odd":9007199254740993,"u32":4000000000,)"
                         R"("neg":-7})");
+}
+
+/** @p depth arrays nested in each other, with objects at every
+ *  third level. */
+std::string
+nestedJson(int depth)
+{
+    std::string open, close;
+    for (int i = 0; i < depth; ++i) {
+        bool object = i % 3 == 2;
+        open += object ? "{\"k\":" : "[";
+        close.insert(0, object ? "}" : "]");
+    }
+    return open + "0" + close;
+}
+
+TEST(JsonParse, NestingStopsAtTheDepthLimit)
+{
+    const int limit = JsonParser::kMaxDepth;
+    Json j = parseJson(nestedJson(limit));
+    EXPECT_TRUE(j.isArray());
+    try {
+        parseJson(nestedJson(limit + 1));
+        FAIL() << "one level past the limit parsed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(parseJson(std::string(200'000, '[')), std::runtime_error);
 }
 
 } // namespace

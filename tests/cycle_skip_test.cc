@@ -262,8 +262,8 @@ TEST(CycleSkipDifferential, EagerFutureFibOnPerfectMachine)
     ASSERT_TRUE(on.snap.halted);
     ASSERT_FALSE(on.snap.console.empty());
     EXPECT_EQ(on.snap.console.back(), Word(fixnum(55)));
-    ASSERT_FALSE(on.series.empty());
-    ASSERT_FALSE(on.trace.empty());
+    ASSERT_FALSE(on.outputs.series.empty());
+    ASSERT_FALSE(on.outputs.trace.empty());
     EXPECT_EQ(compareRuns(on, runEagerFibPerfect(false)), "");
 }
 

@@ -152,8 +152,9 @@ TEST(MachineStats, OutputDigestsArePinned)
         o.traceEvents = o.taskTrace = o.profile = true;
         DriverResult r = runMultProgram(workloads::fibSource(8), o);
         EXPECT_EQ(tagged::toInt(r.result), 21);
-        return Pinned{digestOf(r.statsJson), digestOf(r.profileJson),
-                      digestOf(r.traceJson), digestOf(r.taskTraceJson)};
+        const RunOutputs &out = r.outputs;
+        return Pinned{digestOf(out.stats), digestOf(out.profile),
+                      digestOf(out.trace), digestOf(out.taskTrace)};
     };
     auto expectPinned = [](const Pinned &got, const Pinned &want,
                            const std::string &what) {
@@ -283,7 +284,8 @@ TEST(MachineStats, Table4FibOn4x4IsPinned)
         memory.addWord(word.data);
         memory.addByte(word.full);
     }
-    EXPECT_EQ(digestOf(run.stats), 0x6b7ea5dc1048a449ull) << "stats JSON";
+    EXPECT_EQ(digestOf(run.outputs.stats), 0x6b7ea5dc1048a449ull)
+        << "stats JSON";
     EXPECT_EQ(memory.value(), 0xcf6ea960987db47dull) << "memory image";
     const size_t pagesPerCache = alewife.controller(0).cacheRef().numPages();
     EXPECT_GT(residentCachePages(), 0u);

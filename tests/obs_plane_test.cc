@@ -23,6 +23,7 @@
 #include <sstream>
 
 #include "machine/alewife_machine.hh"
+#include "machine/snapshot.hh"
 #include "machine/workload.hh"
 #include "mult/compiler.hh"
 #include "workloads/workloads.hh"
@@ -312,14 +313,12 @@ TEST(ObsPlane, DroppedEventsAgreeAcrossThreadsAndMerge)
     }
 }
 
-/** What each plane leaves behind, plus the statistics tree. */
+/** What each plane leaves behind: the run's outputs, and the machine
+ *  events before coherence flows and task spans are stitched in. */
 struct PlaneOutputs
 {
-    std::string stats;
-    std::vector<trace::Event> trace;    ///< unstitched machine events
-    std::string coh;
-    std::string task;
-    std::string profile;
+    RunOutputs out;
+    std::vector<trace::Event> trace;
 };
 
 /** Lazy fib:8 on the 2x2 ALEWIFE of the CLI with the given planes. */
@@ -332,50 +331,36 @@ runWithPlanes(bool trace, bool coh, bool task, bool profile)
     w.options.taskTrace = task;
     w.options.profile = profile;
     std::unique_ptr<Machine> m = makeMachine(w.prog, w.options);
-    auto &alewife = dynamic_cast<AlewifeMachine &>(*m);
     m->run(50'000'000);
     EXPECT_TRUE(m->halted());
-
-    auto capture = [](auto &&writer) {
-        std::ostringstream os;
-        writer(os);
-        return os.str();
-    };
-    PlaneOutputs out;
-    out.stats = capture([&](std::ostream &os) { m->dumpJson(os); });
+    PlaneOutputs r{recordOutputs(*m), {}};
     if (trace)
-        out.trace = eventsOf(*alewife.traceRecorder());
-    out.coh = capture([&](std::ostream &os) { alewife.writeCohTrace(os); });
-    out.task = capture([&](std::ostream &os) { m->writeTaskTrace(os); });
-    if (profile) {
-        out.profile = capture([&](std::ostream &os) {
-            profile::writeProfileJson(os, m->profileSource());
-        });
-    }
-    return out;
+        r.trace = eventsOf(*m->traceRecorder());
+    return r;
 }
 
 TEST(ObsPlane, EachPlaneIsIndependentOfTheOthers)
 {
     const PlaneOutputs all = runWithPlanes(true, true, true, true);
     EXPECT_FALSE(all.trace.empty());
-    EXPECT_FALSE(all.coh.empty());
-    EXPECT_FALSE(all.task.empty());
-    EXPECT_FALSE(all.profile.empty());
+    EXPECT_FALSE(all.out.cohTrace.empty());
+    EXPECT_FALSE(all.out.taskTrace.empty());
+    EXPECT_FALSE(all.out.profile.empty());
 
     const PlaneOutputs trace = runWithPlanes(true, false, false, false);
     EXPECT_EQ(trace.trace, all.trace);
-    EXPECT_EQ(trace.stats, all.stats);
+    EXPECT_EQ(trace.out.stats, all.out.stats);
     const PlaneOutputs coh = runWithPlanes(false, true, false, false);
-    EXPECT_EQ(coh.coh, all.coh);
-    EXPECT_EQ(coh.stats, all.stats);
+    EXPECT_EQ(coh.out.cohTrace, all.out.cohTrace);
+    EXPECT_EQ(coh.out.stats, all.out.stats);
     const PlaneOutputs task = runWithPlanes(false, false, true, false);
-    EXPECT_EQ(task.task, all.task);
-    EXPECT_EQ(task.stats, all.stats);
+    EXPECT_EQ(task.out.taskTrace, all.out.taskTrace);
+    EXPECT_EQ(task.out.stats, all.out.stats);
     const PlaneOutputs profile = runWithPlanes(false, false, false, true);
-    EXPECT_EQ(profile.profile, all.profile);
-    EXPECT_EQ(profile.stats, all.stats);
-    EXPECT_EQ(runWithPlanes(false, false, false, false).stats, all.stats);
+    EXPECT_EQ(profile.out.profile, all.out.profile);
+    EXPECT_EQ(profile.out.stats, all.out.stats);
+    EXPECT_EQ(runWithPlanes(false, false, false, false).out.stats,
+              all.out.stats);
 }
 
 } // namespace

@@ -133,7 +133,7 @@ runStress(bool cycle_skip)
 
 TEST(ProfileMachine, BucketsSumToTotalCyclesOnEveryNode)
 {
-    Json profile = parseJson(recordRun(*runStress(true)).profile);
+    Json profile = parseJson(recordRun(*runStress(true)).outputs.profile);
     const auto &nodes = profile.at("nodes").array;
     ASSERT_EQ(nodes.size(), 4u);
     for (const Json &node : nodes) {
@@ -160,8 +160,8 @@ TEST(ProfileMachine, BitIdenticalUnderCycleSkipping)
 {
     RunRecord on = recordRun(*runStress(true));
     RunRecord off = recordRun(*runStress(false));
-    ASSERT_FALSE(on.profile.empty());
-    ASSERT_FALSE(on.series.empty());
+    ASSERT_FALSE(on.outputs.profile.empty());
+    ASSERT_FALSE(on.outputs.series.empty());
     EXPECT_EQ(compareRuns(on, off), "");
 }
 
@@ -189,7 +189,7 @@ TEST(ProfileDriver, ProfileJsonAndSeriesComeBack)
         "(define (main) (+ (future 20) (future 3)))", o);
     EXPECT_EQ(r.result, tagged::fixnum(23));
 
-    Json profile = parseJson(r.profileJson);
+    Json profile = parseJson(r.outputs.profile);
     EXPECT_EQ(profile.at("schemaVersion").number, 1.0);
     EXPECT_EQ(profile.at("totalCycles").number, double(r.cycles));
     ASSERT_EQ(profile.at("nodes").array.size(), 2u);
@@ -206,8 +206,8 @@ TEST(ProfileDriver, ProfileJsonAndSeriesComeBack)
         EXPECT_FALSE(top.at("symbol").str.empty());
         EXPECT_NE(top.at("symbol").str.rfind("pc", 0), 0u);
     }
-    EXPECT_EQ(r.statsSeriesCsv.substr(0, 6), "cycle,");
-    EXPECT_NE(r.statsSeriesCsv.find("proc0.cyclesUseful"),
+    EXPECT_EQ(r.outputs.series.substr(0, 6), "cycle,");
+    EXPECT_NE(r.outputs.series.find("proc0.cyclesUseful"),
               std::string::npos);
 }
 
@@ -227,8 +227,8 @@ TEST(ProfileDriver, IdenticalAcrossSkipModes)
         " (+ (future (fib (- n 1))) (fib (- n 2)))))"
         "(define (main) (fib 8))", o);
     EXPECT_EQ(on.cycles, off.cycles);
-    EXPECT_EQ(on.profileJson, off.profileJson);
-    EXPECT_EQ(on.statsSeriesCsv, off.statsSeriesCsv);
+    EXPECT_EQ(on.outputs.profile, off.outputs.profile);
+    EXPECT_EQ(on.outputs.series, off.outputs.series);
 }
 
 // --- report formats --------------------------------------------------

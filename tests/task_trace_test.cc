@@ -268,7 +268,7 @@ TEST(TaskTrace, ReportByteIdenticalAcrossSkipAndThreads)
     auto base = runLazyFib(true, 1);
     ASSERT_TRUE(base->halted());
     RunRecord want = recordRun(*base);
-    ASSERT_FALSE(want.taskTrace.empty());
+    ASSERT_FALSE(want.outputs.taskTrace.empty());
     std::vector<task::TaskEvent> events = eventsOf(*base);
 
     auto noskip = runLazyFib(false, 1);
@@ -296,17 +296,17 @@ TEST(TaskTrace, DriverReturnsTaskTraceJson)
         DriverOptions::april(mult::CompileOptions::FutureMode::Lazy, 2);
     opts.taskTrace = true;
     DriverResult r = runMultProgram(workloads::fibSource(8), opts);
-    ASSERT_FALSE(r.taskTraceJson.empty());
-    EXPECT_NE(r.taskTraceJson.find("\"schemaVersion\":1"),
+    ASSERT_FALSE(r.outputs.taskTrace.empty());
+    EXPECT_NE(r.outputs.taskTrace.find("\"schemaVersion\":1"),
               std::string::npos);
-    EXPECT_NE(r.taskTraceJson.find("\"criticalPath\""),
+    EXPECT_NE(r.outputs.taskTrace.find("\"criticalPath\""),
               std::string::npos);
-    EXPECT_NE(r.taskTraceJson.find("\"score\""), std::string::npos);
+    EXPECT_NE(r.outputs.taskTrace.find("\"score\""), std::string::npos);
 
     DriverOptions off =
         DriverOptions::april(mult::CompileOptions::FutureMode::Lazy, 2);
     DriverResult r2 = runMultProgram(workloads::fibSource(8), off);
-    EXPECT_TRUE(r2.taskTraceJson.empty())
+    EXPECT_TRUE(r2.outputs.taskTrace.empty())
         << "task tracing was not requested";
 }
 
@@ -317,8 +317,8 @@ TEST(TaskTrace, PerfettoStitchesTaskSpansIntoMachineTrace)
     opts.taskTrace = true;
     opts.traceEvents = true;
     DriverResult r = runMultProgram(workloads::fibSource(8), opts);
-    ASSERT_FALSE(r.traceJson.empty());
-    EXPECT_NE(r.traceJson.find("\"cat\":\"task\""), std::string::npos)
+    ASSERT_FALSE(r.outputs.trace.empty());
+    EXPECT_NE(r.outputs.trace.find("\"cat\":\"task\""), std::string::npos)
         << "task spans missing from the stitched Chrome trace";
 }
 

@@ -4,8 +4,8 @@
  * capacity behavior, Chrome-trace-event export schema (valid JSON,
  * per-track monotonic timestamps, metadata tracks), the differential
  * guarantee that the recorded stream is byte-identical with
- * cycle-skipping on and off, and the driver's statsJson/traceJson
- * surfaces.
+ * cycle-skipping on and off, and the driver's stats and trace
+ * outputs.
  */
 
 #include <gtest/gtest.h>
@@ -215,7 +215,7 @@ TEST(TraceDifferential, StallStressStreamIdenticalWithSkipOnOff)
     EXPECT_TRUE(saw[size_t(trace::EventKind::NetDeliver)]);
 
     // And the real machine's export passes the schema check too.
-    checkChromeTraceSchema(run.trace);
+    checkChromeTraceSchema(run.outputs.trace);
 }
 
 std::unique_ptr<AlewifeMachine>
@@ -258,7 +258,7 @@ TEST(TraceDifferential, EagerFibStreamIdenticalWithSkipOnOff)
     EXPECT_TRUE(saw[size_t(trace::EventKind::Coherence)]);
     EXPECT_TRUE(saw[size_t(trace::EventKind::NetSend)]);
 
-    checkChromeTraceSchema(run.trace);
+    checkChromeTraceSchema(run.outputs.trace);
 }
 
 TEST(TraceDifferential, UntracedRunHasNoRecorder)
@@ -312,7 +312,7 @@ TEST(TraceOverflow, DroppedWarningPrintsOncePerMachine)
 }
 
 // ---------------------------------------------------------------------
-// Driver surfaces: statsJson / traceJson
+// Driver surfaces: the stats and trace outputs
 // ---------------------------------------------------------------------
 
 TEST(DriverJson, StatsJsonIsValidAndHierarchical)
@@ -321,7 +321,7 @@ TEST(DriverJson, StatsJsonIsValidAndHierarchical)
         DriverOptions::april(mult::CompileOptions::FutureMode::Eager, 2);
     DriverResult r = runMultProgram(workloads::fibSource(8), opts);
 
-    Json stats = parseJson(r.statsJson);
+    Json stats = parseJson(r.outputs.stats);
     EXPECT_EQ(stats.at("name").str, "machine");
     const Json &groups = stats.at("groups");
     ASSERT_TRUE(groups.has("proc0"));
@@ -330,7 +330,7 @@ TEST(DriverJson, StatsJsonIsValidAndHierarchical)
     EXPECT_EQ(cycles.at("type").str, "scalar");
     EXPECT_GT(cycles.at("value").number, 0.0);
 
-    EXPECT_TRUE(r.traceJson.empty()) << "tracing was not requested";
+    EXPECT_TRUE(r.outputs.trace.empty()) << "tracing was not requested";
 }
 
 TEST(DriverJson, TraceJsonParsesAndPassesSchema)
@@ -339,11 +339,11 @@ TEST(DriverJson, TraceJsonParsesAndPassesSchema)
         DriverOptions::april(mult::CompileOptions::FutureMode::Eager, 2);
     opts.traceEvents = true;
     DriverResult r = runMultProgram(workloads::fibSource(8), opts);
-    ASSERT_FALSE(r.traceJson.empty());
-    checkChromeTraceSchema(r.traceJson);
+    ASSERT_FALSE(r.outputs.trace.empty());
+    checkChromeTraceSchema(r.outputs.trace);
     // Perfect memory: context switches and traps show up, no network.
-    EXPECT_NE(r.traceJson.find("\"cat\":\"ctx\""), std::string::npos);
-    EXPECT_EQ(r.traceJson.find("\"cat\":\"net\""), std::string::npos);
+    EXPECT_NE(r.outputs.trace.find("\"cat\":\"ctx\""), std::string::npos);
+    EXPECT_EQ(r.outputs.trace.find("\"cat\":\"net\""), std::string::npos);
 }
 
 } // namespace

@@ -4,15 +4,24 @@
  * every system configuration (T seq / APRIL eager / APRIL lazy /
  * Encore) and at several processor counts; the workload-spec parser
  * (machine/workload.hh) with its defaults, arguments, rejections and
- * oracles; and the `april` CLI's refusal of bad run arguments.
+ * oracles; and the `april` CLI: its refusal of bad run arguments and
+ * hostile input, and the pinned bytes of the files `april run` writes.
  */
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/digest.hh"
 #include "machine/workload.hh"
 #include "test_support/mult_run.hh"
 #include "workloads/workloads.hh"
@@ -269,6 +278,92 @@ TEST(AprilCli, RejectsBadRunArgumentsBeforeBuilding)
     }
     EXPECT_EQ(runCli("run fib:5"), 0);
     EXPECT_EQ(runCli("run fib:5 --perfect --nodes=2"), 0);
+}
+
+/** A fresh directory under the test temp dir, removed on scope exit. */
+struct ScratchDir
+{
+    ScratchDir()
+    {
+        path = testing::TempDir() + "april_cli_XXXXXX";
+        if (!mkdtemp(path.data()))
+            path.clear();
+    }
+    ~ScratchDir()
+    {
+        if (!path.empty())
+            std::filesystem::remove_all(path);
+    }
+    ScratchDir(const ScratchDir &) = delete;
+    ScratchDir &operator=(const ScratchDir &) = delete;
+
+    std::string path;
+};
+
+/** FNV-1a digest of the bytes of the file at @p path. */
+uint64_t
+fileDigest(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return digestString(os.str());
+}
+
+/**
+ * The bytes of every file `april run fib:10` writes are pinned: on the
+ * 2x2 ALEWIFE at one and at four host threads, which must agree, and
+ * on the perfect machine with the planes it has. A change to any of
+ * them must update these values on purpose.
+ */
+TEST(AprilCli, RunFilesArePinned)
+{
+    ScratchDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    using Files = std::vector<std::pair<std::string, uint64_t>>;
+    auto expectFiles = [&](const std::string &args, const Files &files) {
+        std::string cmd = "run fib:10 " + args;
+        for (const auto &[flag, digest] : files)
+            cmd += " " + flag + "=" + dir.path + "/" + flag.substr(2);
+        ASSERT_EQ(runCli(cmd), 0) << cmd;
+        for (const auto &[flag, digest] : files) {
+            uint64_t got = fileDigest(dir.path + "/" + flag.substr(2));
+            EXPECT_EQ(got, digest)
+                << args << " " << flag << ": 0x" << std::hex << got;
+        }
+    };
+    const Files alewife = {
+        {"--perfetto", 0xdbf14355632faf2full},
+        {"--txns", 0x670cbb607b8be4e7ull},
+        {"--task", 0xdbe3ec48a6307831ull},
+        {"--coh", 0xca4742a7521399d4ull},
+        {"--stats", 0x6b175b4a6bbf7bc3ull},
+        {"--prof", 0x544c9c157e330f5full},
+        {"--series", 0x90d9565576f43487ull},
+    };
+    expectFiles("--threads=1", alewife);
+    expectFiles("--threads=4", alewife);
+    expectFiles("--perfect", {{"--perfetto", 0xec8da29050efc463ull},
+                              {"--task", 0x72048a0f28fbab16ull},
+                              {"--stats", 0x09d02229e48340b9ull},
+                              {"--prof", 0x9992a620604003bbull},
+                              {"--series", 0xba6ce93c87aaa4ffull}});
+}
+
+TEST(AprilCli, FailsWhenAReportFileCannotBeWritten)
+{
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no /dev/full";
+    EXPECT_EQ(runCli("run fib:8 --stats=/dev/full"), 2);
+}
+
+TEST(AprilCli, CheckRejectsJsonNestedTooDeeply)
+{
+    ScratchDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    const std::string file = dir.path + "/deep.json";
+    std::ofstream(file) << std::string(200'000, '[');
+    EXPECT_EQ(runCli("check prof " + file), 2);
 }
 
 } // namespace

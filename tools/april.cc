@@ -41,6 +41,7 @@
 #include "common/json_parse.hh"
 #include "common/logging.hh"
 #include "machine/coh_report.hh"
+#include "machine/snapshot.hh"
 #include "machine/workload.hh"
 #include "profile/report.hh"
 
@@ -522,6 +523,15 @@ runWorkload(const RunOptions &o)
     auto write = [](const std::string &path, auto &&writer) {
         cli::writeReportFile("april", path, writer);
     };
+    // A file straight from a row of the output table, then the fixed
+    // tail april run has always put after that row.
+    auto writeRow = [&](const std::string &path,
+                        std::string RunOutputs::*row, const char *tail) {
+        write(path, [&](std::ostream &os) {
+            runOutput(row).write(*m, os);
+            os << tail;
+        });
+    };
     // Taken at the halt: the reports cover the run up to MachineHalt,
     // not however long leftover workers keep spinning afterwards.
     if (o.prof) {
@@ -534,27 +544,16 @@ runWorkload(const RunOptions &o)
                 os << "\n";
             };
         };
-        write(o.profFile, line(profile::writeProfileJson));
+        writeRow(o.profFile, &RunOutputs::profile, "\n");
         write(o.foldedFile, line(profile::writeFolded));
         write(o.countersFile, line(profile::writeCounterTrace));
-        write(o.seriesFile, [&](std::ostream &os) {
-            if (src.intervals)
-                src.intervals->writeCsv(os);
-            os << "\n";
-        });
+        writeRow(o.seriesFile, &RunOutputs::series, "\n");
     }
     if (o.task) {
-        task::Report report = m->taskReport();
-        task::writeReportText(std::cout, report);
-        write(o.taskFile, [&](std::ostream &os) {
-            task::writeReportJson(os, report);
-            os << "\n";
-        });
+        task::writeReportText(std::cout, m->taskReport());
+        writeRow(o.taskFile, &RunOutputs::taskTrace, "\n");
     }
-    write(o.statsFile, [&](std::ostream &os) {
-        m->dumpJson(os);
-        os << "\n";
-    });
+    writeRow(o.statsFile, &RunOutputs::stats, "\n");
 
     // Raw workloads go fully silent after the halt, so drain the
     // in-flight coherence traffic: the invalidation balance must then
@@ -571,10 +570,9 @@ runWorkload(const RunOptions &o)
         write(o.cohFile, [&](std::ostream &os) {
             writeCohReportJson(os, *alewife, ropt);
         });
-        write(o.txnsFile,
-              [&](std::ostream &os) { m->writeCohTrace(os); });
+        writeRow(o.txnsFile, &RunOutputs::cohTrace, "");
     }
-    write(o.perfettoFile, [&](std::ostream &os) { m->writeTrace(os); });
+    writeRow(o.perfettoFile, &RunOutputs::trace, "");
 
     int rc = 0;
     if (o.verify && !verifyCoherence(*alewife, drained))

@@ -39,6 +39,8 @@ writeReportFile(const char *tool, const std::string &path,
     if (!os)
         fatal(tool, ": cannot write ", path);
     writer(os);
+    if (!os.flush())
+        fatal(tool, ": cannot write ", path);
     std::printf("wrote %s\n", path.c_str());
 }
 

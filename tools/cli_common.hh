@@ -29,7 +29,7 @@ const char *optValue(const std::string &arg, const char *prefix);
 std::string readFile(const char *tool, const std::string &path);
 
 /** When @p path is non-empty: open it, run @p writer on the stream,
- *  print "wrote <path>"; fatal on open failure. */
+ *  print "wrote <path>"; fatal when it cannot be opened or written. */
 void writeReportFile(const char *tool, const std::string &path,
                      const std::function<void(std::ostream &)> &writer);
 

@@ -14,9 +14,12 @@
  *    so this bounds how much the engine can lose when there is
  *    little concurrent work per quantum.
  *
- * Every configuration must record the same run as the sequential one
- * (the engine's bit-identical contract); the run fails on any
- * difference. The throughput
+ * Every thread count above one is timed in alternation with the
+ * sequential run (bench::alternating), so a swing in host speed hits
+ * both sides of its scaling ratio alike. Every configuration must
+ * record the same run as the sequential one (the engine's
+ * bit-identical contract); the run fails on any difference. The
+ * throughput
  * gate — >= 3x cycles/sec at 4 threads on alewife_coherent16 with
  * skipping off — only arms when the host actually has 4 or more
  * cores; on smaller hosts the numbers are still reported and the
@@ -47,7 +50,8 @@ struct Point : bench::Timing
 {
     uint32_t threads = 0;
     bool skip = false;
-    double scaling = 0;         ///< sequential seconds over these
+    double scaling = 0;         ///< alternated sequential seconds
+                                ///< over these
     bool identical = false;     ///< a twin of the sequential run
 };
 
@@ -92,6 +96,7 @@ main(int argc, char **argv)
     const bench::Session session(argc, argv);
     const bool quick = session.quick;
 
+    const double min_seconds = quick ? 0.05 : 1.0;
     uint32_t cores = std::thread::hardware_concurrency();
     std::vector<workloads::Workload> workloads;
     workloads.push_back(
@@ -112,13 +117,21 @@ main(int argc, char **argv)
         double gate_scaling = 0;
         for (bool skip : {false, true}) {
             RunRecord ref;
-            Point base;
             for (uint32_t threads : {1u, 2u, 4u, 8u}) {
                 RunRecord record;
-                Point pt = timeRun(w, threads, skip, &record);
+                Point pt;
                 if (threads == 1) {
-                    base = pt;
-                    ref = record;
+                    pt = timeRun(w, 1, skip, &ref);
+                    record = ref;
+                    pt.scaling = 1;
+                } else {
+                    RunRecord seq_record;
+                    auto [seq, par] = bench::alternating(
+                        min_seconds,
+                        [&] { return timeRun(w, 1, skip, &seq_record); },
+                        [&] { return timeRun(w, threads, skip, &record); });
+                    pt = par;
+                    pt.scaling = seq.seconds / par.seconds;
                 }
                 pt.skip = skip;
                 std::string diff = compareRuns(ref, record);
@@ -131,7 +144,6 @@ main(int argc, char **argv)
                                  diff.c_str());
                     ok = false;
                 }
-                pt.scaling = base.seconds / pt.seconds;
                 if (coherent && !skip && threads == 4)
                     gate_scaling = pt.scaling;
                 std::printf("%8u %6s %14llu %14.0f %8.2fx\n",

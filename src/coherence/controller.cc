@@ -22,14 +22,18 @@ lineAtOrAfter(uint64_t a, uint32_t line_words)
     return Addr((a + line_words - 1) / line_words);
 }
 
-/** log2 of the lines per directory page: the lines of one memory
- *  page (1,024 four-word lines in a 4,096-word page). */
+/** log2 of the lines per directory page: the lines of 4,096 words
+ *  (1,024 four-word lines, 4 KB of slots), or of the largest power
+ *  of two dividing wordsPerNode if that is smaller. A slot page spans
+ *  eight 512-word memory pages: pages as small as those would grow
+ *  each home's one-level slot table eightfold. */
 unsigned
 dirPageShift(const SharedMemory &mem, uint32_t line_words)
 {
-    unsigned page = unsigned(std::countr_zero(mem.pageWords()));
+    unsigned span = std::min(12u, unsigned(std::countr_zero(
+                                      mem.wordsPerNode())));
     unsigned line = unsigned(std::bit_width(line_words - 1));
-    return page > line ? page - line : 0;
+    return span > line ? span - line : 0;
 }
 
 /** dir<From>To<To> statistic text (old state x new state), built
@@ -82,7 +86,7 @@ Controller::Controller(const ControllerParams &p, uint32_t node_id,
                     "high-water mark of the message inbox"),
       statInboxDepth(this, "inboxDepth",
                      "instantaneous message-inbox depth",
-                     [this] { return double(inbox.size()); }),
+                     [this] { return double(inboxDepth()); }),
       params(p), nodeId(node_id), mem(memory), fabric(fabric_),
       _cache(p.cache, this),
       firstHomeLine(lineAtOrAfter(memory->nodeBase(node_id),
@@ -113,10 +117,12 @@ Controller::dirEntry(Addr line_addr)
         panic("ctrl", nodeId, ": line ", line_addr, " is not homed here");
     uint32_t &slot = slots[local];
     if (slot == 0) {
-        entries.emplace_back();
-        slot = uint32_t(entries.size());
+        if ((numEntries & kEntryChunkMask) == 0)
+            entryChunks.push_back(
+                std::make_unique<DirEntry[]>(kEntryChunkMask + 1));
+        slot = ++numEntries;
     }
-    return entries[slot - 1];
+    return entryAt(slot);
 }
 
 const Controller::LineCensus *
@@ -128,7 +134,7 @@ Controller::lineCensus(Addr line_addr) const
     const uint32_t *slot = slots.find(local);
     if (!slot || *slot == 0)
         return nullptr;
-    const LineCensus &c = entries[*slot - 1].census;
+    const LineCensus &c = entryAt(*slot).census;
     return c.recorded() ? &c : nullptr;
 }
 
@@ -199,10 +205,13 @@ Controller::tick()
     }
     // Handle a bounded number of messages per cycle (occupancy).
     int budget = 2;
-    while (budget-- > 0 && !inbox.empty()) {
-        Message msg = inbox.front();
-        inbox.pop_front();
+    while (budget-- > 0 && inboxHead < inbox.size()) {
+        Message msg = std::move(inbox[inboxHead++]);
         handleMessage(msg);
+    }
+    if (inboxHead != 0 && 2 * inboxHead >= inbox.size()) {
+        inbox.erase(inbox.begin(), inbox.begin() + ptrdiff_t(inboxHead));
+        inboxHead = 0;
     }
 }
 
@@ -210,8 +219,8 @@ void
 Controller::receive(const Message &msg)
 {
     inbox.push_back(msg);
-    if (double(inbox.size()) > statInboxPeak.value())
-        statInboxPeak = double(inbox.size());
+    if (double(inboxDepth()) > statInboxPeak.value())
+        statInboxPeak = double(inboxDepth());
 }
 
 uint64_t
@@ -219,7 +228,7 @@ Controller::nextEventCycle() const
 {
     // Queued messages are handled on the very next tick.
     uint64_t now = fabric->now();
-    if (!inbox.empty())
+    if (inboxHead != inbox.size())
         return now + 1;
     // Delayed work dispatches at its due time; entries already due
     // (scheduled this cycle, after our tick ran) go out next tick.

@@ -22,7 +22,7 @@
 #ifndef APRIL_COHERENCE_CONTROLLER_HH
 #define APRIL_COHERENCE_CONTROLLER_HH
 
-#include <deque>
+#include <memory>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -175,15 +175,15 @@ class Controller : public MemPort, public stats::Group
                 for (size_t i = 0; i < count; ++i) {
                     if (page[i] == 0)
                         continue;
-                    const LineCensus &c = entries[page[i] - 1].census;
+                    const LineCensus &c = entryAt(page[i]).census;
                     if (c.recorded())
                         fn(Addr(firstHomeLine + first + i), c);
                 }
             });
     }
 
-    /** Directory pages materialised so far (one per home memory
-     *  page that saw a coherence message). */
+    /** Directory pages materialised so far (one per 4,096 home words
+     *  that saw a coherence message). */
     size_t residentDirectoryPages() const { return slots.residentPages(); }
 
     stats::Scalar statLocalMisses;
@@ -344,15 +344,29 @@ class Controller : public MemPort, public stats::Group
     /// The first line homed here; `slots` is indexed by line address
     /// minus this.
     Addr firstHomeLine;
-    /// Per home line: 1 + the index of its entry in `entries`, or 0
+    /// Per home line: 1 + the index of its entry (entryAt), or 0
     /// until the line's first coherence message. Paged like the memory
-    /// image; a page covers the lines of one memory page.
+    /// image; a page covers the lines of 4,096 home words.
     PagedArray<uint32_t> slots;
-    /// The entry of every touched home line, in first-touch order. A
-    /// run touches a sparse quarter of each resident page's lines, so
-    /// entries are not stored in the pages themselves; a deque keeps
-    /// references valid as it grows.
-    std::deque<DirEntry> entries;
+    /// The entry of every touched home line, in first-touch order, in
+    /// chunks of 2^kEntryChunkShift. A run touches a sparse quarter of
+    /// each resident page's lines, so entries are not stored in the
+    /// pages themselves. Chunks never move, so references stay valid
+    /// as entries are added, and none is allocated before the first.
+    static constexpr unsigned kEntryChunkShift = 5;
+    static constexpr uint32_t kEntryChunkMask =
+        (1u << kEntryChunkShift) - 1;
+    std::vector<std::unique_ptr<DirEntry[]>> entryChunks;
+    uint32_t numEntries = 0;
+
+    /** The entry a nonzero slot value @p slot names. */
+    DirEntry &
+    entryAt(uint32_t slot) const
+    {
+        uint32_t i = slot - 1;
+        return entryChunks[i >> kEntryChunkShift][i & kEntryChunkMask];
+    }
+
     std::vector<Mshr> mshrs;
     uint64_t txnSeq = 0;        ///< per-node transaction sequence
 
@@ -383,7 +397,13 @@ class Controller : public MemPort, public stats::Group
      */
     std::vector<Delayed> delayed;
     uint64_t delayedSeq = 0;
-    std::deque<Message> inbox;
+    /// Messages awaiting handling, oldest first from `inboxHead`. A
+    /// vector allocates nothing until the first message; the handled
+    /// prefix is dropped when the inbox drains or fills half of it.
+    std::vector<Message> inbox;
+    size_t inboxHead = 0;
+
+    size_t inboxDepth() const { return inbox.size() - inboxHead; }
 
     void pushDelayed(uint64_t due, uint32_t to, const Message &msg);
 };

@@ -40,10 +40,16 @@ writeLabel(std::ostream &os, std::string_view prefix, std::string_view name,
 } // namespace
 
 Info::Info(Group *parent, Text name, Text desc)
-    : _name(name.view()), _desc(desc.view())
+    : _name(name.view()), _desc(desc.view()), _group(parent)
 {
-    if (parent)
-        parent->addStat(this);
+    if (_group)
+        _group->_stats.append(this);
+}
+
+Info::~Info()
+{
+    if (_group)
+        _group->_stats.remove(this);
 }
 
 void
@@ -328,20 +334,17 @@ Group::Group(std::string name, Group *parent)
     : _name(std::move(name)), _parent(parent)
 {
     if (_parent)
-        _parent->addChild(this);
+        _parent->_children.append(this);
 }
 
 Group::~Group()
 {
+    for (Info *info : _stats)
+        info->_group = nullptr;
+    for (Group *child : _children)
+        child->_parent = nullptr;
     if (_parent)
-        _parent->removeChild(this);
-}
-
-void
-Group::removeChild(Group *g)
-{
-    _children.erase(std::remove(_children.begin(), _children.end(), g),
-                    _children.end());
+        _parent->_children.remove(this);
 }
 
 void
@@ -376,18 +379,22 @@ Group::dumpJson(std::ostream &os) const
     os << "{\"name\":";
     json::writeString(os, _name);
     os << ",\"stats\":{";
-    for (size_t i = 0; i < _stats.size(); ++i) {
-        os << (i ? "," : "");
-        json::writeString(os, _stats[i]->name());
+    const char *sep = "";
+    for (const Info *info : _stats) {
+        os << sep;
+        json::writeString(os, info->name());
         os << ":";
-        _stats[i]->printJson(os);
+        info->printJson(os);
+        sep = ",";
     }
     os << "},\"groups\":{";
-    for (size_t i = 0; i < _children.size(); ++i) {
-        os << (i ? "," : "");
-        json::writeString(os, _children[i]->groupName());
+    sep = "";
+    for (const Group *child : _children) {
+        os << sep;
+        json::writeString(os, child->groupName());
         os << ":";
-        _children[i]->dumpJson(os);
+        child->dumpJson(os);
+        sep = ",";
     }
     os << "}}";
 }

@@ -10,12 +10,15 @@
  * A statistic's name and description are static text (stats::Text):
  * a literal, or an entry of a name table built once per process. A
  * machine builds hundreds of statistics, and none of them copies its
- * text (DESIGN.md §7.14).
+ * text (DESIGN.md §7.14). A group links its statistics and children
+ * through the members themselves, so registering one allocates
+ * nothing either.
  */
 
 #ifndef APRIL_COMMON_STATS_HH
 #define APRIL_COMMON_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <ostream>
@@ -28,6 +31,67 @@ namespace april::stats
 {
 
 class Group;
+
+/**
+ * A group's statistics or child groups in creation order: a forward
+ * range over a list threaded through the members' own `_prev`/`_next`
+ * pointers, so appending one never allocates. A member unlinks itself
+ * when it is destroyed, and a group detaches the members that outlive
+ * it, so the list never holds a dead member.
+ */
+template <typename T>
+class Chain
+{
+  public:
+    class iterator
+    {
+      public:
+        explicit iterator(T *p) : _p(p) {}
+
+        T *operator*() const { return _p; }
+        iterator &operator++() { _p = _p->_next; return *this; }
+        bool operator==(const iterator &) const = default;
+
+      private:
+        T *_p;
+    };
+
+    iterator begin() const { return iterator(_head); }
+    iterator end() const { return iterator(nullptr); }
+    bool empty() const { return !_head; }
+
+    size_t
+    size() const
+    {
+        size_t n = 0;
+        for (const T *x = _head; x; x = x->_next)
+            ++n;
+        return n;
+    }
+
+  private:
+    friend class Info;
+    friend class Group;
+
+    void
+    append(T *x)
+    {
+        x->_prev = _tail;
+        x->_next = nullptr;
+        (_tail ? _tail->_next : _head) = x;
+        _tail = x;
+    }
+
+    void
+    remove(T *x)
+    {
+        (x->_prev ? x->_prev->_next : _head) = x->_next;
+        (x->_next ? x->_next->_prev : _tail) = x->_prev;
+    }
+
+    T *_head = nullptr;
+    T *_tail = nullptr;
+};
 
 /**
  * The name or description of a statistic: a view of text that
@@ -68,7 +132,11 @@ class Info
 {
   public:
     Info(Group *parent, Text name, Text desc);
-    virtual ~Info() = default;
+    /** A copy has the same text and belongs to no group. */
+    Info(const Info &o) : _name(o._name), _desc(o._desc), _group(nullptr)
+    {}
+    Info &operator=(const Info &) = delete;
+    virtual ~Info();
 
     std::string_view name() const { return _name; }
     std::string_view desc() const { return _desc; }
@@ -96,8 +164,16 @@ class Info
     virtual double summaryValue() const = 0;
 
   private:
+    template <typename>
+    friend class Chain;
+
+    friend class Group;
+
     std::string_view _name;
     std::string_view _desc;
+    Group *_group;              ///< the owning group, if still alive
+    Info *_prev = nullptr;      ///< neighbours in the group's list
+    Info *_next = nullptr;
 };
 
 /** A monotonically updated scalar counter / value. */
@@ -329,10 +405,10 @@ class Group
     const Info *resolve(std::string_view path) const;
 
     /** All statistics owned directly by this group, in creation order. */
-    const std::vector<Info *> &statsList() const { return _stats; }
+    const Chain<Info> &statsList() const { return _stats; }
 
     /** All direct child groups, in creation order. */
-    const std::vector<Group *> &childGroups() const { return _children; }
+    const Chain<Group> &childGroups() const { return _children; }
 
   protected:
     /** Clear what a subclass keeps beside its statistics and derives
@@ -342,15 +418,15 @@ class Group
 
   private:
     friend class Info;
-
-    void addStat(Info *info) { _stats.push_back(info); }
-    void addChild(Group *g) { _children.push_back(g); }
-    void removeChild(Group *g);
+    template <typename>
+    friend class Chain;
 
     std::string _name;
     Group *_parent;
-    std::vector<Info *> _stats;
-    std::vector<Group *> _children;
+    Chain<Info> _stats;
+    Chain<Group> _children;
+    Group *_prev = nullptr;     ///< neighbours in the parent's list
+    Group *_next = nullptr;
 };
 
 } // namespace april::stats

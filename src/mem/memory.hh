@@ -7,14 +7,17 @@
  * a full/empty synchronization bit (Section 3.3). The home node of a
  * word is determined by its address (contiguous per-node segments).
  *
- * The image is a PagedArray, materialised lazily. A run touches a
- * small part of its memory (node blocks, queues, the bump-allocated
- * heap), so pages of up to 4096 words are allocated on the first
- * mutable access to one of their words; an absent page reads as data
- * 0, full, which is what a fresh word holds. Pages never straddle two
- * nodes' home ranges: a page is only ever created by its home node,
- * which keeps the sharded engine race-free without atomics
- * (DESIGN.md §7.11).
+ * The image is materialised lazily. A run touches a small part of its
+ * memory (node blocks, queues, the bump-allocated heap), so a page of
+ * up to 512 words (4 KiB, one host page) is allocated on the first
+ * mutable access to one of its words; an absent page reads as data 0,
+ * full, which is what a fresh word holds. The page pointers sit in a
+ * two-level table, a PagedArray whose pages are leaves of up to 512
+ * pointers, so building a machine writes one small leaf per node it
+ * boots instead of a pointer per page of the whole image. Neither a
+ * page nor a leaf straddles two nodes' home ranges: each is only ever
+ * created by its home node, which keeps the sharded engine race-free
+ * without atomics (DESIGN.md §7.11).
  *
  * This class is purely functional state — timing (cache hits, network
  * latency, directory protocol) is layered on top by the cache,
@@ -27,6 +30,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 
 #include "common/logging.hh"
 #include "isa/types.hh"
@@ -49,11 +53,15 @@ class SharedMemory
     explicit SharedMemory(const MemoryParams &params)
         : _params(params),
           _sizeWords(size_t(params.numNodes) * params.wordsPerNode),
-          // The page size divides wordsPerNode: no page spans two
-          // homes.
-          pages(_sizeWords,
-                std::min<unsigned>(maxPageShift,
-                                   std::countr_zero(params.wordsPerNode)))
+          // The page size divides wordsPerNode, and so does the span
+          // of a leaf: neither holds words of two homes.
+          pageShift(std::min<unsigned>(
+              maxPageShift, std::countr_zero(params.wordsPerNode))),
+          pageMask((size_t(1) << pageShift) - 1),
+          table(_sizeWords >> pageShift,
+                std::min<unsigned>(maxLeafShift,
+                                   std::countr_zero(params.wordsPerNode) -
+                                       pageShift))
     {
         if (params.numNodes == 0 || params.wordsPerNode == 0)
             fatal("SharedMemory: zero-sized configuration");
@@ -83,14 +91,21 @@ class SharedMemory
      * Mutable access to a word (data + f/e bit). Materialises the
      * word's page on first use.
      */
-    MemWord &word(Addr a) { return pages[checkAddr(a)]; }
+    MemWord &
+    word(Addr a)
+    {
+        Page &page = table[checkAddr(a) >> pageShift];
+        if (!page) [[unlikely]]
+            page = std::make_unique<MemWord[]>(pageMask + 1);
+        return page[a & pageMask];
+    }
 
     /** Read-only access; an absent page reads as a fresh word. */
     const MemWord &
     word(Addr a) const
     {
-        const MemWord *w = pages.find(checkAddr(a));
-        return w ? *w : absentWord;
+        const Page *page = table.find(checkAddr(a) >> pageShift);
+        return page && *page ? (*page)[a & pageMask] : absentWord;
     }
 
     // Convenience accessors used by the runtime and by tests.
@@ -117,10 +132,19 @@ class SharedMemory
     }
 
     /** Words per page (a power of two dividing wordsPerNode). */
-    size_t pageWords() const { return pages.pageSize(); }
+    size_t pageWords() const { return pageMask + 1; }
+
+    /** Page pointers per leaf of the table (a power of two). */
+    size_t leafPages() const { return table.pageSize(); }
 
     /** @return the number of pages materialised so far. */
-    size_t residentPages() const { return pages.residentPages(); }
+    size_t
+    residentPages() const
+    {
+        size_t n = 0;
+        forEachResidentPage([&](Addr, const MemWord *, size_t) { ++n; });
+        return n;
+    }
 
     /**
      * Call @p fn(base, words, count) for every resident page in
@@ -130,12 +154,23 @@ class SharedMemory
     void
     forEachResidentPage(Fn &&fn) const
     {
-        pages.forEachResidentPage(fn);
+        table.forEachResidentPage(
+            [&](size_t first, const Page *leaf, size_t count) {
+                for (size_t i = 0; i < count; ++i) {
+                    if (leaf[i])
+                        fn(Addr((first + i) << pageShift), leaf[i].get(),
+                           pageMask + 1);
+                }
+            });
     }
 
   private:
-    /** log2 of the largest page, in words. */
-    static constexpr unsigned maxPageShift = 12;
+    using Page = std::unique_ptr<MemWord[]>;
+
+    /** log2 of the largest page, in words: 4 KiB of MemWords. */
+    static constexpr unsigned maxPageShift = 9;
+    /** log2 of the most page pointers in one leaf (4 KiB). */
+    static constexpr unsigned maxLeafShift = 9;
     static constexpr MemWord absentWord{};
 
     Addr
@@ -149,7 +184,11 @@ class SharedMemory
 
     MemoryParams _params;
     size_t _sizeWords;
-    PagedArray<MemWord> pages;
+    unsigned pageShift;
+    size_t pageMask;
+    /// Page pointers, indexed by address >> pageShift; a leaf is
+    /// made on the first write to one of its pages.
+    PagedArray<Page> table;
 };
 
 } // namespace april

@@ -1,5 +1,7 @@
 #include "workloads/handwritten.hh"
 
+#include <algorithm>
+
 #include "runtime/runtime.hh"
 
 namespace april::workloads
@@ -150,15 +152,15 @@ buildWideSharing(uint32_t nodes, uint32_t words_per_node)
 {
     using namespace april::tagged;
 
-    if (words_per_node == 0 || (words_per_node & (words_per_node - 1)))
-        fatal("buildWideSharing: wordsPerNode must be a power of two");
+    if (words_per_node < 32 || (words_per_node & (words_per_node - 1)))
+        fatal("buildWideSharing: wordsPerNode must be a power of two "
+              "of at least 32");
 
-    constexpr Addr kShared = 512;
-    constexpr Addr kDoneOff = 520;
-
+    // Word 512 of node 0, or the middle of a smaller node; the done
+    // flag sits one 8-word line further on.
     WideSharing out;
-    out.shared = kShared;
-    out.doneOff = kDoneOff;
+    out.shared = std::min<Addr>(512, words_per_node / 2);
+    out.doneOff = out.shared + 8;
     out.nodes = nodes;
     out.wordsPerNode = words_per_node;
 
@@ -166,11 +168,11 @@ buildWideSharing(uint32_t nodes, uint32_t words_per_node)
     while ((1u << node_shift) < words_per_node)
         ++node_shift;
     node_shift += int32_t(tagShift);
-    const int32_t done_imm = int32_t(ptr(kDoneOff, Tag::Other));
+    const int32_t done_imm = int32_t(ptr(out.doneOff, Tag::Other));
 
     Assembler as;
     as.bind("worker");
-    as.movi(1, ptr(kShared, Tag::Other));
+    as.movi(1, ptr(out.shared, Tag::Other));
     as.ldnw(4, 1, 0);                       // join the sharer set
     as.ldio(5, int(IoReg::NodeId));
     as.slliR(5, 5, node_shift);             // my segment base, tagged

@@ -94,10 +94,11 @@ void bootMeasuredNode(Processor &proc, const Program &prog);
  * O(nodes) remote reads rather than a serialized lock queue — this is
  * the workload that completes at 1024 nodes.
  *
- * `wordsPerNode` must be a power of two (node-local done-flag
- * addresses are computed with a shift) and every node's program is
- * identical, so the same build boots every node via
- * bootCoherentNode().
+ * `wordsPerNode` must be a power of two of at least 32 (node-local
+ * done-flag addresses are computed with a shift) and every node's
+ * program is identical, so the same build boots every node via
+ * bootCoherentNode(). The shared word is word 512 of node 0, or the
+ * middle of a node of fewer than 1,024 words.
  */
 struct WideSharing
 {

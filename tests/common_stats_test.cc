@@ -100,6 +100,11 @@ TEST(Stats, DistributionBadSpecPanics)
     Group g("top");
     EXPECT_THROW((Distribution(&g, "bad", "d", 10, 5, 1)), PanicError);
     EXPECT_THROW((Distribution(&g, "bad2", "d", 0, 10, 0)), PanicError);
+    // A statistic that never finished construction leaves its group.
+    EXPECT_TRUE(g.statsList().empty());
+    Scalar ok(&g, "ok", "");
+    EXPECT_EQ(g.findStat("ok"), &ok);
+    EXPECT_EQ(g.statsList().size(), 1u);
 }
 
 TEST(Stats, FormulaEvaluatesLazily)

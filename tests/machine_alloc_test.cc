@@ -1,9 +1,11 @@
 /**
  * @file
- * Heap allocations per machine construct. A machine builds the same
- * few hundred statistics every time; their names and descriptions are
- * static text, so building one must not copy them onto the heap. The
- * counting global operator new lives in this test binary only.
+ * Heap allocations and bytes per machine construct. A machine builds
+ * the same few hundred statistics every time; their names and
+ * descriptions are static text, so building one must not copy them
+ * onto the heap, and the memory image materialises only the 4 KiB
+ * pages (and leaves of page pointers) that boot writes. The counting
+ * global operator new lives in this test binary only.
  */
 
 #include <gtest/gtest.h>
@@ -24,12 +26,15 @@ namespace
 
 std::atomic<bool> counting{false};
 std::atomic<uint64_t> allocations{0};
+std::atomic<uint64_t> allocatedBytes{0};
 
 void *
 countedAlloc(std::size_t size, std::size_t align)
 {
-    if (counting.load(std::memory_order_relaxed))
+    if (counting.load(std::memory_order_relaxed)) {
         allocations.fetch_add(1, std::memory_order_relaxed);
+        allocatedBytes.fetch_add(size, std::memory_order_relaxed);
+    }
     if (size == 0)
         size = 1;
     if (align > alignof(std::max_align_t))
@@ -106,6 +111,13 @@ namespace april
 namespace
 {
 
+/** What one construct asked of the heap. */
+struct Allocs
+{
+    uint64_t count = 0;
+    uint64_t bytes = 0;
+};
+
 /**
  * Heap allocations made by one call of @p make, a machine factory.
  * The first machine of a process also builds the per-process stat
@@ -113,15 +125,16 @@ namespace
  * construct pays.
  */
 template <typename Make>
-uint64_t
+Allocs
 constructAllocations(Make &&make)
 {
     make();
     allocations = 0;
+    allocatedBytes = 0;
     counting = true;
     auto m = make();
     counting = false;
-    return allocations.load();
+    return {allocations.load(), allocatedBytes.load()};
 }
 
 Program
@@ -132,7 +145,9 @@ table3Program()
 
 // The Table-3 ALEWIFE machine of the benchmark: a 4x4 mesh, 2M words
 // per node, one host thread. 2,131 allocations while every stat
-// copied its text onto the heap.
+// copied its text onto the heap, 726 (841,112 bytes) while stat lists
+// grew by push_back, controllers built empty deques and memory pages
+// held 4,096 words.
 TEST(MachineAlloc, AlewifeConstructStaysUnderBudget)
 {
     const Program prog = table3Program();
@@ -140,25 +155,30 @@ TEST(MachineAlloc, AlewifeConstructStaysUnderBudget)
     ap.network = {.dim = 2, .radix = 4};
     ap.wordsPerNode = 1u << 21;
     ap.hostThreads = 1;
-    uint64_t n = constructAllocations(
+    Allocs a = constructAllocations(
         [&] { return std::make_unique<AlewifeMachine>(ap, &prog); });
-    std::printf("4x4 ALEWIFE construct: %llu allocations\n",
-                (unsigned long long)n);
-    EXPECT_LE(n, 900u);
+    std::printf("4x4 ALEWIFE construct: %llu allocations, %llu bytes\n",
+                (unsigned long long)a.count, (unsigned long long)a.bytes);
+    EXPECT_LE(a.count, 420u);
+    EXPECT_LE(a.bytes, 440'000u);
 }
 
-// The 16-node perfect-memory machine: 668 allocations before.
+// The 16-node perfect-memory machine: 668 allocations with heap stat
+// text, then 296 (656,120 bytes) with growing stat lists and
+// 4,096-word pages.
 TEST(MachineAlloc, PerfectConstructStaysUnderBudget)
 {
     const Program prog = table3Program();
     PerfectMachineParams mp;
     mp.numNodes = 16;
     mp.wordsPerNode = 1u << 21;
-    uint64_t n = constructAllocations(
+    Allocs a = constructAllocations(
         [&] { return std::make_unique<PerfectMachine>(mp, &prog); });
-    std::printf("16-node perfect construct: %llu allocations\n",
-                (unsigned long long)n);
-    EXPECT_LE(n, 320u);
+    std::printf("16-node perfect construct: %llu allocations, %llu "
+                "bytes\n",
+                (unsigned long long)a.count, (unsigned long long)a.bytes);
+    EXPECT_LE(a.count, 220u);
+    EXPECT_LE(a.bytes, 240'000u);
 }
 
 } // namespace

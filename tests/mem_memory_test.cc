@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/memory.hh"
 
 namespace april
@@ -128,6 +131,65 @@ TEST(Memory, NoPageSpansTwoNodes)
             ++visited;
         });
     EXPECT_EQ(visited, 2u);
+}
+
+/** Pages are one 4 KiB host page at most and the page table has two
+ *  levels; at every node size, neither a page nor a leaf of page
+ *  pointers holds words of two homes, and resident pages are visited
+ *  in address order across leaf boundaries. */
+TEST(Memory, PagesAndLeavesStayWithinOneHome)
+{
+    struct Shape
+    {
+        uint32_t wordsPerNode;
+        size_t pageWords;
+        size_t leafPages;
+    };
+    for (Shape sh : {Shape{100, 4, 1}, Shape{256, 256, 1},
+                     Shape{1024, 512, 2}, Shape{1u << 16, 512, 128},
+                     Shape{1u << 21, 512, 512}}) {
+        SCOPED_TRACE(sh.wordsPerNode);
+        SharedMemory m({.numNodes = 3, .wordsPerNode = sh.wordsPerNode});
+        EXPECT_EQ(m.pageWords(), sh.pageWords);
+        EXPECT_EQ(m.leafPages(), sh.leafPages);
+        EXPECT_EQ(sh.wordsPerNode % (m.pageWords() * m.leafPages()), 0u);
+
+        // Each node's first and last word, and a word past the first
+        // leaf, written from the top of memory down.
+        std::vector<Addr> written;
+        for (uint32_t n = 0; n < m.numNodes(); ++n) {
+            Addr base = m.nodeBase(n);
+            written.push_back(base);
+            written.push_back(base + sh.wordsPerNode - 1);
+            Addr past_leaf = base + m.pageWords() * m.leafPages();
+            if (past_leaf < base + sh.wordsPerNode)
+                written.push_back(past_leaf);
+        }
+        std::sort(written.begin(), written.end());
+        for (auto it = written.rbegin(); it != written.rend(); ++it)
+            m.write(*it, Word(*it + 1));
+
+        std::vector<Addr> bases;
+        m.forEachResidentPage(
+            [&](Addr base, const MemWord *words, size_t count) {
+                EXPECT_EQ(count, m.pageWords());
+                EXPECT_EQ(m.homeNode(base), m.homeNode(base + count - 1));
+                EXPECT_TRUE(bases.empty() || bases.back() < base);
+                for (size_t i = 0; i < count; ++i) {
+                    bool was_written = std::binary_search(
+                        written.begin(), written.end(), base + i);
+                    EXPECT_EQ(words[i].data,
+                              was_written ? Word(base + i + 1) : 0u);
+                }
+                bases.push_back(base);
+            });
+        std::vector<Addr> pages;
+        for (Addr a : written)
+            pages.push_back(a / m.pageWords() * m.pageWords());
+        pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+        EXPECT_EQ(bases, pages);
+        EXPECT_EQ(m.residentPages(), pages.size());
+    }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "common/random.hh"
 #include "test_support/mult_run.hh"
@@ -159,6 +160,14 @@ struct Case
     uint32_t nodes;
     const char *name;
 };
+
+/** gtest prints the parameter into each test's name: the case name,
+ *  not the struct's bytes. */
+void
+PrintTo(const Case &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class Differential : public ::testing::TestWithParam<Case>
 {

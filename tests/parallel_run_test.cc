@@ -201,14 +201,14 @@ TEST(ParallelRunMesh, LimitedDirectoryOnMeshIsBitIdentical)
     }
 }
 
-/** Nodes smaller than a full 4096-word memory page (DESIGN.md
+/** Nodes smaller than a full 512-word memory page (DESIGN.md
  *  §7.11): a page shared by two nodes' home ranges would be
  *  materialised and read by two shards at once. At one node per
  *  shard, the 4-thread run must be a race-free twin of the 1-thread
  *  run, resident pages included. */
 TEST(ParallelRunMesh, SubPageNodeSpansAreBitIdentical)
 {
-    constexpr uint32_t kWordsPerNode = 1u << 10;
+    constexpr uint32_t kWordsPerNode = 1u << 8;
     workloads::WideSharing w =
         workloads::buildWideSharing(4, kWordsPerNode);
     auto runWide = [&](uint32_t threads) {

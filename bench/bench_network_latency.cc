@@ -34,6 +34,7 @@
 #include "machine/alewife_machine.hh"
 #include "machine/workload.hh"
 #include "network/network.hh"
+#include "network/telemetry.hh"
 
 namespace
 {
@@ -58,18 +59,22 @@ averageHops(Network &n, int samples, Rng &rng)
 double
 loadedLatency(double inject_per_node, uint64_t cycles, uint64_t seed)
 {
+    static const std::vector<ClassText> classes =
+        Telemetry::classText({"Packet"});
     Network n({.dim = 2, .radix = 8});
+    Telemetry tel(n.numNodes(), classes, nullptr, n.maxHops());
     Rng rng(seed);
     for (uint64_t cycle = 0; cycle < cycles; ++cycle) {
         for (uint32_t node = 0; node < n.numNodes(); ++node) {
             if (rng.chance(inject_per_node)) {
                 uint32_t dst = uint32_t(rng.below(n.numNodes()));
                 Injection inj = n.inject(node, dst, 4, cycle);
-                n.recordDelivery(dst, inj.arrive - cycle, inj.hops, 4);
+                tel.recordDeliver(node, dst, 0, 4, inj.arrive - cycle,
+                                  inj.hops);
             }
         }
     }
-    n.foldStats();
+    n.foldStats(tel);
     return n.statLatency.mean();
 }
 

@@ -168,15 +168,16 @@ void
 Controller::send(uint32_t to, Message msg, uint32_t extra)
 {
     msg.from = nodeId;
-    pushDelayed(fabric->now() + params.occupancy + extra, to, msg);
+    pushDelayed(fabric->now() + ControllerParams::kOccupancy + extra, to,
+                msg);
 }
 
 void
 Controller::sendAfterMemory(uint32_t to, Message msg, uint32_t extra)
 {
     msg.from = nodeId;
-    pushDelayed(fabric->now() + params.occupancy + params.memLatency +
-                    extra,
+    pushDelayed(fabric->now() + ControllerParams::kOccupancy +
+                    params.memLatency + extra,
                 to, msg);
 }
 
@@ -187,8 +188,9 @@ Controller::dispatch(uint32_t to, const Message &msg)
         inbox.push_back(msg);
     } else {
         fabric->transmit(to, msg,
-                         carriesData(msg.type) ? params.dataFlits
-                                               : params.reqFlits);
+                         carriesData(msg.type)
+                             ? ControllerParams::kDataFlits
+                             : ControllerParams::kReqFlits);
     }
 }
 
@@ -297,7 +299,7 @@ Controller::addSharer(DirEntry &e, Addr line_addr, uint32_t sharer)
     TRACE(Coh, "c", fabric->now(), " n", nodeId, " line=", line_addr,
           " overflow trap: ", resident, " ptrs spilled (",
           e.sharers.size(), " sharers)");
-    return params.spillPenalty;
+    return ControllerParams::kSpillPenalty;
 }
 
 void
@@ -313,7 +315,7 @@ Controller::spillWalkCost(DirEntry &e)
     if (params.dirScheme != DirScheme::LimitedPtr || e.spilled == 0)
         return 0;
     ++statSpillWalks;
-    return params.spillPenalty;
+    return ControllerParams::kSpillPenalty;
 }
 
 // ---------------------------------------------------------------------

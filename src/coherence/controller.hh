@@ -45,11 +45,19 @@ using april::Processor;
 /** Controller configuration. */
 struct ControllerParams
 {
+    /// Controller cycles per message.
+    static constexpr uint32_t kOccupancy = 2;
+    /// Network size of a request, in flits.
+    static constexpr uint32_t kReqFlits = 2;
+    /// Network size of a data-carrying message, in flits.
+    static constexpr uint32_t kDataFlits = 6;
+    /// LimitedPtr: software spill-handler occupancy in cycles, paid
+    /// by the transaction that overflows the pointer array and by
+    /// exclusive requests that must walk the spilled-sharer table.
+    static constexpr uint32_t kSpillPenalty = 50;
+
     cache::CacheParams cache;
     uint32_t memLatency = 10;   ///< local DRAM access (Table 4)
-    uint32_t occupancy = 2;     ///< controller cycles per message
-    uint32_t reqFlits = 2;      ///< network size of a request
-    uint32_t dataFlits = 6;     ///< network size of a data-carrying msg
     /// Directory organization; FullMap is the paper's (and the
     /// differential oracle's) scheme, LimitedPtr the i-pointer
     /// LimitLESS-style directory that makes >64-node machines
@@ -59,10 +67,6 @@ struct ControllerParams
     /// trap. 0 forces the spill handler on every sharer addition —
     /// the fuzzer's worst case.
     uint32_t dirPointers = 4;
-    /// LimitedPtr: software spill-handler occupancy in cycles, paid
-    /// by the transaction that overflows the pointer array and by
-    /// exclusive requests that must walk the spilled-sharer table.
-    uint32_t spillPenalty = 50;
 };
 
 /**

@@ -39,14 +39,6 @@ class Digest
             addByte(uint8_t(v >> (8 * i)));
     }
 
-    /** Feed a 64-bit value (little-endian byte order). */
-    void
-    addU64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            addByte(uint8_t(v >> (8 * i)));
-    }
-
     /** Feed a string verbatim. */
     void
     addString(const std::string &s)

@@ -89,92 +89,6 @@ Average::printJson(std::ostream &os) const
     os << ",\"count\":" << _count << "}";
 }
 
-Distribution::Distribution(Group *parent, Text name, Text desc, int64_t lo,
-                           int64_t hi, int64_t bucket_size)
-    : Info(parent, name, desc), _lo(lo), _hi(hi), _bucketSize(bucket_size)
-{
-    if (bucket_size <= 0 || hi <= lo)
-        panic("Distribution ", this->name(), ": bad bucket spec");
-    _buckets.resize(size_t((hi - lo + bucket_size - 1) / bucket_size), 0);
-    reset();
-}
-
-void
-Distribution::sample(int64_t v)
-{
-    if (_count == 0) {
-        _min = _max = v;
-    } else {
-        _min = std::min(_min, v);
-        _max = std::max(_max, v);
-    }
-    ++_count;
-    _sum += double(v);
-
-    if (v < _lo)
-        ++_underflow;
-    else if (v >= _hi)
-        ++_overflow;
-    else
-        ++_buckets[size_t((v - _lo) / _bucketSize)];
-}
-
-void
-Distribution::print(std::ostream &os, std::string_view prefix) const
-{
-    writeLabel(os, prefix, name());
-    os << std::setw(14) << mean() << "  # " << desc()
-       << " (mean; samples=" << _count
-       << " min=" << (_count ? _min : 0)
-       << " max=" << (_count ? _max : 0) << ")\n";
-    for (size_t i = 0; i < _buckets.size(); ++i) {
-        if (!_buckets[i])
-            continue;
-        long long b_lo = _lo + int64_t(i) * _bucketSize;
-        char range[48];
-        std::snprintf(range, sizeof range, "[%lld,%lld)", b_lo,
-                      b_lo + _bucketSize);
-        writeLabel(os, prefix, name(), range);
-        os << std::setw(14) << _buckets[i] << "\n";
-    }
-    if (_underflow) {
-        writeLabel(os, prefix, name(), "[under]");
-        os << std::setw(14) << _underflow << "\n";
-    }
-    if (_overflow) {
-        writeLabel(os, prefix, name(), "[over]");
-        os << std::setw(14) << _overflow << "\n";
-    }
-}
-
-void
-Distribution::printJson(std::ostream &os) const
-{
-    os << "{\"type\":\"distribution\",\"desc\":";
-    json::writeString(os, desc());
-    os << ",\"count\":" << _count << ",\"mean\":";
-    json::writeNumber(os, mean());
-    os << ",\"min\":" << (_count ? _min : 0)
-       << ",\"max\":" << (_count ? _max : 0)
-       << ",\"lo\":" << _lo << ",\"bucketSize\":" << _bucketSize
-       << ",\"underflow\":" << _underflow
-       << ",\"overflow\":" << _overflow << ",\"buckets\":[";
-    for (size_t i = 0; i < _buckets.size(); ++i)
-        os << (i ? "," : "") << _buckets[i];
-    os << "]}";
-}
-
-void
-Distribution::reset()
-{
-    std::fill(_buckets.begin(), _buckets.end(), 0);
-    _underflow = _overflow = 0;
-    _count = 0;
-    _sum = 0;
-    _min = std::numeric_limits<int64_t>::max();
-    _max = std::numeric_limits<int64_t>::min();
-}
-
 Histogram::Histogram(Group *parent, Text name, Text desc,
                      size_t num_buckets)
     : Info(parent, name, desc)

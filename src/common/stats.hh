@@ -158,8 +158,8 @@ class Info
     /**
      * One representative number for time-series sampling (the
      * interval profiler records this every N cycles): the value for
-     * scalars and formulas, the running mean for averages,
-     * distributions and histograms.
+     * scalars and formulas, the running mean for averages and
+     * histograms.
      */
     virtual double summaryValue() const = 0;
 
@@ -233,45 +233,6 @@ class Average : public Info
   private:
     double _sum = 0;
     uint64_t _count = 0;
-};
-
-/** Fixed-width bucketed histogram with underflow/overflow bins. */
-class Distribution : public Info
-{
-  public:
-    /**
-     * @param lo lowest bucketed value (inclusive)
-     * @param hi highest bucketed value (exclusive)
-     * @param bucket_size width of each bucket
-     */
-    Distribution(Group *parent, Text name, Text desc, int64_t lo,
-                 int64_t hi, int64_t bucket_size);
-
-    void sample(int64_t v);
-
-    uint64_t count() const { return _count; }
-    double mean() const { return _count ? _sum / double(_count) : 0.0; }
-    int64_t min() const { return _min; }
-    int64_t max() const { return _max; }
-    uint64_t bucketCount(size_t i) const { return _buckets.at(i); }
-    size_t numBuckets() const { return _buckets.size(); }
-
-    void print(std::ostream &os, std::string_view prefix) const override;
-    void printJson(std::ostream &os) const override;
-    void reset() override;
-    double summaryValue() const override { return mean(); }
-
-  private:
-    int64_t _lo;
-    int64_t _hi;
-    int64_t _bucketSize;
-    std::vector<uint64_t> _buckets;
-    uint64_t _underflow = 0;
-    uint64_t _overflow = 0;
-    uint64_t _count = 0;
-    double _sum = 0;
-    int64_t _min = 0;
-    int64_t _max = 0;
 };
 
 /** A statistic computed on demand from other statistics. */

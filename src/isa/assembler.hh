@@ -150,14 +150,12 @@ class Assembler
     void orR(uint8_t rd, uint8_t rs1, uint8_t rs2) { alu3(Opcode::OR, rd, rs1, rs2, false); }
     void oriR(uint8_t rd, uint8_t rs1, int32_t imm) { alui(Opcode::OR, rd, rs1, imm, false); }
     void xorR(uint8_t rd, uint8_t rs1, uint8_t rs2) { alu3(Opcode::XOR, rd, rs1, rs2, false); }
-    void xoriR(uint8_t rd, uint8_t rs1, int32_t imm) { alui(Opcode::XOR, rd, rs1, imm, false); }
     void slliR(uint8_t rd, uint8_t rs1, int32_t imm) { alui(Opcode::SLL, rd, rs1, imm, false); }
     void srliR(uint8_t rd, uint8_t rs1, int32_t imm) { alui(Opcode::SRL, rd, rs1, imm, false); }
     void sraiR(uint8_t rd, uint8_t rs1, int32_t imm) { alui(Opcode::SRA, rd, rs1, imm, false); }
 
     /** Strict compare: SUB to r0 (sets condition codes only). */
     void cmp(uint8_t rs1, uint8_t rs2) { alu3(Opcode::SUB, reg::r0, rs1, rs2, true); }
-    void cmpi(uint8_t rs1, int32_t imm) { alui(Opcode::SUB, reg::r0, rs1, imm, true); }
     /** Raw compare (no future trap). */
     void cmpR(uint8_t rs1, uint8_t rs2) { alu3(Opcode::SUB, reg::r0, rs1, rs2, false); }
     void cmpiR(uint8_t rs1, int32_t imm) { alui(Opcode::SUB, reg::r0, rs1, imm, false); }
@@ -207,7 +205,6 @@ class Assembler
     void j(Cond cond, const Label &target);
     /** Branch leaving the delay slot to the caller. */
     void jRaw(Cond cond, const Label &target);
-    void jal(const Label &target) { j(Cond::AL, target); }
 
     /** Call a known function: link into `ra`, NOP in the slot. */
     void call(const Label &target);

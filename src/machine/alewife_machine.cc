@@ -52,7 +52,8 @@ AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
     // sent at cycle c can be observed before c + Q, so shards may
     // advance Q cycles between barriers without seeing each other.
     quantum_ = net_.minCrossNodeLatency(
-        std::min(p.controller.reqFlits, p.controller.dataFlits));
+        std::min(coh::ControllerParams::kReqFlits,
+                 coh::ControllerParams::kDataFlits));
     if (quantum_ == 0)
         quantum_ = 1;
 
@@ -66,6 +67,7 @@ AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
     uint32_t rem = n % w;
     uint32_t at = 0;
     for (uint32_t s = 0; s < w; ++s) {
+        shards[s].machine = this;
         shards[s].first = at;
         at += base + (s < rem ? 1 : 0);
         shards[s].last = at;
@@ -76,10 +78,8 @@ AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
     for (uint32_t i = 0; i < n; ++i) {
         uint32_t shard = shardOf(i);
         Shard *sh = &shards[shard];
-        fabrics.push_back(std::make_unique<NodeFabric>(this, sh));
         ctrls.push_back(std::make_unique<coh::Controller>(
-            ctrlParams_, i, p.proc.numFrames, &mem_,
-            fabrics.back().get(), this));
+            ctrlParams_, i, p.proc.numFrames, &mem_, sh, this));
         coh::Controller &ctrl = *ctrls.back();
         ctrl.setProcessor(&addNode(i, &ctrl, shard, &sh->cycle));
         ctrl.setTraceRecorder(sh->trace);
@@ -97,12 +97,6 @@ AlewifeMachine::AlewifeMachine(const AlewifeParams &p,
 }
 
 AlewifeMachine::~AlewifeMachine() = default;
-
-uint64_t
-AlewifeMachine::NodeFabric::now() const
-{
-    return s->cycle;
-}
 
 uint32_t
 AlewifeMachine::shardOf(uint32_t node) const
@@ -131,11 +125,20 @@ AlewifeMachine::nextGrid(uint64_t c) const
 // ---------------------------------------------------------------------
 
 void
-AlewifeMachine::pushArrival(const InFlight &f)
+AlewifeMachine::pushArrival(InFlight &&f)
 {
     auto &q = arrivals[f.dst].q;
-    q.push_back(f);
+    q.push_back(std::move(f));
     std::push_heap(q.begin(), q.end());
+}
+
+void
+AlewifeMachine::post(Shard &s, InFlight &&f)
+{
+    if (f.dst >= s.first && f.dst < s.last)
+        pushArrival(std::move(f));
+    else
+        s.outbox.push_back(std::move(f));
 }
 
 void
@@ -159,10 +162,28 @@ AlewifeMachine::shardTransmit(Shard &s, uint32_t to,
     f.hops = inj.hops;
     f.sendCycle = s.cycle;
     f.msg = msg;
-    if (to >= s.first && to < s.last)
-        pushArrival(f);
-    else
-        s.outbox.push_back(std::move(f));
+    post(s, std::move(f));
+}
+
+void
+AlewifeMachine::queueIpi(Shard &s, uint32_t src, uint32_t dst,
+                         Word arg)
+{
+    // Preemptive interprocessor interrupts (Section 3.4) travel
+    // through the network as a request packet handled once by the
+    // remote controller: occupancy + traversal, without link
+    // contention. The latency is at least the quantum for any
+    // cross-node pair, so they share the packets' barrier merge.
+    net::Injection inj = net_.injectUncontended(
+        src, dst, coh::ControllerParams::kReqFlits,
+        s.cycle + coh::ControllerParams::kOccupancy);
+    InFlight f;
+    f.arrive = inj.arrive;
+    f.src = src;
+    f.seq = inj.seq;
+    f.dst = dst;
+    f.ipiArg = arg;
+    post(s, std::move(f));
 }
 
 void
@@ -173,8 +194,10 @@ AlewifeMachine::deliverNode(Shard &s, uint32_t node)
         std::pop_heap(q.begin(), q.end());
         InFlight f = std::move(q.back());
         q.pop_back();
-        net_.recordDelivery(node, s.cycle - f.sendCycle, f.hops,
-                            f.flits);
+        if (f.flits == 0) {
+            procs_[node]->postIpi(f.ipiArg);
+            continue;
+        }
         telemetry_.recordDeliver(f.src, node, uint8_t(f.msg.type),
                                  f.flits, s.cycle - f.sendCycle,
                                  f.hops);
@@ -187,52 +210,6 @@ AlewifeMachine::deliverNode(Shard &s, uint32_t node)
               " latency=", s.cycle - f.sendCycle);
         ctrls[node]->receive(f.msg);
     }
-}
-
-void
-AlewifeMachine::queueIpi(Shard &s, uint32_t src, uint32_t dst,
-                         Word arg)
-{
-    // Preemptive interprocessor interrupts (Section 3.4) travel
-    // through the network as a request packet handled once by the
-    // remote controller: occupancy + traversal. The latency is at
-    // least the quantum for any cross-node pair, so the parallel
-    // engine can commit them at barriers.
-    uint64_t due = s.cycle + ctrlParams_.occupancy +
-                   uint64_t(net_.distance(src, dst)) *
-                       net_.hopCycles() +
-                   ctrlParams_.reqFlits;
-    PendingIpi ipi{due, src, dst, arg};
-    if (&shards[shardOf(dst)] == &s)
-        insertIpi(s, ipi);
-    else
-        s.ipiOutbox.push_back(ipi);
-}
-
-void
-AlewifeMachine::insertIpi(Shard &home, const PendingIpi &ipi)
-{
-    auto pos = std::upper_bound(
-        home.ipiPending.begin(), home.ipiPending.end(), ipi,
-        [](const PendingIpi &a, const PendingIpi &b) {
-            return a.due != b.due ? a.due < b.due : a.src < b.src;
-        });
-    home.ipiPending.insert(pos, ipi);
-}
-
-void
-AlewifeMachine::applyIpis(Shard &s)
-{
-    if (s.ipiPending.empty() || s.ipiPending.front().due > s.cycle)
-        return;
-    size_t n = 0;
-    while (n < s.ipiPending.size() && s.ipiPending[n].due <= s.cycle) {
-        const PendingIpi &ipi = s.ipiPending[n];
-        procs_[ipi.dst]->postIpi(ipi.arg);
-        ++n;
-    }
-    s.ipiPending.erase(s.ipiPending.begin(),
-                       s.ipiPending.begin() + long(n));
 }
 
 uint32_t
@@ -297,10 +274,7 @@ uint64_t
 AlewifeMachine::shardNextEvent(const Shard &s) const
 {
     uint64_t soon = s.cycle + 1;
-    uint64_t next = std::min(s.haltAt, s.blockMin);
-    if (!s.ipiPending.empty())
-        next = std::min(next, s.ipiPending.front().due);
-    next = std::max(next, soon);
+    uint64_t next = std::max(std::min(s.haltAt, s.blockMin), soon);
     // Components in cheapest-first order, bailing out as soon as one
     // wants the very next tick: the common busy case must not pay
     // full scans.
@@ -353,7 +327,6 @@ AlewifeMachine::advanceShard(Shard &s, uint64_t target)
             continue;
         }
         ++s.cycle;
-        applyIpis(s);
         for (uint32_t i = s.first; i < s.last; ++i) {
             deliverNode(s, i);
             ctrls[i]->tick();
@@ -366,28 +339,21 @@ void
 AlewifeMachine::syncAt(uint64_t t)
 {
     cycle_ = t;
-    // Cross-shard packets: the arrival heaps order by the canonical
-    // (arrive, src, seq) key, so insertion order is irrelevant — but
-    // every merged packet must still be in this barrier's future.
+    // Cross-shard packets and interrupts: the arrival heaps order by
+    // the canonical (arrive, src, seq) key, so insertion order is
+    // irrelevant — but every merged one must still be in this
+    // barrier's future.
     for (Shard &s : shards) {
         for (InFlight &f : s.outbox) {
             if (f.arrive <= t) {
-                panic("parallel engine: packet ", f.src, "->", f.dst,
-                      " arrives at ", f.arrive,
+                panic("parallel engine: ",
+                      f.flits ? "packet " : "interrupt ", f.src, "->",
+                      f.dst, " arrives at ", f.arrive,
                       " on or before the barrier at ", t);
             }
-            pushArrival(f);
+            pushArrival(std::move(f));
         }
         s.outbox.clear();
-        for (const PendingIpi &ipi : s.ipiOutbox) {
-            if (ipi.due <= t) {
-                panic("parallel engine: IPI ", ipi.src, "->", ipi.dst,
-                      " due at ", ipi.due,
-                      " on or before the barrier at ", t);
-            }
-            insertIpi(shards[shardOf(ipi.dst)], ipi);
-        }
-        s.ipiOutbox.clear();
     }
     // Block transfers commit in canonical (commit, issue-cycle, node)
     // order; ops beyond this barrier (budget- or sample-clamped
@@ -517,8 +483,8 @@ void
 AlewifeMachine::foldObservability()
 {
     conform_.check();
-    net_.foldStats();
     telemetry_.foldStats();
+    net_.foldStats(telemetry_);
 }
 
 Word

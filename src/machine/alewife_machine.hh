@@ -12,11 +12,13 @@
  * network arrival queues and a local clock, and advances
  * independently inside a quantum of Q cycles, where Q is the minimum
  * cross-node network latency — no message sent during a quantum can
- * arrive inside the same quantum. At the quantum barrier the
- * coordinator merges cross-shard traffic in a canonical order, so a
- * run is bit-identical for every host-thread count (the 1-thread
- * configuration IS the sequential simulator; there is no separate
- * sequential loop).
+ * arrive inside the same quantum. The arrival queues are the one
+ * cross-node channel: coherence packets and interprocessor
+ * interrupts (Section 3.4) both travel on them. At the quantum
+ * barrier the coordinator merges cross-shard traffic in a canonical
+ * order, so a run is bit-identical for every host-thread count (the
+ * 1-thread configuration IS the sequential simulator; there is no
+ * separate sequential loop).
  *
  * The shared layer (machine/machine.hh) owns the nodes' processors,
  * I/O registers, planes, clock and run loop; this machine adds the
@@ -71,8 +73,8 @@ class AlewifeMachine final : public Machine
     /** Every shard in node order, then one barrier (serial). */
     void tick() override;
 
-    /** Over processors, controllers, in-flight packets, pending
-     *  interrupts and block transfers. */
+    /** Over processors, controllers, in-flight packets and
+     *  interrupts, and block transfers. */
     uint64_t nextEventCycle() const override;
 
     /** Number of shards (= host worker threads) actually in use. */
@@ -95,20 +97,20 @@ class AlewifeMachine final : public Machine
     analysis::RaceDetector *raceDetector() { return races.get(); }
 
   private:
-    struct Shard;
-
-    /** One coherence message in flight, timing fixed at injection.
-     *  Heap-ordered by the canonical (arrive, src, seq) key, so the
-     *  delivery order is independent of insertion order. */
+    /** One coherence packet or interprocessor interrupt in flight,
+     *  timing fixed at injection. Heap-ordered by the canonical
+     *  (arrive, src, seq) key, so the delivery order is independent
+     *  of insertion order. */
     struct InFlight
     {
         uint64_t arrive = 0;
         uint32_t src = 0;
-        uint64_t seq = 0;       ///< per-source injection sequence
         uint32_t dst = 0;
-        uint32_t flits = 0;
-        uint32_t hops = 0;
+        uint64_t seq = 0;       ///< per-source injection sequence
         uint64_t sendCycle = 0;
+        uint32_t flits = 0;     ///< 0: an interrupt, not a packet
+        uint32_t hops = 0;
+        Word ipiArg = 0;        ///< the interrupt's trap argument
         coh::Message msg;
 
         /// std::push_heap builds a max-heap; invert for earliest-first.
@@ -130,17 +132,6 @@ class AlewifeMachine final : public Machine
         std::vector<InFlight> q;    ///< binary min-heap (see InFlight)
     };
 
-    /** An interprocessor interrupt in flight (Section 3.4: delivered
-     *  through the network; latency = controller occupancy + network
-     *  traversal of a request packet). */
-    struct PendingIpi
-    {
-        uint64_t due = 0;
-        uint32_t src = 0;
-        uint32_t dst = 0;
-        Word arg = 0;
-    };
-
     /** A block transfer awaiting its commit boundary. */
     struct BlockOp
     {
@@ -159,41 +150,18 @@ class AlewifeMachine final : public Machine
         Word word = 0;
     };
 
-    /** Fabric endpoint for one node, bound to its shard's clock. */
-    class NodeFabric : public coh::Fabric
+    /** One worker thread's slice of the machine. It is also the
+     *  fabric of its nodes' controllers: a packet leaves on the
+     *  shard's clock (msg.from names the source). */
+    struct alignas(64) Shard final : coh::Fabric
     {
-      public:
-        NodeFabric(AlewifeMachine *machine, Shard *shard)
-            : m(machine), s(shard)
-        {}
-
-        void
-        transmit(uint32_t to, const coh::Message &msg,
-                 uint32_t flits) override
-        {
-            m->shardTransmit(*s, to, msg, flits);
-        }
-
-        uint64_t now() const override;
-
-      private:
-        AlewifeMachine *m;
-        Shard *s;
-    };
-
-    /** One worker thread's slice of the machine. */
-    struct alignas(64) Shard
-    {
+        AlewifeMachine *machine = nullptr;
         uint32_t first = 0;         ///< node range [first, last)
         uint32_t last = 0;
         uint64_t cycle = 0;         ///< local clock
-        /// Cross-shard packets injected this quantum, merged into the
-        /// destination queues at the barrier.
+        /// Cross-shard packets and interrupts injected this quantum,
+        /// merged into the destination queues at the barrier.
         std::vector<InFlight> outbox;
-        /// Cross-shard interrupts issued this quantum.
-        std::vector<PendingIpi> ipiOutbox;
-        /// Interrupts for this shard's nodes, sorted by (due, src).
-        std::vector<PendingIpi> ipiPending;
         /// Block transfers issued this quantum (committed at the
         /// barrier by the coordinator).
         std::vector<BlockOp> blockOps;
@@ -204,6 +172,15 @@ class AlewifeMachine final : public Machine
         /// (nullptr when tracing is off).
         trace::Recorder *trace = nullptr;
         std::vector<ConsoleEntry> console;
+
+        void
+        transmit(uint32_t to, const coh::Message &msg,
+                 uint32_t flits) override
+        {
+            machine->shardTransmit(*this, to, msg, flits);
+        }
+
+        uint64_t now() const override { return cycle; }
     };
 
     uint32_t shardOf(uint32_t node) const;
@@ -214,13 +191,14 @@ class AlewifeMachine final : public Machine
 
     void shardTransmit(Shard &s, uint32_t to, const coh::Message &msg,
                        uint32_t flits);
-    void pushArrival(const InFlight &f);
+    /** Queue @p f at its destination: @p s's own heap, or the outbox
+     *  when another shard owns the destination. */
+    void post(Shard &s, InFlight &&f);
+    void pushArrival(InFlight &&f);
+    /** Deliver @p node's due packets to its controller and its due
+     *  interrupts to its processor. */
     void deliverNode(Shard &s, uint32_t node);
-    void applyIpis(Shard &s);
     void queueIpi(Shard &s, uint32_t src, uint32_t dst, Word arg);
-    /** Insert @p ipi into @p home's pending list, which is kept in
-     *  the canonical (due, src) order. */
-    static void insertIpi(Shard &home, const PendingIpi &ipi);
     uint32_t queueBlockGo(Shard &s, uint32_t node, Word src, Word dst,
                           Word len);
     void executeBlockOp(const BlockOp &op);
@@ -237,7 +215,7 @@ class AlewifeMachine final : public Machine
     void shardSkip(Shard &s, uint64_t cycles);
     /**
      * Advance @p s to @p target (clamped at this shard's own pending
-     * commit boundaries), delivering packets, applying interrupts and
+     * commit boundaries), delivering packets and interrupts and
      * ticking controllers and processors cycle by cycle, with
      * skip-window fast-forwarding when enabled.
      */
@@ -265,7 +243,6 @@ class AlewifeMachine final : public Machine
     std::vector<Shard> shards;
     std::vector<ArrivalQueue> arrivals;
     std::vector<std::unique_ptr<coh::Controller>> ctrls;
-    std::vector<std::unique_ptr<NodeFabric>> fabrics;
     std::unique_ptr<par::WorkerPool> pool_;
     /// Quantum end published to the worker pool for the current
     /// runQuantum() call (the pool's epoch counter orders the write).

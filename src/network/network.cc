@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "network/telemetry.hh"
 
 namespace april::net
 {
@@ -27,7 +28,6 @@ Network::Network(const NetworkParams &p, stats::Group *parent)
     ports.resize(_numNodes);
     for (SrcPort &port : ports)
         port.linkBusyUntil.assign(2 * size_t(p.dim), 0);
-    dstStats.resize(_numNodes);
 }
 
 int
@@ -87,33 +87,29 @@ Network::inject(uint32_t src, uint32_t dst, uint32_t flits,
     return inj;
 }
 
-void
-Network::recordDelivery(uint32_t dst, uint64_t latency, uint32_t hops,
-                        uint32_t flits)
+Injection
+Network::injectUncontended(uint32_t src, uint32_t dst, uint32_t flits,
+                           uint64_t now)
 {
-    DstStats &s = dstStats.at(dst);
-    ++s.packets;
-    s.flitHops += uint64_t(flits) * hops;
-    s.latencySum += latency;
-    s.hopSum += hops;
+    if (src >= _numNodes || dst >= _numNodes)
+        panic("Network: bad endpoint ", src, "->", dst);
+    Injection inj;
+    inj.start = now;
+    inj.hops = distance(src, dst);
+    inj.arrive = now + uint64_t(inj.hops) * params.hopCycles + flits;
+    inj.seq = ports[src].seq++;
+    return inj;
 }
 
 void
-Network::foldStats()
+Network::foldStats(const Telemetry &t)
 {
-    // Sums of integers well below 2^53: exact in double regardless of
-    // node order, so the fold is bit-identical for any sharding.
-    uint64_t packets = 0, flit_hops = 0, lat_sum = 0, hop_sum = 0;
-    for (const DstStats &s : dstStats) {
-        packets += s.packets;
-        flit_hops += s.flitHops;
-        lat_sum += s.latencySum;
-        hop_sum += s.hopSum;
-    }
-    statPackets = double(packets);
-    statFlitHops = double(flit_hops);
-    statLatency.set(double(lat_sum), packets);
-    statHops.set(double(hop_sum), packets);
+    // Sums of integers well below 2^53: exact in double.
+    const Telemetry::Deliveries d = t.deliveries();
+    statPackets = double(d.packets);
+    statFlitHops = double(d.flitHops);
+    statLatency.set(double(d.latencySum), d.packets);
+    statHops.set(double(d.hopSum), d.packets);
 }
 
 } // namespace april::net

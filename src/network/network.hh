@@ -29,10 +29,9 @@
  * network tick at all; the machine owns the per-node arrival queues
  * and asks this class only for timing, topology, and statistics.
  *
- * Delivery statistics accumulate into plain per-node counters (the
- * delivering shard touches only its own nodes' slots) and fold into
- * the stats::Group members at deterministic synchronization points
- * via foldStats().
+ * The network group's delivery statistics are folded from the
+ * machine's Telemetry blocks (foldStats()), the one per-node account
+ * of delivered messages.
  */
 
 #ifndef APRIL_NETWORK_NETWORK_HH
@@ -46,6 +45,8 @@
 
 namespace april::net
 {
+
+class Telemetry;
 
 /** Network configuration. */
 struct NetworkParams
@@ -84,19 +85,22 @@ class Network : public stats::Group
                      uint64_t now);
 
     /**
-     * Account one delivered packet at @p dst (per-destination
-     * accumulators; only @p dst's shard may call this for @p dst).
+     * Timing of a @p flits-flit message from @p src to @p dst that
+     * occupies no injection port (an interprocessor interrupt,
+     * Section 3.4): arrive = now + distance * hopCycles + flits. It
+     * takes @p src's next sequence number, as inject() does. Only
+     * @p src's shard may call this for @p src.
      */
-    void recordDelivery(uint32_t dst, uint64_t latency, uint32_t hops,
-                        uint32_t flits);
+    Injection injectUncontended(uint32_t src, uint32_t dst,
+                                uint32_t flits, uint64_t now);
 
     /**
-     * Recompute the stats::Group members from the per-node
-     * accumulators. Idempotent; the machine calls it at deterministic
+     * Recompute the stats::Group members from @p t's delivery counts.
+     * Idempotent; the machine calls it at deterministic
      * synchronization points (quiesce, run exit, interval samples) so
      * dumped statistics are identical for every host-thread count.
      */
-    void foldStats();
+    void foldStats(const Telemetry &t);
 
     /**
      * The smallest possible send-to-delivery latency of a cross-node
@@ -139,21 +143,11 @@ class Network : public stats::Group
         uint64_t seq = 0;
     };
 
-    /** Per-destination delivery accounting (owned by the dest shard). */
-    struct alignas(64) DstStats
-    {
-        uint64_t packets = 0;
-        uint64_t flitHops = 0;
-        uint64_t latencySum = 0;
-        uint64_t hopSum = 0;
-    };
-
     int coord(uint32_t node, int d) const;
 
     NetworkParams params;
     uint32_t _numNodes;
     std::vector<SrcPort> ports;
-    std::vector<DstStats> dstStats;
 };
 
 } // namespace april::net

@@ -91,6 +91,7 @@ Telemetry::Telemetry(uint32_t num_nodes,
     place(layout.hopLatMin, hop_slots);
     place(layout.hopLatMax, hop_slots);
     place(layout.hopBuckets, hop_slots * kBuckets);
+    place(layout.flitHops, 1);
     constexpr size_t kLineWords = kLineBytes / sizeof(uint64_t);
     layout.words = (words + kLineWords - 1) / kLineWords * kLineWords;
     const size_t total = size_t(nodes) * layout.words;
@@ -163,6 +164,7 @@ Telemetry::recordDeliver(uint32_t src, uint32_t dst, uint8_t cls,
     hop_min = uint64_t(std::min(int64_t(hop_min), lat));
     hop_max = uint64_t(std::max(int64_t(hop_max), lat));
     ++b[layout.hopBuckets + size_t(h) * kBuckets + bucket];
+    b[layout.flitHops] += uint64_t(flits) * hops;
 }
 
 uint64_t
@@ -172,6 +174,23 @@ Telemetry::sumOver(size_t at) const
     for (uint32_t n = 0; n < nodes; ++n)
         total += block(n)[at];
     return total;
+}
+
+Telemetry::Deliveries
+Telemetry::deliveries() const
+{
+    Deliveries d;
+    for (uint32_t n = 0; n < nodes; ++n) {
+        const uint64_t *b = block(n);
+        for (size_t c = 0; c < numClasses(); ++c) {
+            d.packets += b[layout.count + c];
+            d.latencySum += b[layout.latSum + c];
+        }
+        for (uint32_t h = 0; h <= maxHops_; ++h)
+            d.hopSum += uint64_t(h) * b[layout.hopCount + h];
+        d.flitHops += b[layout.flitHops];
+    }
+    return d;
 }
 
 void

@@ -9,14 +9,16 @@
  * table of class text (like trace::RecorderConfig::trapNames), so
  * this library stays independent of the coherence protocol.
  *
- * Determinism follows the Network::foldStats pattern: sends
- * accumulate into the source node's block of counters (owned by the
- * sending shard), deliveries into the destination node's block
+ * It is the machine's one account of delivered messages: the network
+ * group's packet, flit-hop, latency and hop statistics fold from the
+ * same blocks (Network::foldStats).
+ *
+ * Sends accumulate into the source node's block of counters (owned by
+ * the sending shard), deliveries into the destination node's block
  * (owned by the delivering shard), and foldStats() recomputes the
  * stats::Group members in canonical node order at deterministic
- * synchronization points —
- * identical for every host-thread count and with cycle-skipping on
- * or off.
+ * synchronization points — identical for every host-thread count and
+ * with cycle-skipping on or off.
  */
 
 #ifndef APRIL_NETWORK_TELEMETRY_HH
@@ -89,10 +91,21 @@ class Telemetry : public stats::Group
 
     /**
      * Recompute the stats::Group members from the per-node blocks in
-     * canonical node order. Idempotent; called by the machine at the
-     * same synchronization points as Network::foldStats.
+     * canonical node order. Idempotent; the machine calls it at
+     * deterministic synchronization points.
      */
     void foldStats();
+
+    /** Totals over every delivered message, read from the raw blocks
+     *  (no fold required). */
+    struct Deliveries
+    {
+        uint64_t packets = 0;
+        uint64_t flitHops = 0;      ///< flits x hops
+        uint64_t latencySum = 0;    ///< send-to-delivery cycles
+        uint64_t hopSum = 0;        ///< hops, each capped at maxHops()
+    };
+    Deliveries deliveries() const;
 
     uint32_t numNodes() const { return nodes; }
     size_t numClasses() const { return classes.size(); }
@@ -188,6 +201,7 @@ class Telemetry : public stats::Group
         size_t hopLatMin = 0;   ///< [hop distance]
         size_t hopLatMax = 0;   ///< [hop distance]
         size_t hopBuckets = 0;  ///< [hop distance][latency bucket]
+        size_t flitHops = 0;    ///< flits x hops delivered
         size_t words = 0;       ///< block size, whole lines
     };
 

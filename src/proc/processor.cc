@@ -168,7 +168,7 @@ Processor::reset(uint32_t entry_pc)
     _fence = 0;
     _halted = false;
     stall = 0;
-    ipiPending = false;
+    ipiPosted = false;
     handlerBucket_ = profile::Bucket::Useful;
     stallBucket_ = profile::Bucket::Hazard;
     std::fill(spinArmed_.begin(), spinArmed_.end(), uint8_t(0));
@@ -208,7 +208,7 @@ Processor::trapVector(TrapKind kind) const
 void
 Processor::postIpi(Word arg)
 {
-    ipiPending = true;
+    ipiPosted = true;
     ipiArg = arg;
 }
 
@@ -413,8 +413,8 @@ Processor::tick()
     // or a handler); execute paths override for faults and holds.
     cycleBucket_ = handlerBucket_;
 
-    if (ipiPending && (_psr & psr::ET)) {
-        ipiPending = false;
+    if (ipiPosted && (_psr & psr::ET)) {
+        ipiPosted = false;
         takeTrap(TrapKind::Ipi, ipiArg);
         account(acct_frame, cycleBucket_);
         return;

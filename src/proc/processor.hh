@@ -134,14 +134,12 @@ class Processor : public stats::Group
     void skipCycles(uint64_t cycles);
 
     bool halted() const { return _halted; }
-    void forceHalt() { _halted = true; }
     uint64_t cycle() const { return _cycle; }
     uint32_t nodeId() const { return params.nodeId; }
 
     // --- architectural state access (runtime setup, tests) ------------
 
     uint32_t fp() const { return _fp; }
-    void setFp(uint32_t f) { setFrame(f % params.numFrames); }
     uint32_t numFrames() const { return params.numFrames; }
     Frame &frame(uint32_t i) { return frames.at(i); }
     const Frame &frame(uint32_t i) const { return frames.at(i); }
@@ -149,7 +147,6 @@ class Processor : public stats::Group
     uint32_t pc() const { return _pc; }
     void setPcChain(uint32_t pc_, uint32_t npc_) { _pc = pc_; _npc = npc_; }
     Word psrWord() const { return _psr; }
-    void setPsr(Word v) { _psr = v; }
 
     /** Read a register in the *active* frame view (0..47). */
     Word readReg(uint8_t r) const;
@@ -186,9 +183,8 @@ class Processor : public stats::Group
         taskLane_ = lane;
     }
 
-    /** Fence counter (FLUSH acknowledgments outstanding). */
-    Word fenceCounter() const { return _fence; }
-    void incFence() { ++_fence; }
+    /** One FLUSH acknowledgment arrived: the fence counter (FLUSH
+     *  acknowledgments outstanding) drops by one. */
     void decFence() { if (_fence) --_fence; }
 
     const Program *program() const { return prog; }
@@ -295,7 +291,7 @@ class Processor : public stats::Group
     uint64_t _cycle = 0;
     uint32_t stall = 0;         ///< remaining hold cycles
     bool redirected = false;    ///< PC chain replaced by a trap/switch
-    bool ipiPending = false;
+    bool ipiPosted = false;     ///< an interrupt awaits ET (postIpi)
     Word ipiArg = 0;
 
     // --- cycle-accounting context (DESIGN.md §7.5) ---------------------

@@ -137,8 +137,6 @@ class ProbeMap
         return i < 0 ? nullptr : &sites_[size_t(i)];
     }
 
-    size_t numSites() const { return sites_.size(); }
-
   private:
     std::vector<Site> sites_;
     std::vector<int32_t> siteAt_;

@@ -30,7 +30,6 @@ constexpr bool kTakesStringText =
                             const std::string &, Rest...>;
 static_assert(!kTakesStringText<Scalar>);
 static_assert(!kTakesStringText<Average>);
-static_assert(!kTakesStringText<Distribution, int64_t, int64_t, int64_t>);
 static_assert(!kTakesStringText<Formula, std::function<double()>>);
 static_assert(!kTakesStringText<Histogram>);
 static_assert(!kTakesStringText<Histogram, size_t>);
@@ -79,27 +78,11 @@ TEST(Stats, AverageEmptyIsZero)
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
 }
 
-TEST(Stats, DistributionBucketsAndExtremes)
+TEST(Stats, HistogramBadSpecPanics)
 {
     Group g("top");
-    Distribution d(&g, "dist", "d", 0, 100, 10);
-    d.sample(5);
-    d.sample(15);
-    d.sample(15);
-    d.sample(-3);     // underflow
-    d.sample(150);    // overflow
-    EXPECT_EQ(d.count(), 5u);
-    EXPECT_EQ(d.bucketCount(0), 1u);
-    EXPECT_EQ(d.bucketCount(1), 2u);
-    EXPECT_EQ(d.min(), -3);
-    EXPECT_EQ(d.max(), 150);
-}
-
-TEST(Stats, DistributionBadSpecPanics)
-{
-    Group g("top");
-    EXPECT_THROW((Distribution(&g, "bad", "d", 10, 5, 1)), PanicError);
-    EXPECT_THROW((Distribution(&g, "bad2", "d", 0, 10, 0)), PanicError);
+    EXPECT_THROW((Histogram(&g, "bad", "h", 1)), PanicError);
+    EXPECT_THROW((Histogram(&g, "bad2", "h", 0)), PanicError);
     // A statistic that never finished construction leaves its group.
     EXPECT_TRUE(g.statsList().empty());
     Scalar ok(&g, "ok", "");
@@ -336,16 +319,16 @@ TEST(Stats, DumpPadsTheLabelColumn)
     Group g("top");
     Scalar s(&g, "n", "short");
     s = 3;
-    Distribution d(&g, "d", "dist", 0, 20, 10);
-    d.sample(12);
+    Histogram h(&g, "h", "hist");
+    h.sample(12);
     std::ostringstream os;
     g.dump(os);
     EXPECT_EQ(os.str(),
               "top.n" + std::string(39, ' ') + std::string(13, ' ') +
-                  "3  # short\n" + "top.d" + std::string(39, ' ') +
+                  "3  # short\n" + "top.h" + std::string(39, ' ') +
                   std::string(12, ' ') +
-                  "12  # dist (mean; samples=1 min=12 max=12)\n" +
-                  "top.d[10,20)" + std::string(32, ' ') +
+                  "12  # hist (mean; samples=1 min=12 max=12)\n" +
+                  "top.h[8,16)" + std::string(33, ' ') +
                   std::string(13, ' ') + "1\n");
 }
 

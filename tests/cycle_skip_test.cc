@@ -148,7 +148,8 @@ TEST(CtrlNextEvent, IdlePendingAndInbox)
     req.op = MemOp::Load;
     MemResult r = ctrl.access(req);
     EXPECT_EQ(r.kind, MemResult::Kind::Retry);
-    EXPECT_EQ(ctrl.nextEventCycle(), fabric.cur + cp.occupancy);
+    EXPECT_EQ(ctrl.nextEventCycle(),
+              fabric.cur + coh::ControllerParams::kOccupancy);
 
     // An entry already due (the clock moved past it) dispatches on the
     // very next tick, never in the past.

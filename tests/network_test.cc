@@ -95,21 +95,42 @@ TEST(Network, MinCrossNodeLatencyBoundsEveryPacket)
     }
 }
 
+// The network's delivery statistics fold from the telemetry blocks,
+// the one account of delivered messages.
 TEST(Network, StatsTrackHopsAndLatency)
 {
+    static const std::vector<ClassText> classes =
+        Telemetry::classText({"Req"});
     Network n({.dim = 1, .radix = 4});
+    Telemetry t(n.numNodes(), classes, nullptr, n.maxHops());
     Injection inj = n.inject(0, 2, 1, 0);
     EXPECT_EQ(inj.arrive, 3u);
-    n.recordDelivery(2, inj.arrive - 0, inj.hops, 1);
-    n.recordDelivery(2, 5, 2, 1);
-    n.foldStats();
+    t.recordDeliver(0, 2, 0, 1, inj.arrive - 0, inj.hops);
+    t.recordDeliver(1, 3, 0, 1, 5, 2);
+    n.foldStats(t);
     EXPECT_DOUBLE_EQ(n.statPackets.value(), 2.0);
     EXPECT_DOUBLE_EQ(n.statHops.mean(), 2.0);
     EXPECT_DOUBLE_EQ(n.statLatency.mean(), 4.0);
     EXPECT_DOUBLE_EQ(n.statFlitHops.value(), 4.0);
     // foldStats is idempotent: folding again must not double-count.
-    n.foldStats();
+    n.foldStats(t);
     EXPECT_DOUBLE_EQ(n.statPackets.value(), 2.0);
+}
+
+// An interrupt's timing: no link contention, but it takes the next
+// sequence number of its source, so every arrival key stays unique.
+TEST(Network, UncontendedInjectionTakesTheSourceSequence)
+{
+    Network n({.dim = 1, .radix = 4});
+    Injection first = n.inject(0, 3, 4, 0);
+    Injection ipi = n.injectUncontended(0, 3, 2, 0);
+    Injection next = n.inject(0, 3, 4, 0);
+    EXPECT_EQ(ipi.arrive, 3u + 2u);     // not queued behind first
+    EXPECT_EQ(ipi.hops, 3u);
+    EXPECT_LT(first.seq, ipi.seq);
+    EXPECT_LT(ipi.seq, next.seq);
+    EXPECT_EQ(next.arrive, 4u + 3u + 4u);   // behind first only
+    EXPECT_THROW(n.injectUncontended(0, 9, 2, 0), PanicError);
 }
 
 TEST(Network, BadEndpointsPanic)

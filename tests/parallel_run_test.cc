@@ -12,7 +12,9 @@
  * committed halt cycle, which is all twin comparison needs —
  * in-flight traffic is part of the deterministic state. An idle
  * sharded machine's host workers park, so a paused or finished
- * machine costs no CPU while it lives.
+ * machine costs no CPU while it lives. Interprocessor interrupts ride
+ * the same arrival queues as coherence packets, within a shard and
+ * across shards.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include <string>
 #include <thread>
 
+#include "common/digest.hh"
 #include "common/logging.hh"
 #include "machine/alewife_machine.hh"
 #include "machine/snapshot.hh"
@@ -323,6 +326,106 @@ TEST(ParallelRun, WorkerExceptionIsRethrown)
         << serial;
     EXPECT_NE(serial.find("node 3"), std::string::npos) << serial;
     EXPECT_EQ(faultMessage(4), serial);
+}
+
+/**
+ * Interprocessor interrupts (Section 3.4) on a 2x2 mesh, within a
+ * shard and across shards, mixed with coherence packets. In the same
+ * cycle nodes 0, 1 and 2 interrupt node 3 and node 3 interrupts node
+ * 2: nodes 1 and 2 are one hop from node 3, so their interrupts are
+ * due there in one cycle and the higher source wins (an interrupt is
+ * one pending flag plus its argument). Then each node interrupts
+ * (n+1)%4 and (n+2)%4 and stores into (n+1)%4's memory. The handler
+ * writes its argument, node << 4 | round, to the console.
+ */
+TEST(ParallelRunIpi, InterruptsAreBitIdenticalOnEveryShardCount)
+{
+    constexpr uint32_t kWordsShift = 16;
+    Assembler as;
+    as.bind("main");
+    as.ldio(1, int(IoReg::NodeId));
+    as.slliR(3, 1, 4);                      // argument: node << 4 | k
+    as.srliR(7, 1, 1);                      // round 1: 3 ^ (n & n >> 1)
+    as.andR(7, 1, 7);
+    as.movi(2, 3);
+    as.xorR(2, 2, 7);
+    as.stio(int(IoReg::IpiDest), 2);
+    as.oriR(4, 3, 1);
+    as.stio(int(IoReg::IpiSend), 4);
+    for (int k = 2; k <= 3; ++k) {
+        as.addiR(2, 1, k - 1);
+        as.andiR(2, 2, 3);
+        as.stio(int(IoReg::IpiDest), 2);
+        as.oriR(4, 3, k);
+        as.stio(int(IoReg::IpiSend), 4);
+    }
+    as.addiR(2, 1, 1);                      // store into (n+1)%4's home
+    as.andiR(2, 2, 3);
+    as.slliR(6, 2, int32_t(kWordsShift + tagged::tagShift));
+    as.oriR(6, 6, int32_t(tagged::ptr(64, Tag::Other)));
+    as.stnw(4, 6, 0);
+    as.movi(5, 0);
+    as.bind("spin");
+    as.addiR(5, 5, 1);
+    as.cmpiR(5, 200);
+    as.jRaw(Cond::LT, "spin");
+    as.nop();
+    as.cmpiR(1, 0);
+    as.jRaw(Cond::NE, "idle");
+    as.nop();
+    as.stio(int(IoReg::MachineHalt), 1);
+    as.bind("idle");
+    as.j(Cond::AL, "idle");
+    as.bind("ipi");
+    as.rdspec(reg::t(1), Spec::TrapArg);
+    as.stio(int(IoReg::ConsoleOut), reg::t(1));
+    as.rettRetry();
+    Program prog = as.finish();
+
+    auto runIpi = [&](uint32_t threads, bool skip) {
+        AlewifeParams p;
+        p.network = {.dim = 2, .radix = 2};
+        p.wordsPerNode = 1u << kWordsShift;
+        p.bootRuntime = false;
+        p.controller.cache = {.lineWords = 4, .numLines = 64,
+                              .assoc = 2};
+        p.cycleSkip = skip;
+        p.traceEvents = true;
+        p.cohTrace = true;
+        p.hostThreads = threads;
+        auto m = std::make_unique<AlewifeMachine>(p, &prog);
+        for (uint32_t n = 0; n < m->numNodes(); ++n) {
+            m->proc(n).reset(prog.entry("main"));
+            m->proc(n).setTrapVector(TrapKind::Ipi, prog.entry("ipi"));
+        }
+        m->run(1'000'000);
+        EXPECT_TRUE(m->halted());
+        EXPECT_EQ(m->hostThreads(), threads);
+        return m;
+    };
+
+    auto ref = runIpi(1, true);
+    // Every interrupt but 0x11, which lost to 0x21 in the same cycle.
+    EXPECT_EQ(ref->console(),
+              (std::vector<Word>{0x31, 0x21, 0x02, 0x12, 0x01, 0x03,
+                                 0x13, 0x32, 0x22, 0x23, 0x33}));
+    EXPECT_DOUBLE_EQ(ref->network().statPackets.value(),
+                     ref->telemetry().statDelivered.value());
+    RunRecord want = recordRun(*ref);
+    Digest stats;
+    stats.addString(want.outputs.stats);
+    EXPECT_EQ(stats.value(), 0x233aa2ce96d0bcf0ull)
+        << std::hex << stats.value();
+    for (bool skip : {true, false}) {
+        for (uint32_t threads : {1u, 2u, 4u}) {
+            if (threads == 1 && skip)
+                continue;
+            auto m = runIpi(threads, skip);
+            std::string what = "threads=" + std::to_string(threads) +
+                               " skip=" + (skip ? "on" : "off");
+            EXPECT_EQ(compareRuns(want, recordRun(*m)), "") << what;
+        }
+    }
 }
 
 } // namespace
